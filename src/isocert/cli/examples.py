@@ -64,11 +64,11 @@ def _span_equal(basis_a, basis_b, field) -> bool:
         if not basis:
             return all(mat_is_zero(m, field.zero) for m in mats)
         n = len(basis[0])
-        rows = [[basis[k][i][j] for k in range(len(basis))]
+        rows = [{k: basis[k][i][j] for k in range(len(basis))}
                 for i in range(n) for j in range(n)]
         for m in mats:
             rhs = [m[i][j] for i in range(n) for j in range(n)]
-            if linear_solve(rows, rhs, field.zero, field.one).inconsistent:
+            if linear_solve(rows, rhs, len(basis), field.zero, field.one).inconsistent:
                 return False
         return True
 
@@ -184,11 +184,11 @@ def run_legendre() -> Report:
     # Minimality: the order-1 dependence search must be inconsistent.
     r0 = curve_reduce(b)
     r1 = curve_reduce(curve_derive(b, spec.get("param", "t")))
-    rows = [[r0.h1.coords[i]] for i in range(curve.basis_size())]
+    rows = [{0: r0.h1.coords[i]} for i in range(curve.basis_size())]
     rhs = [-r1.h1.coords[i] for i in range(curve.basis_size())]
     zero = RationalFunction.const(0, curve.registry)
     one = RationalFunction.const(1, curve.registry)
-    sol = linear_solve(rows, rhs, zero, one)
+    sol = linear_solve(rows, rhs, 1, zero, one)
     _expect(sol.inconsistent == expect["minimality_order_1_inconsistent"],
             "order-1 minimality check differs")
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..connection import (FlattenFound, FlattenObstruction, UnsupportedField,
-                          check_integrability, flatten, gauge)
-from ..curve import PicardFuchsNotFound, UnsupportedPoles, picard_fuchs
+from ..connection import (FlattenFound, FlattenObstruction, check_integrability,
+                          flatten, gauge)
+from ..curve import PicardFuchsNotFound, picard_fuchs
 from ..derham import TelescoperNotFound, reduce as derham_reduce, telescoper
-from ..exactalg import (NonLinearFactor, VariableRegistry, VarKind,
-                        ZeroDenominator)
-from ..galois import UnsupportedOperator, galois_descriptor
+from ..exactalg import ExactAlgError, VariableRegistry, VarKind, ZeroDenominator
+from ..galois import galois_descriptor
 from .examples import (EXAMPLE_NAMES, ExampleFailure, run_all, run_example)
 from .exprio import (ExprSyntaxError, UnknownIdentifier, parse_expression,
                      parse_to_rational)
@@ -286,13 +285,14 @@ def run_command(argv: list[str]) -> tuple[int, Report]:
             ZeroDenominator) as exc:
         return EXIT_MALFORMED, Report(args.command, {
             "status": "malformed-input", "detail": str(exc)})
-    except (NonLinearFactor, UnsupportedOperator, UnsupportedPoles,
-            UnsupportedField) as exc:
-        return EXIT_UNSUPPORTED, Report(args.command, {
-            "status": "unsupported-input", "detail": str(exc)})
     except (TelescoperNotFound, PicardFuchsNotFound) as exc:
         return EXIT_NOT_FOUND, Report(args.command, {
             "status": "not-found-within-bounds", "detail": str(exc)})
+    # The remaining exact-algebra errors, curve errors among them, refuse
+    # an input the toolkit does not support.
+    except ExactAlgError as exc:
+        return EXIT_UNSUPPORTED, Report(args.command, {
+            "status": "unsupported-input", "detail": str(exc)})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -193,13 +193,13 @@ def centralizer(mats: list[Matrix], field: FieldContext) -> list[Matrix]:
     for M in mats:
         for i in range(n):
             for j in range(n):
-                row = [zero] * (n * n)
+                row = {}
                 for q in range(n):
-                    row[i * n + q] = row[i * n + q] + M[q][j]
+                    row[i * n + q] = row.get(i * n + q, zero) + M[q][j]
                 for p in range(n):
-                    row[p * n + j] = row[p * n + j] - M[i][p]
+                    row[p * n + j] = row.get(p * n + j, zero) - M[i][p]
                 rows.append(row)
-    sol = linear_solve(rows, [zero] * len(rows), zero, one)
+    sol = linear_solve(rows, [zero] * len(rows), n * n, zero, one)
     basis = []
     for vec in sol.nullspace:
         basis.append([[vec[i * n + j] for j in range(n)] for i in range(n)])
@@ -359,10 +359,10 @@ def _flatten_bivariate(system: ConnectionSystem, syms: list[str],
     n = system.size
     h = defect(system, v, u)
     # Coordinates of h in the span.
-    rows = [[basis[m][i][j] for m in range(len(basis))]
+    rows = [{m: basis[m][i][j] for m in range(len(basis))}
             for i in range(n) for j in range(n)]
     rhs = [h[i][j] for i in range(n) for j in range(n)]
-    sol = linear_solve(rows, rhs, f.zero, f.one)
+    sol = linear_solve(rows, rhs, len(basis), f.zero, f.one)
     if sol.inconsistent:
         return FlattenObstruction(ObstructionWitness(
             (v, u), "span", None, None, None,
@@ -423,7 +423,7 @@ def _flatten_ansatz(system: ConnectionSystem, syms: list[str],
                     for c in range(n):
                         columns[k].append(nabla[r][c])
         rows, rhs = match_coefficients(columns, rhs_entries)
-        sol = linear_solve(rows, rhs, Fraction(0), Fraction(1))
+        sol = linear_solve(rows, rhs, len(columns), Fraction(0), Fraction(1))
         if sol.inconsistent:
             return FlattenNotFound(degree_bound,
                                    f"no degree-{degree_bound} move for {target!r}")

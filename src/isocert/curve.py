@@ -339,10 +339,10 @@ def picard_fuchs(curve: CurveSpec, form_index: int, t_name: str,
     reductions: list[CurveReduction] = []
     for n in range(max_order + 1):
         reductions.append(curve_reduce(derivs[n]))
-        rows = [[reductions[j].h1.coords[i] for j in range(n)]
+        rows = [{j: reductions[j].h1.coords[i] for j in range(n)}
                 for i in range(curve.basis_size())]
         rhs = [-reductions[n].h1.coords[i] for i in range(curve.basis_size())]
-        sol = linear_solve(rows, rhs, zero, one)
+        sol = linear_solve(rows, rhs, n, zero, one)
         if not sol.inconsistent:
             relation = list(sol.particular) + [one]
             operator = LinearDiffOperator.from_dependence(t_name, relation)

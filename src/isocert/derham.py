@@ -157,11 +157,10 @@ def telescoper(b: RationalFunction, x_name: str, t_name: str,
     for n in range(max_order + 1):
         reductions.append(reduce(derivs[n], x_name))
         poles = sorted({p for r in reductions for p in r.h1.residues}, key=_rf_sort_key)
-        rows = [[r.h1.residues.get(p, zero) for r in reductions[:n]] for p in poles]
+        rows = [{j: r.h1.residues.get(p, zero) for j, r in enumerate(reductions[:n])}
+                for p in poles]
         rhs = [-reductions[n].h1.residues.get(p, zero) for p in poles]
-        if not poles:
-            rows, rhs = [[zero] * n], [zero]
-        sol = linear_solve(rows, rhs, zero, one)
+        sol = linear_solve(rows, rhs, n, zero, one)
         if not sol.inconsistent:
             relation = list(sol.particular) + [one]
             operator = LinearDiffOperator.from_dependence(t_name, relation)

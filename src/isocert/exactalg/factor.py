@@ -222,15 +222,14 @@ def _reconstruct_rational(series: list[Fraction], bound: int, u: int,
     rows = []
     rhs = []
     for k in range(n):
-        row = [Fraction(0)] * (n_c + n_d)
+        row = {}
         if k < n_c:
             row[k] = Fraction(-1)
-        for j in range(1, n_d + 1):
-            if k - j >= 0:
-                row[n_c + j - 1] = series[k - j]
+        for j in range(1, min(k, n_d) + 1):
+            row[n_c + j - 1] = series[k - j]
         rows.append(row)
         rhs.append(-series[k])
-    sol = _solve(rows, rhs, Fraction(0), Fraction(1))
+    sol = _solve(rows, rhs, n_c + n_d, Fraction(0), Fraction(1))
     if sol.inconsistent:
         return None
     vec = sol.particular

@@ -2,7 +2,8 @@
 
 The routines are generic: entries only need +, -, *, / and an is_zero test
 (``e == zero``).  They are used with RationalFunction, tower elements and
-curve elements alike.  Matrices are plain lists of lists.
+curve elements alike.  Matrices are plain lists of lists; the rows of a
+linear system are sparse: dicts from column index to entry.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 Matrix = list[list[Any]]
+SparseRow = dict[int, Any]
 
 
 @dataclass
@@ -30,47 +32,81 @@ def _is_zero(e, zero) -> bool:
     return e == zero
 
 
-def linear_solve(M: Sequence[Sequence], rhs: Sequence, zero, one) -> LinearSolution:
-    """Exact Gauss-Jordan elimination; every returned vector satisfies the
-    system exactly by construction."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(M)]
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, m):
-            if not _is_zero(aug[r][col], zero):
-                sel = r
-                break
-        if sel is None:
+def _eliminate(row: SparseRow, pivot: SparseRow, col: int, zero) -> None:
+    """row -= row[col] * pivot, for a pivot row with pivot[col] == 1; only the
+    pivot row's nonzeros are touched and cancelled entries are deleted."""
+    f = row.pop(col)
+    for j, v in pivot.items():
+        if j == col:
             continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = one / aug[row][col]
-        aug[row] = [inv * e for e in aug[row]]
-        for r in range(m):
-            if r != row and not _is_zero(aug[r][col], zero):
-                factor = aug[r][col]
-                aug[r] = [aug[r][j] - factor * aug[row][j] for j in range(n + 1)]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if not _is_zero(aug[r][n], zero):
-            return LinearSolution(True, None, [])
-    pivot_cols = {col: r for r, col in pivots}
-    particular = [zero] * n
-    for col, r in pivot_cols.items():
-        particular[col] = aug[r][n]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+        e = row.get(j)
+        if e is None:
+            row[j] = zero - f * v
+        else:
+            e = e - f * v
+            if _is_zero(e, zero):
+                del row[j]
+            else:
+                row[j] = e
+
+
+def linear_solve(rows: Sequence[SparseRow], rhs: Sequence, ncols: int,
+                 zero, one) -> LinearSolution:
+    """Exact sparse Gauss-Jordan elimination for the system
+    sum_j rows[i][j] * x_j = rhs[i] in the unknowns x_0..x_{ncols-1}.
+
+    Each row maps column indices to entries; absent columns are zero.  Pivot
+    columns are taken in column order, and within a column the candidate row
+    with the fewest nonzeros becomes the pivot row.  Back-substitution then
+    brings the pivot rows to reduced row echelon form.  That form is unique,
+    so the particular solution (free unknowns zero) and the kernel basis (one
+    vector per free column, ascending) do not depend on the pivot choice, and
+    every returned vector satisfies the system exactly.
+    """
+    # Working copies without zero entries; the right-hand side is column ncols.
+    active: list[SparseRow] = []
+    for row, b in zip(rows, rhs):
+        work = {j: e for j, e in row.items() if not _is_zero(e, zero)}
+        if not _is_zero(b, zero):
+            work[ncols] = b
+        if work:
+            active.append(work)
+    pivots: list[tuple[int, SparseRow]] = []
+    for col in range(ncols):
+        candidates = [r for r in active if col in r]
+        if not candidates:
+            continue
+        pivot = min(candidates, key=len)
+        active = [r for r in active if r is not pivot]
+        inv = one / pivot[col]
+        for j in pivot:
+            pivot[j] = inv * pivot[j]
+        for r in candidates:
+            if r is not pivot:
+                _eliminate(r, pivot, col, zero)
+        pivots.append((col, pivot))
+    # A row left without a pivot reads 0 = its right-hand side.
+    if any(active):
+        return LinearSolution(True, None, [])
+    for k in range(len(pivots) - 1, 0, -1):
+        col, pivot = pivots[k]
+        for _, r in pivots[:k]:
+            if col in r:
+                _eliminate(r, pivot, col, zero)
+    particular = [zero] * ncols
+    for col, pivot in pivots:
+        particular[col] = pivot.get(ncols, zero)
+    pivot_cols = {col for col, _ in pivots}
     nullspace = []
-    for fc in free_cols:
-        vec = [zero] * n
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
+        vec = [zero] * ncols
         vec[fc] = one
-        for col, r in pivot_cols.items():
-            vec[col] = zero - aug[r][fc]
+        for col, pivot in pivots:
+            e = pivot.get(fc)
+            if e is not None:
+                vec[col] = zero - e
         nullspace.append(vec)
     return LinearSolution(False, particular, nullspace)
 
@@ -145,26 +181,22 @@ class SingularMatrix(ArithmeticError):
 
 
 def mat_inverse(A: Matrix, zero, one) -> Matrix:
+    """A^-1 from the kernel of [A | -I], whose vectors (x, y) have A x = y.
+
+    The columns of -I are independent, so the kernel has one vector per free
+    column.  When A is invertible the free columns are those of -I and the
+    j-th kernel vector is (A^-1 e_j, e_j).  Otherwise the first free column
+    is a column of A, and its kernel vector has y = 0.
+    """
     n, m = mat_shape(A)
     if n != m:
         raise ValueError("inverse of a non-square matrix")
-    aug = [list(A[i]) + list(identity(n, zero, one)[i]) for i in range(n)]
-    for col in range(n):
-        sel = None
-        for r in range(col, n):
-            if not _is_zero(aug[r][col], zero):
-                sel = r
-                break
-        if sel is None:
-            raise SingularMatrix("matrix is singular")
-        aug[col], aug[sel] = aug[sel], aug[col]
-        inv = one / aug[col][col]
-        aug[col] = [inv * e for e in aug[col]]
-        for r in range(n):
-            if r != col and not _is_zero(aug[r][col], zero):
-                f = aug[r][col]
-                aug[r] = [aug[r][j] - f * aug[col][j] for j in range(2 * n)]
-    return [row[n:] for row in aug]
+    minus_one = zero - one
+    rows = [{**dict(enumerate(row)), n + i: minus_one} for i, row in enumerate(A)]
+    kernel = linear_solve(rows, [zero] * n, 2 * n, zero, one).nullspace
+    if kernel and _is_zero(kernel[0][n], zero):
+        raise SingularMatrix("matrix is singular")
+    return [[kernel[j][i] for j in range(n)] for i in range(n)]
 
 
 def mat_apply(fn, A: Matrix) -> Matrix:

@@ -190,7 +190,7 @@ def rational_solutions(op: LinearDiffOperator, registry) -> list[RationalFunctio
         applied = _apply_coeff_list(field_ctx_coeffs, mono, op.symbol)
         columns.append([applied])
     rows, rhs = match_coefficients(columns, [RationalFunction.const(0, registry)])
-    sol = linear_solve(rows, rhs, Fraction(0), Fraction(1))
+    sol = linear_solve(rows, rhs, len(columns), Fraction(0), Fraction(1))
     basis = []
     for vec in sol.nullspace:
         z = RationalFunction.const(0, registry)
@@ -394,7 +394,7 @@ def horizontal_sections(system: ConnectionSystem, symbols: Optional[list[str]] =
         columns.append(col)
     rhs = [zero] * (len(syms) * n)
     rows, rhs_q = match_coefficients(columns, rhs)
-    sol = linear_solve(rows, rhs_q, Fraction(0), Fraction(1))
+    sol = linear_solve(rows, rhs_q, len(columns), Fraction(0), Fraction(1))
     basis = []
     for vec in sol.nullspace:
         Y = [RationalFunction.const(0, reg) for _ in range(n)]

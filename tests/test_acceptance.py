@@ -69,14 +69,14 @@ def test_criterion_02_commutant():
         E13[0][2] = one
         targets = [I, E13]
         assert len(basis) == 2
-        rows = [[basis[k][i][j] for k in range(2)] for i in range(3) for j in range(3)]
+        rows = [{k: basis[k][i][j] for k in range(2)} for i in range(3) for j in range(3)]
         for m in targets:
             rhs = [m[i][j] for i in range(3) for j in range(3)]
-            assert not linear_solve(rows, rhs, zero, one).inconsistent
-        back = [[targets[k][i][j] for k in range(2)] for i in range(3) for j in range(3)]
+            assert not linear_solve(rows, rhs, 2, zero, one).inconsistent
+        back = [{k: targets[k][i][j] for k in range(2)} for i in range(3) for j in range(3)]
         for m in basis:
             rhs = [m[i][j] for i in range(3) for j in range(3)]
-            assert not linear_solve(back, rhs, zero, one).inconsistent
+            assert not linear_solve(back, rhs, 2, zero, one).inconsistent
 
 
 def test_criterion_03_iterated_integrals():
@@ -170,10 +170,11 @@ def test_criterion_07_telescoper_corpus():
                 reductions = [reduce(derivs[j], "x") for j in range(n)]
                 poles = sorted({p for r in reductions for p in r.h1.residues},
                                key=lambda p: repr(p))
-                rows = [[r.h1.residues.get(p, zero) for r in reductions[:n - 1]]
+                rows = [dict(enumerate(r.h1.residues.get(p, zero)
+                                       for r in reductions[:n - 1]))
                         for p in poles]
                 rhs = [-reductions[n - 1].h1.residues.get(p, zero) for p in poles]
-                assert linear_solve(rows, rhs, zero, one).inconsistent, text
+                assert linear_solve(rows, rhs, n - 1, zero, one).inconsistent, text
 
 
 def _random_linear_pole_fn(rnd, reg):

@@ -1,6 +1,9 @@
 """Expression grammar, problem files, reports and the command runner."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -203,6 +206,32 @@ def test_run_command_picard_fuchs():
                                 "--form", "0", "--param", "t"])
     assert code == 0
     assert report.payload["order"] == 2
+
+
+@pytest.mark.parametrize("curve, form", [
+    ("x^5-t", "0"),             # degree outside {3, 4}
+    ("x*(x-1)*(x-t)", "5"),     # form index out of range
+    ("(x-1)^2*(x-t)", "0"),     # not squarefree
+])
+def test_run_command_picard_fuchs_unsupported_curve(curve, form):
+    code, report = run_command(["picard-fuchs", "--curve", curve, "--form", form,
+                                "--param", "t"])
+    assert code == 2
+    assert report.payload["status"] == "unsupported-input"
+
+
+def test_python_m_runs_main_once():
+    import isocert
+
+    src = os.path.dirname(os.path.dirname(isocert.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "isocert.cli.main", "examples", "run",
+                           "legendre"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0
+    assert done.stdout.count("== examples run legendre ==") == 1
+    assert done.stderr == ""
 
 
 def test_run_command_exit_codes(tmp_path):

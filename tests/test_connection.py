@@ -149,10 +149,10 @@ def test_centralizer_unitriangular(t1t2):
     assert len(basis) == 2
     # span == span{Id, E13}
     targets = [I, _e13(t1t2)]
-    rows = [[basis[k][i][j] for k in range(2)] for i in range(3) for j in range(3)]
+    rows = [{k: basis[k][i][j] for k in range(2)} for i in range(3) for j in range(3)]
     for m in targets:
         rhs = [m[i][j] for i in range(3) for j in range(3)]
-        assert not linear_solve(rows, rhs, zero, one).inconsistent
+        assert not linear_solve(rows, rhs, 2, zero, one).inconsistent
 
 
 def test_centralizer_identity_gives_everything(t1t2):

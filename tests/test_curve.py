@@ -143,9 +143,9 @@ def test_picard_fuchs_minimality_order1(xt, legendre):
     b = legendre.basis_form(0)
     r0 = curve_reduce(b)
     r1 = curve_reduce(curve_derive(b, "t"))
-    rows = [[r0.h1.coords[i]] for i in range(2)]
+    rows = [{0: r0.h1.coords[i]} for i in range(2)]
     rhs = [-r1.h1.coords[i] for i in range(2)]
-    assert linear_solve(rows, rhs, zero, one).inconsistent
+    assert linear_solve(rows, rhs, 1, zero, one).inconsistent
 
 
 def test_picard_fuchs_t_independent(xt):

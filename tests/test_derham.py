@@ -137,10 +137,10 @@ def test_telescoper_identity_and_minimality(xt):
             reductions = [reduce(derivs[j], "x") for j in range(n)]
             poles = sorted({p for r in reductions for p in r.h1.residues},
                            key=lambda p: repr(p))
-            rows = [[r.h1.residues.get(p, zero) for r in reductions[:n - 1]]
+            rows = [dict(enumerate(r.h1.residues.get(p, zero) for r in reductions[:n - 1]))
                     for p in poles]
             rhs = [-reductions[n - 1].h1.residues.get(p, zero) for p in poles]
-            assert linear_solve(rows, rhs, zero, one).inconsistent
+            assert linear_solve(rows, rhs, n - 1, zero, one).inconsistent
 
 
 def test_telescoper_invariance_under_exact_shift(xt):

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isocert.exactalg import (MultiPoly, NonLinearFactor, RationalFunction,
-                              VariableRegistry, VarKind, ZeroDenominator,
-                              gcd, linear_poles, linear_solve, normalize,
+                              SingularMatrix, VariableRegistry, VarKind,
+                              ZeroDenominator, gcd, identity, linear_poles,
+                              linear_solve, mat_inverse, mat_mul, normalize,
                               partial_fractions, poly_sqrt, squarefree_factor)
 from isocert.exactalg.poly import exact_div
 
@@ -153,7 +154,7 @@ def test_poly_sqrt():
 
 def test_linear_solve_identity(t1t2):
     one, zero = t1t2["one"], t1t2["zero"]
-    sol = linear_solve([[one, zero], [zero, one]], [one, zero], zero, one)
+    sol = linear_solve([{0: one, 1: zero}, {0: zero, 1: one}], [one, zero], 2, zero, one)
     assert not sol.inconsistent
     assert sol.particular == [one, zero]
     assert sol.nullspace == []
@@ -161,7 +162,7 @@ def test_linear_solve_identity(t1t2):
 
 def test_linear_solve_nullspace(xt):
     t, one, zero = xt["t"], xt["one"], xt["zero"]
-    sol = linear_solve([[one / (t - one), one]], [zero], zero, one)
+    sol = linear_solve([{0: one / (t - one), 1: one}], [zero], 2, zero, one)
     assert not sol.inconsistent
     assert len(sol.nullspace) == 1
     v = sol.nullspace[0]
@@ -171,7 +172,7 @@ def test_linear_solve_nullspace(xt):
 
 def test_linear_solve_inconsistent(xt):
     one, zero = xt["one"], xt["zero"]
-    sol = linear_solve([[one], [one]], [zero, one], zero, one)
+    sol = linear_solve([{0: one}, {0: one}], [zero, one], 1, zero, one)
     assert sol.inconsistent
 
 
@@ -182,13 +183,138 @@ def test_linear_solve_satisfies_system(xt1t2):
         m, n = rnd.randint(1, 3), rnd.randint(1, 4)
         M = [[random_rational(rnd, reg) for _ in range(n)] for _ in range(m)]
         rhs = [random_rational(rnd, reg) for _ in range(m)]
-        sol = linear_solve(M, rhs, zero, one)
+        sol = linear_solve([dict(enumerate(row)) for row in M], rhs, n, zero, one)
         if sol.inconsistent:
             continue
         for i in range(m):
             assert sum((M[i][j] * sol.particular[j] for j in range(n)), zero) == rhs[i]
             for vec in sol.nullspace:
                 assert sum((M[i][j] * vec[j] for j in range(n)), zero) == zero
+
+
+# -- sparse Gauss-Jordan against sympy's rref ------------------------------------
+
+
+def _rref_solution(rows, rhs, ncols, to_sympy, from_sympy):
+    """(inconsistent, particular, nullspace) read off sympy's rref of [M | rhs]:
+    free unknowns zero, one kernel vector per free column."""
+    sympy = pytest.importorskip("sympy")
+    aug = sympy.zeros(len(rows), ncols + 1)
+    for i, row in enumerate(rows):
+        for j, e in row.items():
+            aug[i, j] = to_sympy(e)
+        aug[i, ncols] = to_sympy(rhs[i])
+    R, pivots = aug.rref()
+    if ncols in pivots:
+        return True, None, []
+    particular = [from_sympy(0)] * ncols
+    for r, c in enumerate(pivots):
+        particular[c] = from_sympy(R[r, ncols])
+    nullspace = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [from_sympy(0)] * ncols
+        vec[fc] = from_sympy(1)
+        for r, c in enumerate(pivots):
+            vec[c] = from_sympy(-R[r, fc])
+        nullspace.append(vec)
+    return False, particular, nullspace
+
+
+def _fraction_to_sympy(q):
+    import sympy
+
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def _sympy_to_fraction(e):
+    import sympy
+
+    e = sympy.Rational(e)
+    return Fraction(int(e.p), int(e.q))
+
+
+_ENTRY = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def _sparse_systems(draw):
+    """Sparse Fraction systems with empty rows, all-zero columns, explicit
+    zero entries and right-hand sides that are often inconsistent."""
+    m, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    dead = draw(st.sets(st.integers(0, max(ncols - 1, 0))))
+    live = [j for j in range(ncols) if j not in dead]
+    row = st.dictionaries(st.sampled_from(live), _ENTRY, max_size=3) if live \
+        else st.just({})
+    rows = [draw(row) for _ in range(m)]
+    rhs = [draw(_ENTRY) for _ in range(m)]
+    return rows, rhs, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_systems())
+# The shape the telescoper sends at order 0: no unknowns, one row per pole.
+@example(([{}, {}], [Fraction(0), Fraction(1)], 0))
+@example(([{}, {}], [Fraction(0), Fraction(0)], 0))
+@example(([{0: Fraction(1)}, {0: Fraction(1)}], [Fraction(0), Fraction(1)], 1))
+@example(([], [], 3))
+def test_linear_solve_matches_sympy_rref(system):
+    rows, rhs, ncols = system
+    sol = linear_solve(rows, rhs, ncols, Fraction(0), Fraction(1))
+    expected = _rref_solution(rows, rhs, ncols, _fraction_to_sympy, _sympy_to_fraction)
+    assert (sol.inconsistent, sol.particular, sol.nullspace) == expected
+
+
+def test_linear_solve_rational_function_entries_match_sympy_rref(xt):
+    sympy = pytest.importorskip("sympy")
+    from isocert.cli.exprio import parse_to_rational
+    from isocert.exactalg import format_rational
+
+    reg, zero, one = xt["reg"], xt["zero"], xt["one"]
+    t = sympy.Symbol("t")
+
+    def to_sympy(f):
+        return sympy.sympify(format_rational(f).replace("^", "**"), locals={"t": t})
+
+    def from_sympy(e):
+        return parse_to_rational(str(sympy.cancel(e)).replace("**", "^"), reg)
+
+    texts = [["1/(t-1)", "t", "0", "t^2/(t-1)"],
+             ["t", "0", "1", "t^2+1"],
+             ["1", "t*(t-1)", "0", "t"]]
+    rows = [{j: parse_to_rational(e, reg) for j, e in enumerate(r) if e != "0"}
+            for r in texts]
+    for rhs_texts in (["1", "t", "0"], ["0", "0", "0"]):
+        rhs = [parse_to_rational(e, reg) for e in rhs_texts]
+        sol = linear_solve(rows, rhs, 4, zero, one)
+        expected = _rref_solution(rows, rhs, 4, to_sympy, from_sympy)
+        assert (sol.inconsistent, sol.particular, sol.nullspace) == expected
+        assert not sol.inconsistent and len(sol.nullspace) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(_ENTRY, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_mat_inverse_round_trip_or_singular(A):
+    sympy = pytest.importorskip("sympy")
+    zero, one = Fraction(0), Fraction(1)
+    n = len(A)
+    if sympy.Matrix(A).det() == 0:
+        with pytest.raises(SingularMatrix):
+            mat_inverse(A, zero, one)
+        return
+    inv = mat_inverse(A, zero, one)
+    assert mat_mul(A, inv, zero) == identity(n, zero, one)
+    assert mat_inverse(inv, zero, one) == A
+
+
+def test_mat_inverse_singular_rational_functions(xt):
+    t, one, zero = xt["t"], xt["one"], xt["zero"]
+    with pytest.raises(SingularMatrix):
+        mat_inverse([[t, one], [t * t, t]], zero, one)
+    g = [[t, one], [zero, t + one]]
+    assert mat_mul(g, mat_inverse(g, zero, one), zero) == identity(2, zero, one)
 
 
 # -- hypothesis property suites ------------------------------------------------

@@ -91,9 +91,9 @@ def test_rational_solutions_recovers_constructed_spaces(xt):
             continue
         # [u'', v''] = c1*[u', v'] + c0*[u, v] fixes the order-2 operator
         sol = linear_solve(
-            [[u, u.derive("t")], [v, v.derive("t")]],
+            [{0: u, 1: u.derive("t")}, {0: v, 1: v.derive("t")}],
             [u.derive("t").derive("t"), v.derive("t").derive("t")],
-            zero, one)
+            2, zero, one)
         if sol.inconsistent:
             continue
         c0, c1 = sol.particular
@@ -107,9 +107,9 @@ def test_rational_solutions_recovers_constructed_spaces(xt):
         assert len(basis) == 2
         rows = [[b, b.derive("t")] for b in basis]
         for target in (u, v):
-            chk = linear_solve([[rows[0][0], rows[1][0]],
-                                [rows[0][1], rows[1][1]]],
-                               [target, target.derive("t")], zero, one)
+            chk = linear_solve([{0: rows[0][0], 1: rows[1][0]},
+                                {0: rows[0][1], 1: rows[1][1]}],
+                               [target, target.derive("t")], 2, zero, one)
             assert not chk.inconsistent
         done += 1
 
