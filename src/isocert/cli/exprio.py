@@ -1,24 +1,35 @@
 """Expression text I/O.
 
 Grammar: integers, rationals via '/', identifiers [A-Za-z_][A-Za-z0-9_]*,
-operators + - * / ^ (integer exponents), parentheses, standard precedence,
-left associativity, unary minus.  Trees are plain tuples; printing is
-faithful with minimal parentheses, so parse(print(parse(s))) == parse(s).
+operators + - * / ^ (integer exponents, |n| <= MAX_EXPONENT), parentheses,
+standard precedence, left associativity, unary minus.  Trees are plain
+tuples; printing is faithful with minimal parentheses, so
+parse(print(parse(s))) == parse(s).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ..exactalg import RationalFunction
+from ..exactalg import ExactAlgError, RationalFunction
 
 Node = tuple
+
+# Largest |n| accepted in `^n`.  Powers are expanded densely, and the heuristic
+# gcd on a power of degree n works on integers of about n^2 bits, so an
+# unbounded exponent is unbounded work: reducing 1/(x-t)^100 takes seconds,
+# 1/(x-t)^200 over a minute.  The corpora and fixtures use n <= 5.
+MAX_EXPONENT = 100
 
 
 class ExprSyntaxError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at offset {position}")
         self.position = position
+
+
+class ExponentTooLarge(ExactAlgError):
+    """A well-formed exponent beyond MAX_EXPONENT: unsupported, not malformed."""
 
 
 class UnknownIdentifier(KeyError):
@@ -135,6 +146,9 @@ def _parse_power(lex: _Lexer) -> Node:
     kind, value, pos = lex.peek()
     if kind != "int":
         raise ExprSyntaxError("exponent must be an integer", pos)
+    if value > MAX_EXPONENT:
+        raise ExponentTooLarge(f"exponent {sign * value} at offset {pos} is outside "
+                               f"the supported bound |n| <= {MAX_EXPONENT}")
     lex.next()
     return ("pow", base, sign * value)
 

@@ -4,6 +4,7 @@ integrands.  Validated against a schema before any computation."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
@@ -152,6 +153,15 @@ def _make_resolver(tower: Optional[Tower], registry: VariableRegistry):
     return resolve
 
 
+@functools.cache
+def _problem_validator():
+    """The schema validator, built and the schema checked on first use;
+    reporting its best_match error gives jsonschema.validate's message."""
+    cls = jsonschema.validators.validator_for(PROBLEM_SCHEMA)
+    cls.check_schema(PROBLEM_SCHEMA)
+    return cls(PROBLEM_SCHEMA)
+
+
 def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
     """Load and validate a problem from a path, file object or dict.
 
@@ -172,10 +182,9 @@ def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
             raise ProblemFileError(str(exc)) from None
         except json.JSONDecodeError as exc:
             raise ProblemFileError(f"invalid JSON: {exc}") from None
-    try:
-        jsonschema.validate(data, PROBLEM_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ProblemFileError(f"schema violation: {exc.message}") from None
+    error = jsonschema.exceptions.best_match(_problem_validator().iter_errors(data))
+    if error is not None:
+        raise ProblemFileError(f"schema violation: {error.message}") from None
 
     field_spec = data["field"]
     principal = field_spec.get("principal")

@@ -6,9 +6,12 @@ lexicographic in the registry order (lower index = more significant).  All
 values are immutable; no zero coefficients are ever stored.
 
 Also provides the polynomial toolbox the rest of the package is built on:
-exact division, pseudo-remainders, gcd via subresultant PRS on a distinguished
-variable, content/primitive splitting, Yun squarefree decomposition and exact
-polynomial square roots.
+exact division, pseudo-remainders, gcd, content/primitive splitting, Yun
+squarefree decomposition and exact polynomial square roots.  The gcd clears
+denominators once and runs the heuristic GCDHEU (Char, Geddes and Gonnet,
+JSC 1989) variable by variable on integer term dicts, checking every
+candidate by exact division over Z; the rare heuristic failure falls back to
+the subresultant PRS on the top common variable.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from functools import reduce
 
 from .registry import ExactAlgError
 
@@ -326,12 +328,6 @@ class MultiPoly:
     def coefficient(self, var: int, power: int) -> "MultiPoly":
         return self.as_univariate(var).get(power, _ZERO)
 
-    def monomial_content(self) -> Mono:
-        """Largest monomial dividing every term."""
-        if not self.terms:
-            return EMPTY_MONO
-        return reduce(mono_gcd, self.terms)
-
 
 _ZERO = MultiPoly({})
 _ONE = MultiPoly({EMPTY_MONO: Fraction(1)})
@@ -456,9 +452,10 @@ def primitive_part(p: MultiPoly, var: int) -> MultiPoly:
 def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Polynomial gcd over Q, normalized monic under graded-lex.
 
-    Uses the evaluation-reconstruction heuristic with exact division checks;
-    the verified answer is provably correct, and the subresultant PRS on the
-    top common variable handles the rare failures.
+    Clears denominators once and runs the evaluation-reconstruction heuristic
+    on integer term dicts; every candidate it returns has been checked to
+    divide both inputs exactly, so the answer is provably correct, and the
+    subresultant PRS on the top common variable handles the rare failures.
     """
     if a.is_zero():
         return b.monic()
@@ -466,29 +463,12 @@ def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return a.monic()
     if a.is_const() or b.is_const():
         return _ONE
-    # Peel the shared monomial factor first; it is cheap and common.
-    ma, mb = a.monomial_content(), b.monomial_content()
-    m = mono_gcd(ma, mb)
-    if ma:
-        a = exact_div(a, MultiPoly({ma: Fraction(1)}))
-    if mb:
-        b = exact_div(b, MultiPoly({mb: Fraction(1)}))
-    mono_factor = MultiPoly({m: Fraction(1)}) if m else _ONE
-    if a.is_const() or b.is_const():
-        return mono_factor
-    if a.terms == b.terms:
-        return (mono_factor * a).monic()
-    va, vb = a.variables(), b.variables()
-    common = va & vb
-    if not common:
-        return mono_factor
-    pa = _int_normalize(a)
-    pb = _int_normalize(b)
     try:
-        g = _heugcd(pa, pb)
+        g = _heugcd(_int_terms(a), _int_terms(b))
     except _HeuristicFailure:
-        g = _prs_route(pa, pb, max(common))
-    return (mono_factor * g).monic()
+        return _prs_route(a, b, max(a.variables() & b.variables())).monic()
+    lc = g[max(g, key=mono_key_grlex)]
+    return MultiPoly({m: Fraction(c, lc) for m, c in g.items()})
 
 
 def _prs_route(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
@@ -505,138 +485,194 @@ class _HeuristicFailure(Exception):
     pass
 
 
-def _int_normalize(p: MultiPoly) -> MultiPoly:
-    """Scale to integer coefficients with content 1 and positive leading
-    coefficient (a unit multiple of p over Q)."""
-    den_lcm = 1
-    for c in p.terms.values():
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = math.gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    scale = Fraction(den_lcm, num_gcd if num_gcd else 1)
-    if p.leading_coefficient() < 0:
-        scale = -scale
-    return p.scale(scale)
+# -- integer kernel of the heuristic gcd --------------------------------------
+#
+# Polynomials here are plain dicts from monomials to nonzero ints.  By Gauss's
+# lemma a primitive integer polynomial that divides another over Q divides it
+# over Z, so every divisibility check is an exact heap division over Z that
+# gives up at the first non-integral quotient coefficient.
+
+IntTerms = dict[Mono, int]
 
 
-def _eval_at_int(p: MultiPoly, var: int, point: int) -> MultiPoly:
-    parts = p.as_univariate(var)
-    total = _ZERO
-    power = 1
-    for e in range(max(parts) + 1):
-        q = parts.get(e)
-        if q is not None:
-            total = total + q.scale(power)
-        power *= point
-    return total
+def _int_terms(p: MultiPoly) -> IntTerms:
+    """p times the lcm of its denominators, as an integer term dict."""
+    den = math.lcm(*[c.denominator for c in p.terms.values()])
+    if den == 1:
+        return {m: c.numerator for m, c in p.terms.items()}
+    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
 
 
-def _balanced_digit(p: MultiPoly, xi: int) -> tuple[MultiPoly, MultiPoly]:
-    """Split p = digit + xi*rest with digit coefficients in (-xi/2, xi/2]."""
-    digit: dict[Mono, Fraction] = {}
-    rest: dict[Mono, Fraction] = {}
+def _int_variables(p: IntTerms) -> set[int]:
+    return {i for m in p for i, _ in m}
+
+
+def _int_degree(p: IntTerms, var: int) -> int:
+    return max((e for m in p for i, e in m if i == var), default=0)
+
+
+def _peel_monomial(p: IntTerms) -> tuple[Mono, IntTerms]:
+    """(m, p / m) for the largest monomial m dividing every term of p."""
+    it = iter(p)
+    m = next(it)
+    for k in it:
+        if not m:
+            break
+        m = mono_gcd(m, k)
+    if not m:
+        return m, p
+    return m, {mono_div(k, m): c for k, c in p.items()}
+
+
+def _int_primitive(p: IntTerms) -> IntTerms:
+    c = math.gcd(*p.values())
+    return p if c == 1 else {m: v // c for m, v in p.items()}
+
+
+def _int_eval(p: IntTerms, var: int, powers: list[int]) -> IntTerms:
+    """p with `var` set to powers[1]; powers[e] is its e-th power."""
+    out: IntTerms = {}
+    for m, c in p.items():
+        for k, (i, e) in enumerate(m):
+            if i == var:
+                c *= powers[e]
+                m = m[:k] + m[k + 1:]
+                break
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _int_reconstruct(gamma: IntTerms, var: int, xi: int, deg_cap: int) -> IntTerms | None:
+    """Invert evaluation of `var` at xi via balanced xi-adic digits in
+    (-xi/2, xi/2]; None when a coefficient needs more than deg_cap + 1."""
     half = xi // 2
-    for mono, c in p.terms.items():
-        ci = int(c)
-        r = ci % xi
-        if r > half:
-            r -= xi
-        if r:
-            digit[mono] = Fraction(r)
-        q = (ci - r) // xi
-        if q:
-            rest[mono] = Fraction(q)
-    return MultiPoly(digit), MultiPoly(rest)
+    out: IntTerms = {}
+    for m, c in gamma.items():
+        pos = 0
+        while pos < len(m) and m[pos][0] < var:
+            pos += 1
+        head, tail = m[:pos], m[pos:]
+        k = 0
+        while c:
+            if k > deg_cap:
+                return None
+            c, r = divmod(c, xi)
+            if r > half:
+                r -= xi
+                c += 1
+            if r:
+                out[head + ((var, k),) + tail if k else m] = r
+            k += 1
+    return out
 
 
-def _try_exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
-    try:
-        return exact_div(a, b)
-    except ArithmeticError:
-        return None
+def _int_div(a: IntTerms, b: IntTerms) -> IntTerms | None:
+    """a / b when the quotient exists with integer coefficients, else None.
 
-
-def _int_content(p: MultiPoly) -> int:
-    g = 0
-    for c in p.terms.values():
-        g = math.gcd(g, abs(c.numerator))
-        if g == 1:
-            return 1
-    return g if g else 1
-
-
-def _reconstruct(gamma: MultiPoly, var: int, xi: int, deg_cap: int) -> MultiPoly | None:
-    """Invert evaluation at xi via balanced xi-adic digits."""
-    h = _ZERO
-    q = gamma
-    k = 0
-    while not q.is_zero():
-        if k > deg_cap:
-            return None
-        digit, q = _balanced_digit(q, xi)
-        if not digit.is_zero():
-            h = h + digit * MultiPoly.var(var, k) if k else h + digit
-        k += 1
-    return h if not h.is_zero() else None
-
-
-def _heugcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Heuristic gcd for integer-coefficient inputs; raises on failure.
-
-    The integer content is split off first (the content of the gcd is the gcd
-    of the contents), so the recursion on evaluated images keeps the content
-    information that a specialized variable may carry.
+    The heap loop of `exact_div`, stopping at the first leading term of the
+    remainder that b does not divide over Z.
     """
-    ca, cb = _int_content(a), _int_content(b)
+    if len(b) == 1:
+        [(mb, cb)] = b.items()
+        q: IntTerms = {}
+        for m, c in a.items():
+            qm = mono_div(m, mb)
+            qc, rem = divmod(c, cb)
+            if qm is None or rem:
+                return None
+            q[qm] = qc
+        return q
+    lm_b = max(b, key=mono_key_grlex)
+    lc_b = b[lm_b]
+    b_rest = [(m, c) for m, c in b.items() if m != lm_b]
+    r = dict(a)
+    heap = [(mono_key_inv(m), m) for m in r]
+    heapq.heapify(heap)
+    q = {}
+    while heap:
+        _, m = heapq.heappop(heap)
+        c = r.pop(m, None)
+        if c is None:
+            continue
+        qm = mono_div(m, lm_b)
+        if qm is None:
+            return None
+        qc, rem = divmod(c, lc_b)
+        if rem:
+            return None
+        q[qm] = qc
+        for mb, cb in b_rest:
+            mm = mono_mul(qm, mb)
+            prev = r.get(mm)
+            if prev is None:
+                r[mm] = -qc * cb
+                heapq.heappush(heap, (mono_key_inv(mm), mm))
+            else:
+                nxt = prev - qc * cb
+                if nxt:
+                    r[mm] = nxt
+                else:
+                    del r[mm]
+    return q
+
+
+def _heugcd(a: IntTerms, b: IntTerms) -> IntTerms:
+    """Gcd over Z, up to sign, of two nonzero integer polynomials; raises
+    _HeuristicFailure when six evaluation points do not give it.
+
+    The monomial and integer contents are split off first (the gcd is the
+    product of their gcds and the gcd of what is left), so the recursion on
+    evaluated images keeps the content information that a specialized
+    variable may carry.
+    """
+    ma, a = _peel_monomial(a)
+    mb, b = _peel_monomial(b)
+    mono = mono_gcd(ma, mb)
+    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
     ig = math.gcd(ca, cb)
-    pa = a if ca == 1 else a.scale(Fraction(1, ca))
-    pb = b if cb == 1 else b.scale(Fraction(1, cb))
-    if pa.leading_coefficient() < 0:
-        pa = -pa
-    if pb.leading_coefficient() < 0:
-        pb = -pb
-    if pa.is_const() or pb.is_const():
-        return MultiPoly.const(ig)
-    common = pa.variables() & pb.variables()
+    if ca != 1:
+        a = {m: c // ca for m, c in a.items()}
+    if cb != 1:
+        b = {m: c // cb for m, c in b.items()}
+
+    def scaled(h: IntTerms) -> IntTerms:
+        if not mono:
+            return h if ig == 1 else {m: c * ig for m, c in h.items()}
+        return {mono_mul(m, mono): c * ig for m, c in h.items()}
+
+    common = _int_variables(a) & _int_variables(b)
     if not common:
-        return MultiPoly.const(ig)
+        return scaled({EMPTY_MONO: 1})
+    if a == b:
+        return scaled(a)
     var = max(common)
-    norm_a = max(abs(c.numerator) for c in pa.terms.values())
-    norm_b = max(abs(c.numerator) for c in pb.terms.values())
+    deg_a, deg_b = _int_degree(a, var), _int_degree(b, var)
     # The divide-and-check loop is only guaranteed to return the full gcd for
     # evaluation points beyond twice the smaller max-norm.
-    xi = 2 * min(norm_a, norm_b) + 29
-    deg_cap = min(pa.degree(var), pb.degree(var)) + 1
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
     for _ in range(6):
-        fa = _eval_at_int(pa, var, xi)
-        fb = _eval_at_int(pb, var, xi)
-        if not fa.is_zero() and not fb.is_zero():
+        powers = [1]
+        for _ in range(max(deg_a, deg_b)):
+            powers.append(powers[-1] * xi)
+        fa = _int_eval(a, var, powers)
+        fb = _int_eval(b, var, powers)
+        if fa and fb:
             gamma = _heugcd(fa, fb)
-            h = _reconstruct(gamma, var, xi, deg_cap)
+            h = _int_reconstruct(gamma, var, xi, min(deg_a, deg_b) + 1)
             if h is not None:
-                hc = _int_content(h)
-                if hc > 1:
-                    h = h.scale(Fraction(1, hc))
-                if h.leading_coefficient() < 0:
-                    h = -h
-                if _try_exact_div(pa, h) is not None and _try_exact_div(pb, h) is not None:
-                    return h if ig == 1 else h.scale(ig)
-            # Cofactor rescue: reconstruct f(xi)/gamma instead and divide it out.
-            cof = _try_exact_div(fa, gamma)
+                h = _int_primitive(h)
+                if _int_div(a, h) is not None and _int_div(b, h) is not None:
+                    return scaled(h)
+            # Cofactor rescue: reconstruct f(xi)/gamma instead and divide it
+            # out; a is primitive, so its quotient by a primitive cofactor is
+            # primitive too.
+            cof = _int_div(fa, gamma)
             if cof is not None:
-                cf = _reconstruct(cof, var, xi, pa.degree(var) + 1)
+                cf = _int_reconstruct(cof, var, xi, deg_a + 1)
                 if cf is not None:
-                    cand = _try_exact_div(pa, cf)
-                    if cand is not None and not cand.is_zero():
-                        hc = _int_content(cand)
-                        if hc > 1:
-                            cand = cand.scale(Fraction(1, hc))
-                        if cand.leading_coefficient() < 0:
-                            cand = -cand
-                        if _try_exact_div(pb, cand) is not None and \
-                                _try_exact_div(pa, cand) is not None:
-                            return cand if ig == 1 else cand.scale(ig)
+                    cand = _int_div(a, _int_primitive(cf))
+                    if cand is not None and _int_div(b, cand) is not None:
+                        return scaled(cand)
         xi = xi * 73794 // 27011 + 1
     raise _HeuristicFailure
 

@@ -108,8 +108,6 @@ class RationalFunction:
         if h.is_one():
             return RationalFunction(t, b1 * other.den, self.registry, _reduced=True)
         den = b1 * exact_div(other.den, h)
-        if den.is_one():
-            return RationalFunction(exact_div(t, h), den, self.registry, _reduced=True)
         return RationalFunction(exact_div(t, h), den, self.registry, _reduced=True)
 
     __radd__ = __add__

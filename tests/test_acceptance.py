@@ -13,8 +13,10 @@ from isocert.cli.exprio import parse_to_rational
 from isocert.connection import (ConnectionSystem, FlattenFound,
                                 SingularGauge, bianchi_sum, centralizer,
                                 check_integrability, defect, flatten, gauge)
+from isocert.curve import CurveSpec, picard_fuchs
 from isocert.derham import gm_derivative, reduce, telescoper
 from isocert.difftower import DerivationSymbol, Tower
+from isocert.exactalg import poly
 from isocert.exactalg import (RationalFunction, VariableRegistry, VarKind,
                               identity, linear_solve, mat_eq, mat_inverse,
                               mat_is_zero, mat_mul, zeros)
@@ -175,6 +177,29 @@ def test_criterion_07_telescoper_corpus():
                         for p in poles]
                 rhs = [-reductions[n - 1].h1.residues.get(p, zero) for p in poles]
                 assert linear_solve(rows, rhs, n - 1, zero, one).inconsistent, text
+
+
+def test_heuristic_gcd_needs_no_prs_fallback(monkeypatch):
+    """The integer heuristic gcd answers every gcd that the criterion-07
+    telescopers and the Legendre Picard-Fuchs search ask for: a kernel that
+    degrades into the subresultant PRS stays correct but loses its speed."""
+    calls = {"heuristic": 0, "prs": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(poly, "_heugcd", counting("heuristic", poly._heugcd))
+    monkeypatch.setattr(poly, "_prs_route", counting("prs", poly._prs_route))
+    reg = _xt_registry()
+    for text in _CORPUS:
+        telescoper(parse_to_rational(text, reg), "x", "t")
+    legendre = parse_to_rational("x*(x-1)*(x-t)", reg).num
+    picard_fuchs(CurveSpec(legendre, "x", reg), 0, "t")
+    assert calls["heuristic"] > 0
+    assert calls["prs"] == 0
 
 
 def _random_linear_pole_fn(rnd, reg):

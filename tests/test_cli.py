@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from isocert.cli.examples import EXAMPLE_NAMES, fixture_path
-from isocert.cli.exprio import (ExprSyntaxError, UnknownIdentifier,
+from isocert.cli.exprio import (MAX_EXPONENT, ExprSyntaxError, UnknownIdentifier,
                                 parse_expression, parse_to_rational, print_tree)
 from isocert.cli.files import ProblemFileError, apply_dual, load_problem
 from isocert.cli.main import run_command
@@ -152,6 +152,16 @@ def test_load_problem_schema_violation(tmp_path):
         load_problem(str(bad2))
 
 
+def test_load_problem_schema_violation_message():
+    # The cached validator reports what jsonschema.validate reported.
+    with pytest.raises(ProblemFileError) as err:
+        load_problem({"field": {"parametric": "oops"}})
+    assert str(err.value) == "schema violation: 'oops' is not of type 'array'"
+    with pytest.raises(ProblemFileError) as err:
+        load_problem({"field": {"parametric": ["t"]}, "system": {"size": 1}})
+    assert str(err.value) == "schema violation: 'matrices' is a required property"
+
+
 def test_load_problem_refuses_inconsistent_tower(tmp_path):
     doc = {"field": {"principal": "x", "parametric": ["t"],
                      "tower": {"generators": [
@@ -220,18 +230,34 @@ def test_run_command_picard_fuchs_unsupported_curve(curve, form):
     assert report.payload["status"] == "unsupported-input"
 
 
-def test_python_m_runs_main_once():
+def _python_m_main(args, timeout):
     import isocert
 
     src = os.path.dirname(os.path.dirname(isocert.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "isocert.cli.main", "examples", "run",
-                           "legendre"], capture_output=True, text=True, env=env,
-                          timeout=120)
+    return subprocess.run([sys.executable, "-m", "isocert.cli.main", *args],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def test_python_m_runs_main_once():
+    done = _python_m_main(["examples", "run", "legendre"], timeout=120)
     assert done.returncode == 0
     assert done.stdout.count("== examples run legendre ==") == 1
     assert done.stderr == ""
+
+
+def test_huge_exponent_is_refused_quickly():
+    done = _python_m_main(["--json", "reduce", "--integrand", "x^1000000000",
+                           "--var", "x"], timeout=10)
+    assert done.returncode == 2
+    payload = json.loads(done.stdout)
+    assert payload["status"] == "unsupported-input"
+    assert f"|n| <= {MAX_EXPONENT}" in payload["detail"]
+    code, _ = run_command(["reduce", "--integrand", f"x^-{MAX_EXPONENT + 1}", "--var", "x"])
+    assert code == 2
+    code, _ = run_command(["reduce", "--integrand", f"x^{MAX_EXPONENT}", "--var", "x"])
+    assert code == 0
 
 
 def test_run_command_exit_codes(tmp_path):

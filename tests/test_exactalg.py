@@ -5,13 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from isocert.exactalg import (MultiPoly, NonLinearFactor, RationalFunction,
                               SingularMatrix, VariableRegistry, VarKind,
                               ZeroDenominator, gcd, identity, linear_poles,
                               linear_solve, mat_inverse, mat_mul, normalize,
                               partial_fractions, poly_sqrt, squarefree_factor)
+from isocert.exactalg import poly
 from isocert.exactalg.poly import exact_div
 
 from conftest import random_poly, random_rational
@@ -409,3 +410,106 @@ def test_rational_function_hash_consistency(xt):
     b = x + t
     assert a == b
     assert hash(a) == hash(b)
+
+
+# -- gcd against sympy ---------------------------------------------------------
+
+
+def _to_sympy(p, syms):
+    import sympy
+
+    return sympy.Poly(sympy.Add(*[
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[syms[i] ** e for i, e in m])
+        for m, c in p.terms.items()]), *syms)
+
+
+def _from_sympy(q):
+    return MultiPoly.from_terms(
+        (tuple((i, e) for i, e in enumerate(exps) if e), Fraction(int(c.p), int(c.q)))
+        for exps, c in q.terms())
+
+
+def _monomial(exps):
+    return MultiPoly.from_terms([(tuple((i, e) for i, e in enumerate(exps) if e),
+                                  Fraction(1))])
+
+
+_X, _T1 = MultiPoly.var(0), MultiPoly.var(1)
+
+
+@st.composite
+def _gcd_pairs(draw):
+    """Pairs over Q in 2-3 variables: a planted common factor, a coprime pair
+    (p, p*q + 1) or two unrelated polynomials; both are then multiplied by a
+    shared monomial and one of their own, and each is scaled by an integer
+    content times a rational of either sign."""
+    nvars = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    nonzero = coeff.filter(bool)
+
+    def draw_poly():
+        return MultiPoly.from_terms(
+            (tuple((i, e) for i, e in enumerate(draw(exps)) if e), draw(coeff))
+            for _ in range(draw(st.integers(1, 3))))
+
+    p, q = draw_poly(), draw_poly()
+    shape = draw(st.sampled_from(("planted", "coprime", "unrelated")))
+    if shape == "planted":
+        c = draw_poly()
+        a, b = p * c, q * c
+    elif shape == "coprime":
+        a, b = p, p * q + MultiPoly.one()
+    else:
+        a, b = p, q
+    shared = _monomial(draw(exps))
+    a = (a * shared * _monomial(draw(exps))).scale(draw(nonzero) * draw(st.integers(1, 12)))
+    b = (b * shared * _monomial(draw(exps))).scale(draw(nonzero) * draw(st.integers(1, 12)))
+    assume(not a.is_zero() and not b.is_zero())
+    return a, b
+
+
+@seed(20261018)
+@settings(max_examples=150, deadline=None)
+@given(_gcd_pairs())
+@example((_X - _T1, _T1 - MultiPoly.one()))
+def test_gcd_matches_sympy(pair):
+    sympy = pytest.importorskip("sympy")
+    a, b = pair
+    syms = sympy.symbols("x t1 t2")
+    expected = _from_sympy(sympy.gcd(_to_sympy(a, syms), _to_sympy(b, syms))).monic()
+    g = gcd(a, b)
+    assert g == expected
+    assert g == g.monic()
+    exact_div(a, g)
+    exact_div(b, g)
+
+
+def test_gcd_prs_fallback_agrees(monkeypatch):
+    rnd = random.Random(5)
+    pairs = [(_X - _T1, _T1 - MultiPoly.one())]
+    while len(pairs) < 25:
+        a, b, c = (random_poly(rnd, _REG3) for _ in range(3))
+        if not (a * c).is_zero() and not (b * c).is_zero():
+            pairs.append(((a * c).scale(Fraction(-3, 2)), b * c))
+    expected = [gcd(a, b) for a, b in pairs]
+
+    heuristic = poly._heugcd
+
+    def failing(a, b):
+        # The heuristic answers inputs without a shared variable outright.
+        if poly._int_variables(a) & poly._int_variables(b):
+            raise poly._HeuristicFailure
+        return heuristic(a, b)
+
+    prs_calls = []
+    prs = poly._prs_route
+
+    def counted(*args):
+        prs_calls.append(args)
+        return prs(*args)
+
+    monkeypatch.setattr(poly, "_heugcd", failing)
+    monkeypatch.setattr(poly, "_prs_route", counted)
+    assert [gcd(a, b) for a, b in pairs] == expected
+    assert prs_calls
