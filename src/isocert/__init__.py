@@ -21,7 +21,6 @@ from .derham import (Exact2FormSolvable, Exact2FormUnsolvable,
                      gm_derivative, reduce, telescoper)
 from .difftower import (CommutativityWitness, DerivationSymbol,
                         InconsistentTower, MissingRule, NotFree, Tower,
-                        check_commutativity, derive_element, extend_jets,
                         gamma_tower)
 from .exactalg import (MultiPoly, NonLinearFactor, RationalFunction,
                        VariableRegistry, VarKind, ZeroDenominator,
@@ -52,10 +51,9 @@ __all__ = [
     "TelescoperResult", "Tower", "UnknownDerivation", "UnsupportedField",
     "UnsupportedOperator", "UnsupportedPoles", "VarKind", "VariableRegistry",
     "ZeroDenominator", "ZeroPolynomial", "bianchi_sum", "centralizer",
-    "check_commutativity", "check_integrability", "companion_system",
-    "curvature", "curve_derive", "curve_reduce", "curve_w", "defect",
-    "derive_element", "descriptor_from_operator", "equivalence_move",
-    "exact2form_solvable", "extend_jets", "flatten", "galois_descriptor",
+    "check_integrability", "companion_system", "curvature", "curve_derive",
+    "curve_reduce", "curve_w", "defect", "descriptor_from_operator",
+    "equivalence_move", "exact2form_solvable", "flatten", "galois_descriptor",
     "galois_descriptor_curve", "galois_descriptor_tower", "gamma_tower",
     "gauge", "gm_derivative", "horizontal_sections", "linear_solve",
     "moved_defect", "normalize", "partial_fractions", "picard_fuchs",

@@ -15,12 +15,12 @@ from fractions import Fraction
 
 from .derham import reduce as derham_reduce
 from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
-                       RationalFunction, UPoly, VariableRegistry, linear_solve,
+                       RationalFunction, UPoly, VariableRegistry,
                        partial_fractions, upoly_xgcd)
 from .exactalg.factor import _rf_sort_key
 from .exactalg.poly import gcd as poly_gcd
 from .fields import FieldContext
-from .operators import LinearDiffOperator
+from .operators import LinearDiffOperator, reduction_telescoper
 
 
 class CurveError(ExactAlgError):
@@ -324,35 +324,41 @@ class CurveTelescoperResult:
     minimal_certified: bool
 
 
+def derive_curve_reduction(r: CurveReduction, t_name: str) -> CurveReduction:
+    """The reduction of d_t omega from the reduction r of omega: if
+    omega = d(C) + sum coords_k x^k/w, reduce d_t of the small representative
+    sum coords_k x^k/w and add d_t(C) to its certificate.  For forms without
+    even part this is the certificate `curve_reduce(d_t omega)` gives: it has
+    no even part and its odd part is unique."""
+    curve = r.certificate.curve
+    x = RationalFunction.var(curve.x_name, curve.registry)
+    zero = RationalFunction.const(0, curve.registry)
+    rep = zero
+    for k, c in enumerate(r.h1.coords):
+        if not c.is_zero():
+            rep = rep + c * x ** k
+    nxt = curve_reduce(curve_derive(CurveElement(zero, rep / curve.f_rf, curve), t_name))
+    return CurveReduction(nxt.h1, nxt.certificate + curve_derive(r.certificate, t_name))
+
+
 def picard_fuchs(curve: CurveSpec, form_index: int, t_name: str,
                  max_order: int = 4) -> CurveTelescoperResult:
-    """Minimal monic operator D in d_t with D(x^i/w) dx = d(certificate),
-    found by reducing t-derivatives of the basis form and solving for the
-    first linear dependence of their class vectors over the parameter field."""
+    """Minimal monic operator D in d_t with D(x^i/w) dx = d(certificate).
+
+    Reduces the basis form once and gets the reduction of each d_t^j of it
+    from the previous one by `derive_curve_reduction`; the first linear
+    dependence of the class vectors over the parameter field gives D.  The
+    identity is checked before returning."""
     if not 0 <= form_index < curve.basis_size():
         raise CurveError(f"form index {form_index} out of range")
-    reg = curve.registry
-    zero = RationalFunction.const(0, reg)
-    one = RationalFunction.const(1, reg)
     b = curve.basis_form(form_index)
-    derivs = [b]
-    reductions: list[CurveReduction] = []
-    for n in range(max_order + 1):
-        reductions.append(curve_reduce(derivs[n]))
-        rows = [{j: reductions[j].h1.coords[i] for j in range(n)}
-                for i in range(curve.basis_size())]
-        rhs = [-reductions[n].h1.coords[i] for i in range(curve.basis_size())]
-        sol = linear_solve(rows, rhs, n, zero, one)
-        if not sol.inconsistent:
-            relation = list(sol.particular) + [one]
-            operator = LinearDiffOperator.from_dependence(t_name, relation)
-            cert = curve.zero_element()
-            for e_j, r_j in zip(relation, reductions):
-                if not e_j.is_zero():
-                    cert = cert + r_j.certificate * e_j
-            ctx = CurveContext(curve)
-            if not (operator.apply(ctx, b) - curve_derive(cert, curve.x_name)).is_zero():
-                raise AssertionError("Picard-Fuchs identity failed; this is a bug")
-            return CurveTelescoperResult(operator, cert, minimal_certified=True)
-        derivs.append(curve_derive(derivs[n], t_name))
-    raise PicardFuchsNotFound(max_order)
+    found = reduction_telescoper(curve_reduce(b),
+                                 lambda r: derive_curve_reduction(r, t_name),
+                                 lambda r: dict(enumerate(r.h1.coords)),
+                                 t_name, curve.registry, max_order)
+    if found is None:
+        raise PicardFuchsNotFound(max_order)
+    operator, cert = found
+    if not (operator.apply(CurveContext(curve), b) - curve_derive(cert, curve.x_name)).is_zero():
+        raise AssertionError("Picard-Fuchs identity failed; this is a bug")
+    return CurveTelescoperResult(operator, cert, minimal_certified=True)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (MultiPoly, NonLinearFactor, RationalFunction, UPoly,
-                       linear_solve, partial_fractions)
+                       partial_fractions)
 from .exactalg.factor import _rf_sort_key
-from .operators import LinearDiffOperator
+from .operators import LinearDiffOperator, reduction_telescoper
 
 
 class TelescoperNotFound(Exception):
@@ -141,37 +141,38 @@ class TelescoperResult:
     minimal_certified: bool
 
 
+def derive_reduction(r: ReductionResult, x_name: str, t_name: str) -> ReductionResult:
+    """The reduction of d_t f from the reduction r of f, with no partial
+    fractions: if f = d_x(c) + sum r_p/(x-p), then
+    d_t f = d_x(c' - sum r_p*p'/(x-p)) + sum r_p'/(x-p).  The certificate is
+    the one `reduce(d_t f)` gives, since its normal form (a polynomial without
+    constant term plus proper fractions in x) is closed under d_t."""
+    x = RationalFunction.var(x_name, r.certificate.registry)
+    cert = r.certificate.derive(t_name)
+    for pole, res in r.h1.residues.items():
+        dp = pole.derive(t_name)
+        if not dp.is_zero():
+            cert = cert - res * dp / (x - pole)
+    return ReductionResult(gm_derivative(r.h1, t_name), cert)
+
+
 def telescoper(b: RationalFunction, x_name: str, t_name: str,
                max_order: int = 8) -> TelescoperResult:
     """Minimal monic D in d_t with D(b) = d_x(certificate).
 
-    Reduces d_t^j b for ascending j and searches for the first k-linear
-    dependence of the residue vectors; the ascending search certifies
-    minimality within the x-linear-pole domain.
+    Reduces b once and gets the reduction of each d_t^j b from the previous
+    one by `derive_reduction`; the ascending search for the first k-linear
+    dependence of the residue vectors certifies minimality within the
+    x-linear-pole domain.  The identity is checked before returning.
     """
-    reg = b.registry
-    zero = RationalFunction.const(0, reg)
-    one = RationalFunction.const(1, reg)
-    derivs = [b]
-    reductions: list[ReductionResult] = []
-    for n in range(max_order + 1):
-        reductions.append(reduce(derivs[n], x_name))
-        poles = sorted({p for r in reductions for p in r.h1.residues}, key=_rf_sort_key)
-        rows = [{j: r.h1.residues.get(p, zero) for j, r in enumerate(reductions[:n])}
-                for p in poles]
-        rhs = [-reductions[n].h1.residues.get(p, zero) for p in poles]
-        sol = linear_solve(rows, rhs, n, zero, one)
-        if not sol.inconsistent:
-            relation = list(sol.particular) + [one]
-            operator = LinearDiffOperator.from_dependence(t_name, relation)
-            cert = zero
-            for e_j, r_j in zip(relation, reductions):
-                if not e_j.is_zero():
-                    cert = cert + e_j * r_j.certificate
-            _check_telescoper(operator, b, cert, x_name, t_name)
-            return TelescoperResult(operator, cert, minimal_certified=True)
-        derivs.append(derivs[n].derive(t_name))
-    raise TelescoperNotFound(max_order)
+    found = reduction_telescoper(reduce(b, x_name),
+                                 lambda r: derive_reduction(r, x_name, t_name),
+                                 lambda r: r.h1.residues, t_name, b.registry, max_order)
+    if found is None:
+        raise TelescoperNotFound(max_order)
+    operator, cert = found
+    _check_telescoper(operator, b, cert, x_name, t_name)
+    return TelescoperResult(operator, cert, minimal_certified=True)
 
 
 def _check_telescoper(operator: LinearDiffOperator, b: RationalFunction,

@@ -244,18 +244,6 @@ class Tower(FieldContext):
         return witnesses
 
 
-def derive_element(tower: Tower, element: RationalFunction, symbol: str) -> RationalFunction:
-    return tower.derive(element, symbol)
-
-
-def check_commutativity(tower: Tower, depth: int) -> list[CommutativityWitness]:
-    return tower.check_commutativity(depth)
-
-
-def extend_jets(tower: Tower, generator: str, multiindex: dict[str, int]) -> RationalFunction:
-    return tower.extend_jets(generator, multiindex)
-
-
 def gamma_tower() -> tuple[Tower, dict[str, RationalFunction]]:
     """The tower Q(t, x, lg, w) with lg' = 1/x (log-like) and w the
     exponential-integrand generator dw/dx = ((t-1)/x - 1) w, dw/dt = lg*w,

@@ -146,7 +146,7 @@ class MultiPoly:
         return self.terms[EMPTY_MONO]
 
     def is_one(self) -> bool:
-        return self.terms == {EMPTY_MONO: Fraction(1)}
+        return len(self.terms) == 1 and self.terms.get(EMPTY_MONO) == 1
 
     def variables(self) -> set[int]:
         out: set[int] = set()

@@ -13,8 +13,11 @@ from isocert.cli.exprio import parse_to_rational
 from isocert.connection import (ConnectionSystem, FlattenFound,
                                 SingularGauge, bianchi_sum, centralizer,
                                 check_integrability, defect, flatten, gauge)
-from isocert.curve import CurveSpec, picard_fuchs
-from isocert.derham import gm_derivative, reduce, telescoper
+from isocert import derham
+from isocert.curve import (CurveSpec, curve_derive, curve_reduce,
+                           derive_curve_reduction, picard_fuchs)
+from isocert.derham import (derive_reduction, gm_derivative, reduce,
+                            telescoper)
 from isocert.difftower import DerivationSymbol, Tower
 from isocert.exactalg import poly
 from isocert.exactalg import (RationalFunction, VariableRegistry, VarKind,
@@ -236,6 +239,69 @@ def test_criterion_08_reduction_properties():
             assert reduce(f.derive("x"), "x").h1.is_zero()
             assert gm_derivative(reduce(f, "x").h1, "t") == \
                 reduce(f.derive("t"), "x").h1
+
+
+def _assert_stepped_reductions_match(b, orders=4):
+    """derive_reduction reaches the same class and certificate as reducing
+    d_t^j b directly, for every j <= orders."""
+    stepped = reduce(b, "x")
+    direct_input = b
+    for j in range(1, orders + 1):
+        stepped = derive_reduction(stepped, "x", "t")
+        direct_input = direct_input.derive("t")
+        direct = reduce(direct_input, "x")
+        assert stepped.h1 == direct.h1, (b, j)
+        assert stepped.certificate == direct.certificate, (b, j)
+
+
+def test_stepped_reduction_matches_direct_reduce():
+    reg = _xt_registry()
+    for text in _CORPUS:
+        _assert_stepped_reductions_match(parse_to_rational(text, reg))
+    rnd = random.Random(202)
+    count = 0
+    while count < 16:
+        f = _random_linear_pole_fn(rnd, reg)
+        if f.is_zero():
+            continue
+        count += 1
+        _assert_stepped_reductions_match(f)
+
+
+def test_stepped_curve_reduction_matches_direct_reduce():
+    reg = _xt_registry()
+    for text in ("x*(x-1)*(x-t)", "(x^2-1)*(x^2-t)"):
+        curve = CurveSpec(parse_to_rational(text, reg).num, "x", reg)
+        for form in range(curve.basis_size()):
+            omega = curve.basis_form(form)
+            stepped = curve_reduce(omega)
+            for j in range(1, 5):
+                stepped = derive_curve_reduction(stepped, "t")
+                omega = curve_derive(omega, "t")
+                direct = curve_reduce(omega)
+                assert stepped.h1.coords == direct.h1.coords, (text, form, j)
+                assert stepped.certificate.odd == direct.certificate.odd, (text, form, j)
+                assert stepped.certificate.even.is_zero(), (text, form, j)
+                assert direct.certificate.even.is_zero(), (text, form, j)
+
+
+def test_telescoper_runs_partial_fractions_once(monkeypatch):
+    """Each telescoper reduces its integrand once and steps every later
+    order from that reduction: a driver that went back to reducing d_t^j b
+    would stay correct but lose its speed."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    original = derham.partial_fractions
+    monkeypatch.setattr(derham, "partial_fractions", counting)
+    reg = _xt_registry()
+    for text in _CORPUS:
+        calls.clear()
+        telescoper(parse_to_rational(text, reg), "x", "t")
+        assert len(calls) == 1, text
 
 
 def test_criterion_09_gauge_covariance_and_bianchi():

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from isocert.difftower import (DerivationSymbol, NotFree, Tower,
-                               check_commutativity, derive_element,
-                               extend_jets, gamma_tower, InconsistentTower)
+                               gamma_tower, InconsistentTower)
 
 
 
@@ -19,7 +18,7 @@ def test_gamma_tower_rules():
 
 def test_gamma_tower_commutes():
     tower, v = gamma_tower()
-    assert check_commutativity(tower, 2) == []
+    assert tower.check_commutativity(2) == []
     # both orders give (lg*((t-1)/x - 1) + 1/x) * w
     w, lg, x, t = v["w"], v["lg"], v["x"], v["t"]
     one = tower.one
@@ -30,7 +29,7 @@ def test_gamma_tower_commutes():
 
 def test_gamma_antiderivative_prolongation():
     tower, v = gamma_tower()
-    gm_t = extend_jets(tower, "gm", {"t": 1})
+    gm_t = tower.extend_jets("gm", {"t": 1})
     # d_x(gm_t) is forced to d_t(w) by prolongation
     assert tower.derive(gm_t, "x") == tower.derive(v["w"], "t")
     lhs = tower.derive(v["w"], "t") - v["w"]
@@ -46,25 +45,25 @@ def test_iterated_integral_rule():
     I = tower.add_generator("I12")
     f1 = tower.extend_jets("I1", {"x": 1})
     tower.set_rule("I12", "x", f1 * I2)
-    assert derive_element(tower, I, "x") == f1 * I2
-    fresh = derive_element(tower, I, "t1")
+    assert tower.derive(I, "x") == f1 * I2
+    fresh = tower.derive(I, "t1")
     assert fresh == tower.element("I12_t1")
-    assert check_commutativity(tower, 2) == []
+    assert tower.check_commutativity(2) == []
 
 
 def test_free_indeterminate_fresh_jet():
     tower = Tower([DerivationSymbol("x", "principal"), DerivationSymbol("t1")])
     i1 = tower.add_generator("I1")
-    assert derive_element(tower, i1, "t1") == tower.element("I1_t1")
+    assert tower.derive(i1, "t1") == tower.element("I1_t1")
 
 
 def test_jets_idempotent_and_canonical():
     tower = Tower([DerivationSymbol("x", "principal"), DerivationSymbol("t1")])
     tower.add_generator("I1")
-    a = extend_jets(tower, "I1", {"x": 1})
-    b = extend_jets(tower, "I1", {"x": 1})
+    a = tower.extend_jets("I1", {"x": 1})
+    b = tower.extend_jets("I1", {"x": 1})
     assert a == b
-    ab = extend_jets(tower, "I1", {"x": 1, "t1": 1})
+    ab = tower.extend_jets("I1", {"x": 1, "t1": 1})
     ba = tower.derive(tower.derive(tower.element("I1"), "t1"), "x")
     assert ab == ba
 
@@ -72,7 +71,7 @@ def test_jets_idempotent_and_canonical():
 def test_extend_jets_not_free():
     tower, _ = gamma_tower()
     with pytest.raises(NotFree):
-        extend_jets(tower, "w", {"x": 1})
+        tower.extend_jets("w", {"x": 1})
 
 
 def test_bad_tower_witness():
@@ -80,7 +79,7 @@ def test_bad_tower_witness():
     tower.add_generator("g")
     tower.set_rule("g", "x", tower.element("t"))
     tower.set_rule("g", "t", tower.zero)
-    witnesses = check_commutativity(tower, 1)
+    witnesses = tower.check_commutativity(1)
     assert len(witnesses) == 1
     assert witnesses[0].element == "g"
     assert witnesses[0].pair == ("x", "t")
@@ -94,7 +93,7 @@ def test_free_tower_commutes_depth3():
                    DerivationSymbol("t2")])
     tower.add_generator("I1")
     tower.add_generator("I2")
-    assert check_commutativity(tower, 3) == []
+    assert tower.check_commutativity(3) == []
 
 
 def test_derive_is_a_derivation():
@@ -113,7 +112,7 @@ def test_derive_is_a_derivation():
 
 def test_order_independence_on_random_elements():
     tower, v = gamma_tower()
-    assert check_commutativity(tower, 3) == []
+    assert tower.check_commutativity(3) == []
     rnd = random.Random(13)
     pool = list(v.values()) + [tower.one]
     count = 0
