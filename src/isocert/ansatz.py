@@ -1,18 +1,27 @@
-"""Shared bounded-ansatz utilities: monomial bases and conversion of
-rational-function linear identities into Q-linear systems."""
+"""Shared bounded-ansatz utilities: monomial bases, derivatives of monomials
+and conversion of rational-function linear identities into Q-linear systems.
+
+Every ansatz unknown is a parameter monomial x^m times a fixed shape, so an
+equation is a sum of terms z_k * x^shift * value in which the value depends on
+the shape (and the equation) only.  The monomial never multiplies a rational
+function: it enters as a shift of the exponent keys of the cleared value.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .exactalg import MultiPoly, RationalFunction, VariableRegistry, lcm
-from .exactalg.poly import exact_div, mono_mul
+from .exactalg.poly import Mono, exact_div, mono_mul
+from .fields import FieldContext
 
 _ZERO = Fraction(0)
 
+# (unknown index, monomial shift, value): contributes z_k * x^shift * value.
+Term = tuple[int, Mono, RationalFunction]
 
-def monomials_up_to(var_indices: list[int], bound: int,
-                    registry: VariableRegistry) -> list[RationalFunction]:
+
+def monomials_up_to(var_indices: list[int], bound: int) -> list[Mono]:
     """All monomials in the given variables of total degree <= bound, in
     breadth-first order (the order fixes the order of ansatz unknowns)."""
     monos = [()]
@@ -28,32 +37,56 @@ def monomials_up_to(var_indices: list[int], bound: int,
                     monos.append(cand)
                     new_frontier.append(cand)
         frontier = new_frontier
-    return [RationalFunction.from_poly(MultiPoly({m: Fraction(1)}), registry)
-            for m in monos]
+    return monos
 
 
-def match_coefficients(columns: list[list[RationalFunction]],
-                       rhs: list[RationalFunction]
+def monomial(m: Mono, registry: VariableRegistry) -> RationalFunction:
+    return RationalFunction.from_poly(MultiPoly({m: Fraction(1)}), registry)
+
+
+def derivative_terms(field: FieldContext, m: Mono,
+                     symbol: str) -> list[tuple[Mono, RationalFunction]]:
+    """d_symbol(x^m) as (shift, value) pairs summing to it as sum x^shift *
+    value: one pair per term, with a constant value, when the derivative is
+    a polynomial; the whole derivative with the empty shift otherwise (a
+    rebased derivation with rational coefficients)."""
+    d = field.derive(monomial(m, field.registry), symbol)
+    if not d.is_poly():
+        return [((), d)]
+    return [(shift, RationalFunction.const(c, field.registry))
+            for shift, c in d.num.terms.items()]
+
+
+def match_coefficients(equations: list[list[Term]], rhs: list[RationalFunction]
                        ) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
-    """Turn sum_k z_k * columns[k] == rhs (componentwise rational-function
-    identities) into a Q-linear system in len(columns) unknowns by clearing
-    denominators and matching monomial coefficients.  Rows are sparse: one
-    dict from unknown index to nonzero coefficient per monomial."""
+    """Turn the identities sum over (k, shift, value) of z_k * x^shift *
+    value == rhs[e], one per equation e, into a Q-linear system: multiply
+    each by the lcm D of its distinct denominators, clear every distinct
+    value once, shift its terms and match monomial coefficients.  Rows are
+    sparse: one dict from unknown index to nonzero coefficient per monomial.
+    Any nonzero multiple of D gives the same solution set."""
     rows: list[dict[int, Fraction]] = []
     out_rhs: list[Fraction] = []
-    for e in range(len(rhs)):
-        entries = [(k, col[e]) for k, col in enumerate(columns) if not col[e].is_zero()]
-        den = rhs[e].den
-        for _, c in entries:
-            den = lcm(den, c.den)
-        by_mono: dict = {}
-        for k, c in entries:
-            for mono, coeff in (c.num * exact_div(den, c.den)).terms.items():
-                by_mono.setdefault(mono, {})[k] = coeff
-        cleared_rhs = (rhs[e].num * exact_div(den, rhs[e].den)).terms
+    for terms, target in zip(equations, rhs):
+        den = target.den
+        for d in dict.fromkeys(value.den for _, _, value in terms):
+            if not d.is_one() and d != den:
+                den = lcm(den, d)
+        cleared: dict[RationalFunction, dict] = {}
+        by_mono: dict[Mono, dict[int, Fraction]] = {}
+        for k, shift, value in terms:
+            c = cleared.get(value)
+            if c is None:
+                c = cleared[value] = (value.num * exact_div(den, value.den)).terms
+            for mono, coeff in c.items():
+                row = by_mono.setdefault(mono_mul(mono, shift), {})
+                prev = row.get(k)
+                row[k] = coeff if prev is None else prev + coeff
+        cleared_rhs = (target.num * exact_div(den, target.den)).terms
         for mono in cleared_rhs:
             by_mono.setdefault(mono, {})
-        for mono in sorted(by_mono):
-            rows.append(by_mono[mono])
+        for mono, row in by_mono.items():
+            # Contributions to one unknown can cancel; keep only nonzeros.
+            rows.append({k: c for k, c in row.items() if c})
             out_rhs.append(cleared_rhs.get(mono, _ZERO))
     return rows, out_rhs

@@ -9,8 +9,6 @@ import json
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-import jsonschema
-
 from ..connection import ConnectionSystem
 from ..curve import CurveSpec
 from ..difftower import DerivationSymbol, Tower
@@ -156,7 +154,11 @@ def _make_resolver(tower: Optional[Tower], registry: VariableRegistry):
 @functools.cache
 def _problem_validator():
     """The schema validator, built and the schema checked on first use;
-    reporting its best_match error gives jsonschema.validate's message."""
+    reporting its best_match error gives jsonschema.validate's message.
+    jsonschema is imported here, not at module level, because importing it
+    is most of the cost of starting the CLI and most commands read no file."""
+    import jsonschema
+
     cls = jsonschema.validators.validator_for(PROBLEM_SCHEMA)
     cls.check_schema(PROBLEM_SCHEMA)
     return cls(PROBLEM_SCHEMA)
@@ -167,6 +169,8 @@ def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
 
     Towers are checked for commuting derivations (depth 2) before use;
     tower_consistency may be "error" (refuse), "warn" or "skip"."""
+    from jsonschema.exceptions import best_match
+
     if isinstance(source, dict):
         data = source
     elif hasattr(source, "read"):
@@ -182,7 +186,7 @@ def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
             raise ProblemFileError(str(exc)) from None
         except json.JSONDecodeError as exc:
             raise ProblemFileError(f"invalid JSON: {exc}") from None
-    error = jsonschema.exceptions.best_match(_problem_validator().iter_errors(data))
+    error = best_match(_problem_validator().iter_errors(data))
     if error is not None:
         raise ProblemFileError(f"schema violation: {error.message}") from None
 

@@ -20,14 +20,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .ansatz import match_coefficients, monomials_up_to
+from .ansatz import (Term, derivative_terms, match_coefficients, monomial,
+                     monomials_up_to)
 from .derham import (Exact2FormUnsolvable, Exact2FormUnsupported, H1Class,
                      exact2form_solvable)
-from .exactalg import (ExactAlgError, RationalFunction, SingularMatrix,
+from .exactalg import (ExactAlgError, RationalFunction, SingularMatrix, VarKind,
                        identity, linear_solve, mat_add, mat_commutator,
                        mat_inverse, mat_is_zero, mat_mul, mat_neg, mat_scale,
                        mat_sub, zeros)
 from .exactalg.linalg import Matrix, mat_apply
+from .exactalg.poly import Mono
 from .fields import FieldContext, RationalFieldContext
 
 __all__ = [
@@ -397,41 +399,39 @@ def _flatten_ansatz(system: ConnectionSystem, syms: list[str],
                     degree_bound: int) -> FlattenResult:
     """One derivation at a time, following the filtration induction: at stage
     j solve the linear equations nabla_i(a_j) = defect(s_j, s_i) for i < j
-    (and nabla_x(a_j) = 0) with polynomial-ansatz entries."""
+    (and nabla_x(a_j) = 0) with polynomial-ansatz entries.
+
+    Each unknown direction is m*S, a parameter monomial times a shape, and by
+    Leibniz nabla_i(m*S) = d_i(m)*S + m*nabla_i(S) with nabla_i(S) =
+    d_i(S) - [A_i, S]; so `_ansatz_rows` builds nabla_i(S) once per shape and
+    d_i(m) once per monomial.  Each equation is multiplied by the lcm D of its
+    distinct denominators.  That leaves its solution set unchanged, and
+    linear_solve returns the reduced-row-echelon particular solution and
+    kernel, which depend only on the solution set, so the moves do not depend
+    on D."""
     f = system.field
     n = system.size
+    monomials, shapes = _ansatz_matrices(system, constraint, degree_bound)
     work = system
     moves: dict[str, Matrix] = {}
     for j in range(1, len(syms)):
+        if not shapes:
+            return FlattenNotFound(degree_bound, "empty ansatz")
         target = syms[j]
         earlier = syms[:j] + ([system.principal] if system.principal else [])
-        unknown_mats = _ansatz_matrices(system, constraint, degree_bound)
-        if not unknown_mats:
-            return FlattenNotFound(degree_bound, "empty ansatz")
-        columns: list[list[RationalFunction]] = [[] for _ in unknown_mats]
-        rhs_entries: list[RationalFunction] = []
-        for i_sym in earlier:
-            rhs_mat = defect(work, target, i_sym) if i_sym != system.principal \
-                else zeros(n, n, f.zero)
-            for r in range(n):
-                for c in range(n):
-                    rhs_entries.append(rhs_mat[r][c])
-            for k, U in enumerate(unknown_mats):
-                nabla = mat_sub(mat_apply(lambda e: f.derive(e, i_sym), U),
-                                mat_commutator(work.matrix(i_sym), U, f.zero))
-                for r in range(n):
-                    for c in range(n):
-                        columns[k].append(nabla[r][c])
-        rows, rhs = match_coefficients(columns, rhs_entries)
-        sol = linear_solve(rows, rhs, len(columns), Fraction(0), Fraction(1))
+        rows, rhs = _ansatz_rows(work, target, earlier, monomials, shapes)
+        sol = linear_solve(rows, rhs, len(monomials) * len(shapes),
+                           Fraction(0), Fraction(1))
         if sol.inconsistent:
             return FlattenNotFound(degree_bound,
                                    f"no degree-{degree_bound} move for {target!r}")
         a_j = zeros(n, n, f.zero)
         for k, coeff in enumerate(sol.particular):
             if coeff != 0:
-                a_j = mat_add(a_j, mat_scale(unknown_mats[k],
-                                             RationalFunction.const(coeff, f.registry)))
+                m, s = divmod(k, len(shapes))
+                scale = RationalFunction.const(coeff, f.registry) * monomial(
+                    monomials[m], f.registry)
+                a_j = mat_add(a_j, mat_scale(shapes[s], scale))
         work = equivalence_move(work, {target: a_j})
         moves[target] = a_j
     if not check_integrability(work, "full").flat:
@@ -440,29 +440,63 @@ def _flatten_ansatz(system: ConnectionSystem, syms: list[str],
     return FlattenFound(moves, work)
 
 
+def _ansatz_rows(work: ConnectionSystem, target: str, earlier: list[str],
+                 monomials: list[Mono], shapes: list[Matrix]
+                 ) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
+    """Q-linear rows of nabla_i(a) = defect(target, i) for i in `earlier`
+    (zero for the principal symbol), a = sum z_k * monomials[m] * shapes[s]
+    with k = m * len(shapes) + s."""
+    f = work.field
+    n = work.size
+    count = len(shapes)
+    equations: list[list[Term]] = []
+    rhs: list[RationalFunction] = []
+    for i_sym in earlier:
+        A = work.matrix(i_sym)
+        nablas = [mat_sub(mat_apply(lambda e: f.derive(e, i_sym), S),
+                          mat_commutator(A, S, f.zero)) for S in shapes]
+        d_monomials = [derivative_terms(f, m, i_sym) for m in monomials]
+        rhs_mat = defect(work, target, i_sym) if i_sym != work.principal \
+            else zeros(n, n, f.zero)
+        for r in range(n):
+            for c in range(n):
+                terms: list[Term] = []
+                for s, (S, nabla) in enumerate(zip(shapes, nablas)):
+                    value = nabla[r][c]
+                    if not value.is_zero():
+                        terms += [(m * count + s, mono, value)
+                                  for m, mono in enumerate(monomials)]
+                    entry = S[r][c]
+                    if not entry.is_zero():
+                        terms += [(m * count + s, shift, d * entry)
+                                  for m, dm in enumerate(d_monomials)
+                                  for shift, d in dm]
+                equations.append(terms)
+                rhs.append(rhs_mat[r][c])
+    return match_coefficients(equations, rhs)
+
+
 def _ansatz_matrices(system: ConnectionSystem, constraint: Optional[list[Matrix]],
-                     degree_bound: int) -> list[Matrix]:
-    """Unknown-direction basis: (monomial in the parameters) x (constraint
-    basis element or matrix unit)."""
+                     degree_bound: int) -> tuple[list[Mono], list[Matrix]]:
+    """Unknown directions m*S: the monomials m of degree <= degree_bound in
+    the variables that some parametric derivation moves, and the shapes S
+    (constraint basis elements, or else matrix units).  Tower generators and
+    jets are field elements, not parameters, and stay out."""
     f = system.field
     n = system.size
     reg = f.registry
-    param_vars = sorted(reg.index(name) for name in system.parametric_symbols()
-                        if name in reg)
-    monomials = monomials_up_to(param_vars, degree_bound, reg)
+    params = system.parametric_symbols()
+    param_vars = [i for i in range(len(reg))
+                  if reg.kind(i) not in (VarKind.TOWER, VarKind.JET)
+                  and any(not f.derive(monomial(((i, 1),), reg), s).is_zero()
+                          for s in params)]
+    monomials = monomials_up_to(param_vars, degree_bound)
     if constraint is not None:
-        shapes = constraint
-    else:
-        shapes = []
-        for i in range(n):
-            for j in range(n):
-                unit = zeros(n, n, f.zero)
-                unit[i][j] = f.one
-                shapes.append(unit)
-    out = []
-    for mono in monomials:
-        for shape in shapes:
-            out.append(mat_scale(shape, mono))
-    return out
-
-
+        return monomials, constraint
+    shapes = []
+    for i in range(n):
+        for j in range(n):
+            unit = zeros(n, n, f.zero)
+            unit[i][j] = f.one
+            shapes.append(unit)
+    return monomials, shapes

@@ -14,13 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .ansatz import match_coefficients, monomials_up_to
+from .ansatz import (derivative_terms, match_coefficients, monomial,
+                     monomials_up_to)
 from .connection import ConnectionSystem
 from .curve import CurveSpec, picard_fuchs
 from .derham import telescoper
 from .difftower import Tower
 from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
-                       RationalFunction, SingularMatrix, UPoly,
+                       RationalFunction, SingularMatrix, UPoly, VarKind,
                        linear_poles, linear_solve, lcm, mat_add, mat_inverse,
                        mat_scale, zeros)
 from .exactalg.linalg import Matrix
@@ -185,12 +186,10 @@ def rational_solutions(op: LinearDiffOperator, registry) -> list[RationalFunctio
         return []
     bound = max(nonneg)
     monos = [t ** k for k in range(bound + 1)]
-    columns = []
-    for mono in monos:
-        applied = _apply_coeff_list(field_ctx_coeffs, mono, op.symbol)
-        columns.append([applied])
-    rows, rhs = match_coefficients(columns, [RationalFunction.const(0, registry)])
-    sol = linear_solve(rows, rhs, len(columns), Fraction(0), Fraction(1))
+    equation = [(k, (), _apply_coeff_list(field_ctx_coeffs, mono, op.symbol))
+                for k, mono in enumerate(monos)]
+    rows, rhs = match_coefficients([equation], [RationalFunction.const(0, registry)])
+    sol = linear_solve(rows, rhs, len(monos), Fraction(0), Fraction(1))
     basis = []
     for vec in sol.nullspace:
         z = RationalFunction.const(0, registry)
@@ -366,7 +365,14 @@ def horizontal_sections(system: ConnectionSystem, symbols: Optional[list[str]] =
                         variables: Optional[list[str]] = None) -> list[list[RationalFunction]]:
     """Q-basis of polynomial-ansatz solutions of dY = A_d Y for all chosen
     derivations simultaneously; complete only within the degree bound, and
-    every returned vector is verified exactly."""
+    every returned vector is verified exactly.
+
+    The unknowns are m*e_k, a parameter monomial times a unit vector, and
+    d_s(m*e_k) - A_s*(m*e_k) = d_s(m)*e_k - m*A_s*e_k: column k of A_s is
+    negated once per derivation and d_s(m) taken once per monomial.  Each
+    equation is multiplied by the lcm D of its distinct denominators, which
+    leaves its solution set unchanged, and the kernel basis linear_solve
+    returns is reduced row echelon, so it does not depend on D."""
     f = system.field
     reg = f.registry
     syms = symbols if symbols is not None else system.symbols()
@@ -375,32 +381,32 @@ def horizontal_sections(system: ConnectionSystem, symbols: Optional[list[str]] =
     if variables is not None:
         var_idx = [reg.index(v) for v in variables]
     else:
-        from .exactalg import VarKind
-
         var_idx = [i for i in range(len(reg)) if reg.kind(i) == VarKind.PARAMETRIC]
-    monos = monomials_up_to(var_idx, degree_bound, reg)
+    monos = monomials_up_to(var_idx, degree_bound)
     n = system.size
     zero = f.zero
-    unknowns = [(mono, k) for mono in monos for k in range(n)]
-    columns = []
-    for mono, k in unknowns:
-        col = []
-        for s in syms:
-            A = system.matrix(s)
-            dmono = f.derive(mono, s)
-            for r in range(n):
-                val = (dmono if r == k else zero) - A[r][k] * mono
-                col.append(val)
-        columns.append(col)
-    rhs = [zero] * (len(syms) * n)
-    rows, rhs_q = match_coefficients(columns, rhs)
-    sol = linear_solve(rows, rhs_q, len(columns), Fraction(0), Fraction(1))
+    equations = []
+    for s in syms:
+        A = system.matrix(s)
+        d_monos = [derivative_terms(f, m, s) for m in monos]
+        for r in range(n):
+            terms = []
+            for k in range(n):
+                if not A[r][k].is_zero():
+                    value = -A[r][k]
+                    terms += [(m * n + k, mono, value) for m, mono in enumerate(monos)]
+            terms += [(m * n + r, shift, d) for m, dm in enumerate(d_monos)
+                      for shift, d in dm]
+            equations.append(terms)
+    rows, rhs_q = match_coefficients(equations, [zero] * len(equations))
+    sol = linear_solve(rows, rhs_q, len(monos) * n, Fraction(0), Fraction(1))
     basis = []
     for vec in sol.nullspace:
         Y = [RationalFunction.const(0, reg) for _ in range(n)]
-        for coeff, (mono, k) in zip(vec, unknowns):
+        for idx, coeff in enumerate(vec):
             if coeff != 0:
-                Y[k] = Y[k] + RationalFunction.const(coeff, reg) * mono
+                m, k = divmod(idx, n)
+                Y[k] = Y[k] + RationalFunction.const(coeff, reg) * monomial(monos[m], reg)
         for s in syms:
             A = system.matrix(s)
             for r in range(n):

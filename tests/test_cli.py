@@ -230,14 +230,27 @@ def test_run_command_picard_fuchs_unsupported_curve(curve, form):
     assert report.payload["status"] == "unsupported-input"
 
 
-def _python_m_main(args, timeout):
+def _python(args, timeout):
     import isocert
 
     src = os.path.dirname(os.path.dirname(isocert.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "isocert.cli.main", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def _python_m_main(args, timeout):
+    return _python(["-m", "isocert.cli.main", *args], timeout)
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    # Importing jsonschema is most of the CLI's start-up; only loading a
+    # problem file needs it.
+    done = _python(["-c", "import sys, isocert.cli.main; "
+                          "print('jsonschema' in sys.modules)"], timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_python_m_runs_main_once():

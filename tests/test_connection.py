@@ -283,22 +283,43 @@ def test_flatten_scalar_success(t1t2):
     # derivations; re-verification above is the contract
 
 
-def test_flatten_ansatz_route_three_params():
+def _three_param_system():
     import isocert.exactalg as ea
 
     reg = ea.VariableRegistry()
     for name in ("t1", "t2", "t3"):
         reg.add(name, ea.VarKind.PARAMETRIC)
     f = RationalFieldContext(reg)
-    zero = f.zero
-    t1 = RationalFunction.var("t1", reg)
     t2 = RationalFunction.var("t2", reg)
     t3 = RationalFunction.var("t3", reg)
     # flat after moves: B2 needs +t1, B3 needs +t2 correction pattern
-    S = ConnectionSystem(f, 1, {"t1": [[t2]], "t2": [[zero]], "t3": [[t2 * t3]]})
+    return ConnectionSystem(f, 1, {"t1": [[t2]], "t2": [[f.zero]], "t3": [[t2 * t3]]})
+
+
+def test_flatten_ansatz_route_three_params():
+    S = _three_param_system()
     outcome = flatten(S, order=["t1", "t2", "t3"], degree_bound=4)
     assert isinstance(outcome, FlattenFound)
     assert check_integrability(outcome.system, "full").flat
+
+
+def test_flatten_ansatz_after_identity_rebase():
+    # The ansatz monomials range over the variables the parametric
+    # derivations move, not over the derivation names: after renaming the
+    # derivations to d1, d2, d3 the same moves are found.
+    from isocert.galois import DerivationRebase, rebase_derivations
+
+    S = _three_param_system()
+    one, zero = S.field.one, S.field.zero
+    ident = tuple(tuple(one if i == j else zero for j in range(3)) for i in range(3))
+    R = DerivationRebase(("d1", "d2", "d3"), ("t1", "t2", "t3"), ident)
+    outcome = flatten(rebase_derivations(S, R), order=["d1", "d2", "d3"],
+                      degree_bound=4)
+    assert isinstance(outcome, FlattenFound)
+    assert check_integrability(outcome.system, "full").flat
+    direct = flatten(S, order=["t1", "t2", "t3"], degree_bound=4)
+    assert mat_eq(outcome.moves["d2"], direct.moves["t2"])
+    assert mat_eq(outcome.moves["d3"], direct.moves["t3"])
 
 
 def test_flatten_over_tower_field():
