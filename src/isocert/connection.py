@@ -294,8 +294,9 @@ def flatten(system: ConnectionSystem, order: Optional[list[str]] = None,
 
     Complete (Found / ProvenObstruction) for two rational parameters when the
     move is constrained to a commuting span; otherwise a bounded-degree ansatz
-    decides Found / NotFoundWithinBounds.  A Found result is always re-checked
-    by check_integrability before being returned.
+    decides Found / NotFoundWithinBounds.  The input's curvature is computed
+    once; a Found move is always re-checked by check_integrability before
+    being returned.
     """
     f = system.field
     syms = list(order) if order else system.parametric_symbols()
@@ -303,16 +304,18 @@ def flatten(system: ConnectionSystem, order: Optional[list[str]] = None,
         if s == system.principal:
             raise ValueError("flatten moves are supported on parametric symbols only")
         system.matrix(s)
-    if system.principal is not None:
-        pre = check_integrability(system, "pairwise")
-        if not pre.flat:
-            raise ValueError("system fails the pairwise principal check; "
-                             "flatten preconditions are violated")
-    if check_integrability(system, "full").flat:
+    curv = curvature(system)
+    if system.principal is not None and not all(
+            mat_is_zero(curv.matrix(t, system.principal, f.zero), f.zero)
+            for t in system.parametric_symbols()):
+        raise ValueError("system fails the pairwise principal check; "
+                         "flatten preconditions are violated")
+    if curv.is_zero(f.zero):
         return FlattenFound({}, system)
 
     if len(syms) == 2:
-        outcome = _flatten_bivariate(system, syms, constraint)
+        outcome = _flatten_bivariate(system, syms, constraint,
+                                     curv.matrix(syms[1], syms[0], f.zero))
         if outcome is not None:
             return outcome
         if require_proof:
@@ -349,8 +352,10 @@ def _constraint_basis(system: ConnectionSystem,
 
 
 def _flatten_bivariate(system: ConnectionSystem, syms: list[str],
-                       constraint: Optional[list[Matrix]]) -> Optional[FlattenResult]:
-    """Complete decision for two rational parameters over a commuting span."""
+                       constraint: Optional[list[Matrix]],
+                       h: Matrix) -> Optional[FlattenResult]:
+    """Complete decision for two rational parameters over a commuting span;
+    h is the defect of the pair (syms[1], syms[0])."""
     f = system.field
     if not isinstance(f, RationalFieldContext):
         return None
@@ -359,7 +364,6 @@ def _flatten_bivariate(system: ConnectionSystem, syms: list[str],
         return None
     u, v = syms
     n = system.size
-    h = defect(system, v, u)
     # Coordinates of h in the span.
     rows = [{m: basis[m][i][j] for m in range(len(basis))}
             for i in range(n) for j in range(n)]

@@ -3,8 +3,9 @@
 Pole finding is complete for denominators whose squarefree parts split into
 factors linear in the distinguished variable over the remaining fraction
 field, located by content/primitive recursion over the parameter variables,
-rational-root search for univariate factors over Q, and an exact
-discriminant square root for quadratics.  Anything richer raises
+p-adic root finding (Loos: Newton lifting of the simple roots modulo a
+prime, each candidate checked exactly) for univariate factors over Q, and
+an exact discriminant square root for quadratics.  Anything richer raises
 NonLinearFactor rather than approximating.
 """
 
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import (MultiPoly, ZeroPolynomial, content_wrt, exact_div,
+from .poly import (MultiPoly, ZeroPolynomial, content_wrt, exact_div, gcd,
                    poly_sqrt, squarefree_decomposition)
 from .rational import RationalFunction
 from .registry import ExactAlgError, VariableRegistry
@@ -35,54 +36,64 @@ def squarefree_factor(p: MultiPoly, v: int) -> list[tuple[MultiPoly, int]]:
     return factors
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = set()
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-    return sorted(out)
+def rational_roots(coeffs) -> list[Fraction]:
+    """Distinct rational roots of sum coeffs[i] * x^i in ascending order;
+    [] for the zero polynomial.
+
+    Loos's p-adic method.  With a(x) the primitive squarefree part (root 0
+    peeled) of degree d and leading coefficient lc > 0, the roots of a are
+    r/lc for the integer roots r of the monic h(y) = lc^(d-1) a(y/lc), and
+    |r| <= B, the Cauchy bound of h.  At the first odd prime p at which every
+    root of h mod p is simple, each integer root reduces to one of those
+    roots and is its unique Newton lift, so the symmetric residues of the
+    lifts modulo p^k > 2B are the only candidates; each is checked exactly.
+    """
+    terms = {i: Fraction(c) for i, c in enumerate(coeffs) if c}
+    if not terms:
+        return []
+    low = min(terms)
+    roots = [Fraction(0)] if low else []
+    f = MultiPoly.from_univariate(0, {i - low: MultiPoly.const(c)
+                                      for i, c in terms.items()})
+    sqf = exact_div(f, gcd(f, f.derivative(0))).monic().as_univariate(0)
+    d = max(sqf)
+    if d == 0:
+        return roots
+    # Monic over Q, so scaling by the lcm of the denominators gives a
+    # primitive integer polynomial with leading coefficient lc = that lcm.
+    lc = math.lcm(*(c.const_value().denominator for c in sqf.values()))
+    a = [int(sqf[i].const_value() * lc) if i in sqf else 0 for i in range(d + 1)]
+    h = [c * lc ** (d - 1 - i) for i, c in enumerate(a[:-1])] + [1]
+    dh = [i * c for i, c in enumerate(h)][1:]
+    p = 3
+    while True:
+        # Wilson's theorem: p is prime iff (p - 1)! = -1 mod p.
+        if math.factorial(p - 1) % p == p - 1:
+            lifts = [r for r in range(p) if _horner(h, r, p) == 0]
+            if all(_horner(dh, r, p) for r in lifts):
+                break
+        p += 2
+    bound = 2 * (1 + max(abs(c) for c in h[:-1]))
+    m = p
+    while m <= bound:
+        m *= m
+        lifts = [(r - _horner(h, r, m) * pow(_horner(dh, r, m), -1, m)) % m
+                 for r in lifts]
+    for r in lifts:
+        s = r - m if 2 * r > m else r
+        if _horner(h, s) == 0:
+            roots.append(Fraction(s, lc))
+    return sorted(roots)
 
 
-def _rational_roots_univariate(q: MultiPoly, v: int,
-                               registry: VariableRegistry) -> list[RationalFunction] | None:
-    """All roots of a squarefree q in Q[v]; None when q does not split."""
-    coeffs = {e: c.const_value() for e, c in q.as_univariate(v).items()}
-    deg = max(coeffs)
-    den_lcm = 1
-    for c in coeffs.values():
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    zc = {e: int(c * den_lcm) for e, c in coeffs.items()}
-    roots: list[Fraction] = []
-    if 0 not in zc:
-        # Squarefree, so v divides q exactly once.
-        roots.append(Fraction(0))
-        zc = {e - 1: c for e, c in zc.items()}
-        deg -= 1
-    if deg == 0:
-        return [RationalFunction.const(r, registry) for r in roots]
-    dense = [zc.get(e, 0) for e in range(deg + 1)]
-
-    def eval_at(r: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(dense):
-            acc = acc * r + c
-        return acc
-
-    # Every rational root p/q has p | a0 and q | a_deg; the roots are simple,
-    # so the polynomial splits iff `deg` distinct candidates vanish.
-    for p_num in _divisors(dense[0]):
-        for p_den in _divisors(dense[-1]):
-            for sign in (1, -1):
-                cand = Fraction(sign * p_num, p_den)
-                if cand not in roots and eval_at(cand) == 0:
-                    roots.append(cand)
-    if len(roots) != q.degree(v):
-        return None
-    return [RationalFunction.const(r, registry) for r in roots]
+def _horner(coeffs: list[int], x: int, m: int | None = None) -> int:
+    """sum coeffs[i] * x^i, reduced mod m when m is given."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+        if m is not None:
+            acc %= m
+    return acc
 
 
 def _roots_of_squarefree(q: MultiPoly, v: int,
@@ -105,10 +116,12 @@ def _roots_of_squarefree(q: MultiPoly, v: int,
             return (_roots_of_squarefree(cont, v, registry)
                     + _roots_of_squarefree(rest, v, registry))
     if q.variables() <= {v}:
-        roots = _rational_roots_univariate(q, v, registry)
-        if roots is None:
+        u = q.as_univariate(v)
+        roots = rational_roots([u[e].const_value() if e in u else 0
+                                for e in range(d + 1)])
+        if len(roots) != d:
             raise NonLinearFactor(f"univariate factor of degree {d} does not split over Q")
-        return roots
+        return [RationalFunction.const(r, registry) for r in roots]
     if d == 2:
         u = q.as_univariate(v)
         a = u.get(2, MultiPoly.zero())
@@ -265,8 +278,8 @@ def _roots_by_newton_lifting(q: MultiPoly, v: int,
         if lead is None or lead[0] == 0:
             continue
         dense = [coeffs.get(e, [Fraction(0)])[0] for e in range(d + 1)]
-        rhos = _distinct_rational_roots_dense(dense)
-        if rhos is None or len(rhos) != d:
+        rhos = rational_roots(dense)
+        if len(rhos) != d:
             continue
         roots = []
         for rho in rhos:
@@ -280,43 +293,6 @@ def _roots_by_newton_lifting(q: MultiPoly, v: int,
         if len(roots) == d:
             return roots
     return None
-
-
-def _distinct_rational_roots_dense(dense: list[Fraction]) -> list[Fraction] | None:
-    """All rational roots of a dense-coefficient polynomial, or None if the
-    count cannot reach the degree (multiple or irrational roots)."""
-    while dense and dense[-1] == 0:
-        dense.pop()
-    if len(dense) <= 1:
-        return None
-    deg = len(dense) - 1
-    den_lcm = 1
-    for c in dense:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    zc = [int(c * den_lcm) for c in dense]
-    roots: list[Fraction] = []
-    while zc and zc[0] == 0:
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
-        else:
-            return None  # multiple root at zero
-        zc = zc[1:]
-    if not zc or len(zc) == 1:
-        return roots if len(roots) == deg else None
-
-    def eval_at(r: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(zc):
-            acc = acc * r + c
-        return acc
-
-    for p_num in _divisors(zc[0]):
-        for p_den in _divisors(zc[-1]):
-            for sign in (1, -1):
-                cand = Fraction(sign * p_num, p_den)
-                if cand not in roots and eval_at(cand) == 0:
-                    roots.append(cand)
-    return roots if len(roots) == deg else None
 
 
 def linear_poles(den: MultiPoly, v: int,

@@ -24,6 +24,7 @@ from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
                        RationalFunction, SingularMatrix, UPoly, VarKind,
                        linear_poles, linear_solve, lcm, mat_add, mat_inverse,
                        mat_scale, zeros)
+from .exactalg.factor import rational_roots
 from .exactalg.linalg import Matrix
 from .exactalg.poly import exact_div
 from .fields import FieldContext, RebasedFieldContext
@@ -39,37 +40,8 @@ class SingularRebase(ExactAlgError):
 
 
 def _integer_roots(coeffs: list[Fraction]) -> list[int]:
-    """Integer roots of sum coeffs[i] * alpha^i."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
-        return []
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    zc = [int(c * den) for c in coeffs]
-    roots = []
-    shift = 0
-    while zc[0] == 0:
-        if 0 not in roots:
-            roots.append(0)
-        zc = zc[1:]
-        shift += 1
-        if not zc:
-            return roots
-    a0 = abs(zc[0])
-    divisors = set()
-    d = 1
-    while d * d <= a0:
-        if a0 % d == 0:
-            divisors.add(d)
-            divisors.add(a0 // d)
-        d += 1
-    for cand in sorted(divisors):
-        for r in (cand, -cand):
-            if sum(c * r ** i for i, c in enumerate(zc)) == 0 and r not in roots:
-                roots.append(r)
-    return sorted(roots)
+    """Integer roots of sum coeffs[i] * alpha^i, ascending."""
+    return [int(r) for r in rational_roots(coeffs) if r.denominator == 1]
 
 
 def _falling_factorial_poly(i: int) -> list[Fraction]:

@@ -273,6 +273,26 @@ def test_huge_exponent_is_refused_quickly():
     assert code == 0
 
 
+def test_huge_constant_poles_finish_quickly():
+    # Rational roots come from p-adic lifting, not from the divisors of the
+    # constant term, so 37-digit and 21-digit constants cost no more than
+    # small ones.
+    done = _python_m_main(["--json", "reduce", "--integrand",
+                           "1/(x^2-1000000000000000000000000000000000001)",
+                           "--var", "x"], timeout=10)
+    assert done.returncode == 2
+    payload = json.loads(done.stdout)
+    assert payload["status"] == "unsupported-input"
+    assert "does not split over Q" in payload["detail"]
+    done = _python_m_main(["--json", "reduce", "--integrand",
+                           "1/((x-123456789012345678901)*(3*x+7))",
+                           "--var", "x"], timeout=10)
+    assert done.returncode == 0
+    payload = json.loads(done.stdout)
+    assert set(payload["class"]) == {"-7/3", "123456789012345678901"}
+    assert not payload["class_is_zero"]
+
+
 def test_run_command_exit_codes(tmp_path):
     # malformed input -> 4
     code, _ = run_command(["check", str(tmp_path / "missing.json")])

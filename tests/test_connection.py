@@ -283,6 +283,28 @@ def test_flatten_scalar_success(t1t2):
     # derivations; re-verification above is the contract
 
 
+def test_flatten_computes_each_defect_once(xt1t2, monkeypatch):
+    # One curvature of the input (three pairs) and one full re-check of the
+    # moved system; the pairwise precondition and the bivariate solve read
+    # the curvature instead of recomputing its pairs.
+    import isocert.connection as connection
+
+    f, zero, t2 = xt1t2["field"], xt1t2["zero"], xt1t2["t2"]
+    S = ConnectionSystem(f, 1, {"x": [[zero]], "t1": [[t2]], "t2": [[zero]]},
+                         principal="x")
+    calls = []
+    real = connection.defect
+
+    def counted(system, u, v):
+        calls.append((u, v))
+        return real(system, u, v)
+
+    monkeypatch.setattr(connection, "defect", counted)
+    outcome = flatten(S, order=["t1", "t2"])
+    assert isinstance(outcome, FlattenFound)
+    assert len(calls) == 6
+
+
 def _three_param_system():
     import isocert.exactalg as ea
 

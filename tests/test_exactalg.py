@@ -13,6 +13,7 @@ from isocert.exactalg import (MultiPoly, NonLinearFactor, RationalFunction,
                               linear_solve, mat_inverse, mat_mul, normalize,
                               partial_fractions, poly_sqrt, squarefree_factor)
 from isocert.exactalg import poly
+from isocert.exactalg.factor import rational_roots
 from isocert.exactalg.poly import exact_div
 
 from conftest import random_poly, random_rational
@@ -139,6 +140,71 @@ def test_linear_poles_expanded_products(xt):
     den2 = ((x - t) * (x - 2 * t)).num
     got2 = {p for p, _ in linear_poles(den2, ix, xt["reg"])}
     assert got2 == {t, 2 * t}
+
+
+# -- the p-adic rational-root finder against sympy ------------------------------
+
+
+def _dense_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# Irreducible over Q: no rational roots to find.
+_COFACTORS = ([1, 0, 1], [-2, 0, 1], [5, 1, 3], [-2, 0, 0, 1], [1, 1, 0, 1],
+              [-3, 0, 0, 2])
+
+
+@st.composite
+def _planted_root_polys(draw):
+    """Dense coefficients of c * x^z * prod (q x - p)^m * cofactors, with
+    large p and q, repeated roots and Fraction scalings."""
+    coeffs = [1]
+    for _ in range(draw(st.integers(0, 4))):
+        p = draw(st.integers(-10**30, 10**30))
+        q = draw(st.integers(1, 10**20))
+        for _ in range(draw(st.integers(1, 3))):
+            coeffs = _dense_mul(coeffs, [-p, q])
+    coeffs = [0] * draw(st.integers(0, 2)) + coeffs
+    for cof in draw(st.lists(st.sampled_from(_COFACTORS), max_size=2)):
+        coeffs = _dense_mul(coeffs, cof)
+    scale = draw(st.builds(Fraction, st.integers(-7, 7).filter(bool),
+                           st.integers(1, 9)))
+    return [scale * c for c in coeffs]
+
+
+def _eight_consecutive_roots():
+    # Every odd prime below 8 sees a repeated root mod p.
+    coeffs = [1]
+    for i in range(8):
+        coeffs = _dense_mul(coeffs, [-i, 1])
+    return coeffs
+
+
+@seed(20261018)
+@settings(max_examples=120, deadline=None)
+@given(_planted_root_polys())
+@example([])
+@example([Fraction(0), Fraction(0)])
+@example([Fraction(7, 3)])
+@example(_eight_consecutive_roots())
+@example(_dense_mul(_dense_mul([-(10**36 + 1), 0, 1], [7, 3]),
+                    [-123456789012345678901, 1]))
+def test_rational_roots_match_sympy(coeffs):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    expected = []
+    if any(coeffs):
+        P = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                        for c in map(Fraction, reversed(coeffs))], x, domain="QQ")
+        for f, _ in P.factor_list()[1]:
+            if f.degree() == 1:
+                a, b = f.all_coeffs()
+                expected.append(_sympy_to_fraction(-b / a))
+    assert rational_roots(coeffs) == sorted(expected)
 
 
 def test_poly_sqrt():

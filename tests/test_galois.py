@@ -2,6 +2,7 @@
 horizontal sections."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -25,6 +26,18 @@ def test_rational_solutions_examples(xt):
     assert rational_solutions(LinearDiffOperator("t", (one,)), reg) == []
     got = rational_solutions(LinearDiffOperator("t", (-one / (t - one),)), reg)
     assert got == [one / (t - one)]
+
+
+def test_rational_solutions_huge_indicial_constant(xt):
+    # Euler operator t^2 y'' + a t y' + b y = 0 with indicial polynomial
+    # (alpha - 2)(alpha - (2N+1)/2): constant term 2N+1 of 37 digits, one
+    # integer exponent, so t^2 spans the rational solutions.
+    reg, one, t = xt["reg"], xt["one"], xt["t"]
+    n = 10**36
+    b = 2 * n + 1
+    a = -Fraction(2 * n + 3, 2)
+    op = LinearDiffOperator("t", (-b * one / t ** 2, -a * one / t))
+    assert rational_solutions(op, reg) == [t ** 2]
 
 
 def test_rational_solutions_ansatz_crosscheck(xt):
