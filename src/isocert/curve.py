@@ -3,9 +3,14 @@ and Picard-Fuchs operators with certificates.
 
 Elements of the function field are p0 + p1*w with rational p0, p1 and w^2
 eliminated eagerly.  Differential forms (q dx) reduce against the basis
-{x^i dx/w : 0 <= i <= deg(f)-2}: odd w-powers drop through the Bezout
-identity u*f + v*f' = 1, poles away from the branch locus drop through
-Hermite-style steps, and x-degrees drop through the exact forms d(x^j w).
+{x^i dx/w : 0 <= i <= deg(f)-2}.  Poles away from the branch locus drop
+through Hermite-style steps.  What is left is N/(D f^(m+1)) w dx with a
+polynomial numerator N and an x-free denominator D, and the rest runs on N
+and D alone: odd w-powers drop through the Bezout identity u*f + V*f' = 1
+(a pseudo-remainder by f and one exact division per step), and x-degrees
+drop through the exact forms d(x^j w).  D absorbs the denominator of V and
+the powers of lc_x(f) the pseudo-division brings in, so these steps take no
+gcd; each coordinate and the certificate are normalized once at the end.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from fractions import Fraction
 
 from .derham import reduce as derham_reduce
 from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
-                       RationalFunction, UPoly, VariableRegistry,
-                       partial_fractions, upoly_xgcd)
+                       RationalFunction, UPoly, VariableRegistry, exact_div,
+                       partial_fractions, prem, upoly_xgcd)
 from .exactalg.factor import _rf_sort_key
 from .exactalg.poly import gcd as poly_gcd
 from .fields import FieldContext
@@ -52,20 +57,19 @@ class CurveSpec:
         if d not in (3, 4):
             raise CurveError(f"curve degree must be 3 or 4, got {d}")
         self.degree = d
-        fx = self.f.derivative(self.x_index)
-        g = poly_gcd(self.f, fx)
+        self.fx = self.f.derivative(self.x_index)
+        self.lc_x = self.f.coefficient(self.x_index, d)
+        g = poly_gcd(self.f, self.fx)
         if g.degree(self.x_index) > 0:
             raise CurveError("f must be squarefree in x")
         self.f_rf = RationalFunction.from_poly(self.f, self.registry)
-        self.fx_rf = RationalFunction.from_poly(fx, self.registry)
-        one = RationalFunction.const(1, self.registry)
-        gg, u, v = upoly_xgcd(UPoly.from_rational(self.f_rf, self.x_index),
+        self.fx_rf = RationalFunction.from_poly(self.fx, self.registry)
+        gg, _, v = upoly_xgcd(UPoly.from_rational(self.f_rf, self.x_index),
                               UPoly.from_rational(self.fx_rf, self.x_index))
         if gg.degree() != 0:
             raise CurveError("Bezout identity for (f, f') failed")
-        inv = one / gg[0]
-        self.bezout_u = u.scale(inv)
-        self.bezout_v = v.scale(inv)
+        # V with u*f + V*f' = 1; its denominator is free of x.
+        self.bezout_v = v.to_rational(self.x_index)
 
     def zero_element(self) -> "CurveElement":
         z = RationalFunction.const(0, self.registry)
@@ -221,6 +225,56 @@ def _split_f_level(p1: RationalFunction, curve: CurveSpec) -> tuple[int, Rationa
     return sigma - 1, q
 
 
+def _reduce_numerator(curve: CurveSpec, m: int, num: MultiPoly, den: MultiPoly
+                      ) -> tuple[RationalFunction, tuple[RationalFunction, ...]]:
+    """Reduce num/(den*f^(m+1)) * w dx with den free of x.  Every step
+    works on the polynomial numerator; den absorbs the denominator of V and
+    the powers of lc_x(f) that pseudo-division brings in, and nothing is
+    normalized until the end.  Returns the odd certificate and the class
+    coordinates."""
+    x = curve.x_index
+    f, fx, lc = curve.f, curve.fx, curve.lc_x
+    v_num, v_den = curve.bezout_v.num, curve.bezout_v.den
+    d = curve.degree
+    f_pow = [MultiPoly.one()]
+    for _ in range(m):
+        f_pow.append(f_pow[-1] * f)
+    cert = MultiPoly.zero()  # certificate numerator over den * f^m, den as it grows
+    for level in range(m, 0, -1):
+        # Bezout step: N = A f + B f' with B = N V mod f; then, with
+        # s = 2/(1 - 2 level), N/f^(level+1) w dx = d(s B w / f^level)
+        # + (A - s B')/f^level w dx.
+        nv = num * v_num
+        b = prem(nv, f, x)
+        fold = v_den * lc ** max(nv.degree(x) - d + 1, 0)
+        try:
+            a = exact_div(num * fold - b * fx, f)
+        except ArithmeticError:
+            raise CurveError("Bezout division left a remainder; this is a bug") from None
+        s = Fraction(2, 1 - 2 * level)
+        cert = cert * fold + b.scale(s) * f_pow[m - level]
+        den = den * fold
+        num = a - b.derivative(x).scale(s)
+    # Degree lowering with d(x^j w) = (j x^(j-1) f + x^j f'/2) dx / w.
+    lc_inv = Fraction(1) / lc.const_value() if lc.is_const() else None
+    while (n := num.degree(x)) >= d - 1:
+        j = n - d + 1
+        top = num.coefficient(x, n)
+        if lc_inv is None:
+            num, cert, den = num * lc, cert * lc, den * lc
+        else:
+            top = top.scale(lc_inv)
+        lam = top.scale(Fraction(2, 2 * j + d))
+        xj = MultiPoly.var(x, j)
+        num = num - lam * (xj.derivative(x) * f + xj * fx.scale(Fraction(1, 2)))
+        cert = cert + lam * xj * f_pow[m]
+    reg = curve.registry
+    parts = num.as_univariate(x)
+    coords = tuple(RationalFunction(parts.get(i, MultiPoly.zero()), den, reg)
+                   for i in range(curve.basis_size()))
+    return RationalFunction(cert, den * f_pow[m], reg), coords
+
+
 def curve_reduce(omega: CurveElement) -> CurveReduction:
     """Reduce the form omega*dx to the de Rham basis with an exact
     certificate: omega*dx = d(certificate) + sum coords_i * x^i dx/w."""
@@ -242,7 +296,7 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
         cert = cert + CurveElement(rr.certificate, zero, curve)
 
     remainder = omega.odd
-    coords = [zero] * curve.basis_size()
+    coords = (zero,) * curve.basis_size()
     x = RationalFunction.var(x_name, reg)
     guard = 0
     while not remainder.is_zero():
@@ -250,59 +304,26 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
         if guard > 200:
             raise CurveError("reduction did not terminate; this is a bug")
         m, Q = _split_f_level(remainder, curve)
-        if Q.den.degree(x_idx) > 0:
-            # Hermite step at a pole off the branch locus.
-            try:
-                pfd = partial_fractions(Q, x_name)
-            except NonLinearFactor as exc:
-                raise UnsupportedPoles(str(exc)) from None
-            top = max(pfd.terms, key=lambda t: (t.order, _rf_sort_key(t.pole)))
-            c, j, b = top.pole, top.order, top.coeff
-            if j == 1:
-                raise UnsupportedPoles(
-                    "simple pole off the branch locus (third-kind form)")
-            f_at_c = RationalFunction.from_poly(curve.f, reg).substitute(x_idx, c)
-            kappa = b / (Fraction(-(j - 1)) * f_at_c)
-            u = CurveElement(zero, kappa / (curve.f_rf ** m * (x - c) ** (j - 1)), curve)
-            cert = cert + u
-            remainder = remainder - curve_derive(u, x_name).odd
-        elif m >= 1:
-            # Bezout step: Q = A f + B f' drops the w-power by two.
-            Qp = UPoly.from_rational(Q, x_idx)
-            fU = UPoly.from_rational(curve.f_rf, x_idx)
-            B = (Qp * curve.bezout_v) % fU
-            A_num = Qp - B * UPoly.from_rational(curve.fx_rf, x_idx)
-            A, r = A_num.divmod(fU)
-            if not r.is_zero():
-                raise CurveError("Bezout division left a remainder; this is a bug")
-            scale = RationalFunction.const(Fraction(2, 1 - 2 * m), reg)
-            cert_term = CurveElement(
-                zero, scale * B.to_rational(x_idx) / curve.f_rf ** m, curve)
-            cert = cert + cert_term
-            # New level is m-1, so p1 = Q' / w^(2m) = Q' / f^m.
-            new_Q = A.to_rational(x_idx) - scale * B.derivative().to_rational(x_idx)
-            remainder = new_Q / curve.f_rf ** m
-        else:
-            # Polynomial over w: lower the degree with d(x^j w), then read off
-            # the basis coordinates.
-            Qp = UPoly.from_rational(Q, x_idx)
-            d = curve.degree
-            lc_f = RationalFunction.from_poly(
-                curve.f.coefficient(x_idx, d), reg)
-            while Qp.degree() >= d - 1:
-                j = Qp.degree() - d + 1
-                lam = Qp.lc() / ((Fraction(j) + Fraction(d, 2)) * lc_f)
-                xj = UPoly.from_rational(x ** j if j else RationalFunction.const(1, reg),
-                                         x_idx)
-                rel = xj.derivative() * UPoly.from_rational(curve.f_rf, x_idx) \
-                    + xj * UPoly.from_rational(curve.fx_rf, x_idx).scale(
-                        RationalFunction.const(Fraction(1, 2), reg))
-                Qp = Qp - rel.scale(lam)
-                cert = cert + CurveElement(zero, lam * (x ** j if j else RationalFunction.const(1, reg)), curve)
-            for i in range(curve.basis_size()):
-                coords[i] = coords[i] + Qp[i]
-            remainder = zero
-    result = CurveReduction(CurveClass(tuple(coords)), cert)
+        if Q.den.degree(x_idx) == 0:
+            odd, coords = _reduce_numerator(curve, m, Q.num, Q.den)
+            cert = cert + CurveElement(zero, odd, curve)
+            break
+        # Hermite step at a pole off the branch locus.
+        try:
+            pfd = partial_fractions(Q, x_name)
+        except NonLinearFactor as exc:
+            raise UnsupportedPoles(str(exc)) from None
+        top = max(pfd.terms, key=lambda t: (t.order, _rf_sort_key(t.pole)))
+        c, j, b = top.pole, top.order, top.coeff
+        if j == 1:
+            raise UnsupportedPoles(
+                "simple pole off the branch locus (third-kind form)")
+        f_at_c = curve.f_rf.substitute(x_idx, c)
+        kappa = b / (Fraction(-(j - 1)) * f_at_c)
+        u = CurveElement(zero, kappa / (curve.f_rf ** m * (x - c) ** (j - 1)), curve)
+        cert = cert + u
+        remainder = remainder - curve_derive(u, x_name).odd
+    result = CurveReduction(CurveClass(coords), cert)
     _check_curve_reduction(omega, result)
     return result
 

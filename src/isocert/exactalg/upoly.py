@@ -95,6 +95,9 @@ class UPoly:
     def scale(self, c: RationalFunction) -> "UPoly":
         return UPoly([a * c for a in self.coeffs], self.registry)
 
+    # shift, derivative and monic have no caller in the library or its
+    # tests; perfbench/spans.py traces them by name, so they stay until that
+    # list drops them.
     def shift(self, k: int) -> "UPoly":
         """Multiply by v^k."""
         if self.is_zero():
@@ -121,9 +124,6 @@ class UPoly:
                 r[k + i] = r[k + i] - c * other.coeffs[i]
             r.pop()
         return UPoly(q, self.registry), UPoly(r, self.registry)
-
-    def __mod__(self, other: "UPoly") -> "UPoly":
-        return self.divmod(other)[1]
 
     def derivative(self) -> "UPoly":
         return UPoly([self.coeffs[i] * i for i in range(1, len(self.coeffs))],

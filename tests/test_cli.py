@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -228,6 +230,105 @@ def test_run_command_picard_fuchs_unsupported_curve(curve, form):
                                 "--param", "t"])
     assert code == 2
     assert report.payload["status"] == "unsupported-input"
+
+
+# Operator and certificate of each form on curves whose leading x-coefficient
+# is not 1, some not even a constant: the reduction folds lc_x(f) into its
+# x-free denominator there.
+_NONMONIC_PICARD_FUCHS = [
+    ("t*x^3+x+1", 0,
+     "Dt^2 + (2*t+4/27)/(t^2+4/27*t)*Dt + (2/9*t-1/108)/(t^3+4/27*t^2)",
+     ("((1/18*x^4*t^2-1/18*x^4*t+5/18*x^2*t-1/54*x^2+2/9*x*t-1/27*x-1/5"
+      "4)/(x^6*t^5+4/27*x^6*t^4+2*x^4*t^4+8/27*x^4*t^3+2*x^3*t^4+8/27*x"
+      "^3*t^3+x^2*t^3+4/27*x^2*t^2+2*x*t^3+8/27*x*t^2+t^3+4/27*t^2))*w")),
+    ("t*x^3+x+1", 1,
+     "Dt^2 + (3*t+8/27)/(t^2+4/27*t)*Dt + (8/9*t+1/36)/(t^3+4/27*t^2)",
+     ("((5/18*x^5*t^2-1/54*x^5*t+25/54*x^3*t+1/54*x^3+4/9*x^2*t-1/18*x-"
+      "1/27)/(x^6*t^5+4/27*x^6*t^4+2*x^4*t^4+8/27*x^4*t^3+2*x^3*t^4+8/2"
+      "7*x^3*t^3+x^2*t^3+4/27*x^2*t^2+2*x*t^3+8/27*x*t^2+t^3+4/27*t^2))"
+      "*w")),
+    ("2*x^3-x+t", 0,
+     "Dt^2 + (2*t/(t^2-2/27))*Dt + 5/(36*(t^2-2/27))",
+     ("((-5/36*x^4+7/72*x^2-1/36*x*t-1/108)/(x^6*t^2-2/27*x^6-x^4*t^2+x"
+      "^3*t^3+2/27*x^4-2/27*x^3*t+1/4*x^2*t^2-1/2*x*t^3+1/4*t^4-1/54*x^"
+      "2+1/27*x*t-1/54*t^2))*w")),
+    ("2*x^3-x+t", 1,
+     "Dt^2 + (2*t/(t^2-2/27))*Dt - 7/(36*(t^2-2/27))",
+     ("((-7/36*x^5+35/216*x^3-1/18*x^2*t-1/36*x+1/54*t)/(x^6*t^2-2/27*x"
+      "^6-x^4*t^2+x^3*t^3+2/27*x^4-2/27*x^3*t+1/4*x^2*t^2-1/2*x*t^3+1/4"
+      "*t^4-1/54*x^2+1/27*x*t-1/54*t^2))*w")),
+    ("(t*x-1)*(x-1)*x", 0,
+     "Dt^2 + (2*t-1)/(t^2-t)*Dt + 1/(4*(t^2-t))",
+     "(1/(2*(x^2*t^4-x^2*t^3-2*x*t^3+2*x*t^2+t^2-t)))*w"),
+    ("(t*x-1)*(x-1)*x", 1,
+     "Dt^2 + (3*t-2)/(t^2-t)*Dt + 3/(4*(t^2-t))",
+     "((1/2*x)/(x^2*t^4-x^2*t^3-2*x*t^3+2*x*t^2+t^2-t))*w"),
+    ("(t+1)*x^4+x+1", 0,
+     ("Dt^2 + (2*t+485/256)/(t^2+485/256*t+229/256)*Dt + (3/16*t+195/10"
+      "24)/(t^3+741/256*t^2+357/128*t+229/256)"),
+     ("((1/64*x^6*t^2+1/32*x^6*t+1/16*x^5*t^2+1/64*x^6+19/128*x^5*t+11/"
+      "128*x^5+3/128*x^3*t+3/128*x^3+15/64*x^2*t+123/512*x^2+3/16*x*t+5"
+      "1/256*x+3/512)/(x^8*t^5+1253/256*x^8*t^4+613/64*x^8*t^3+1199/128"
+      "*x^8*t^2+293/64*x^8*t+2*x^5*t^4+229/256*x^8+997/128*x^5*t^3+2*x^"
+      "4*t^4+1455/128*x^5*t^2+997/128*x^4*t^3+943/128*x^5*t+1455/128*x^"
+      "4*t^2+229/128*x^5+943/128*x^4*t+x^2*t^3+229/128*x^4+741/256*x^2*"
+      "t^2+2*x*t^3+357/128*x^2*t+741/128*x*t^2+t^3+229/256*x^2+357/64*x"
+      "*t+741/256*t^2+229/128*x+357/128*t+229/256))*w")),
+    ("(t+1)*x^4+x+1", 1,
+     ("Dt^3 + (11/2*t+2627/512)/(t^2+485/256*t+229/256)*Dt^2 + (87/16*t"
+      "+5409/1024)/(t^3+741/256*t^2+357/128*t+229/256)*Dt + (15/32*t+96"
+      "3/2048)/(t^4+997/256*t^3+1455/256*t^2+943/256*t+229/256)"),
+     ("((3/64*x^10*t^3+17/128*x^10*t^2+1/8*x^10*t+5/128*x^10+11/128*x^7"
+      "*t^2+49/256*x^7*t+3/32*x^6*t^2+27/256*x^7+101/512*x^6*t+53/512*x"
+      "^6+145/512*x^4*t+291/1024*x^4+65/128*x^3*t+521/1024*x^3+15/64*x^"
+      "2*t+237/1024*x^2-5/1024*x-1/512)/(x^12*t^7+1765/256*x^12*t^6+260"
+      "7/128*x^12*t^5+8555/256*x^12*t^4+2105/64*x^12*t^3+3*x^9*t^6+4971"
+      "/256*x^12*t^2+4527/256*x^9*t^5+3*x^8*t^6+815/128*x^12*t+11115/25"
+      "6*x^9*t^4+4527/256*x^8*t^5+229/256*x^12+7275/128*x^9*t^3+11115/2"
+      "56*x^8*t^4+5355/128*x^9*t^2+7275/128*x^8*t^3+3*x^6*t^5+4203/256*"
+      "x^9*t+5355/128*x^8*t^2+3759/256*x^6*t^4+6*x^5*t^5+687/256*x^9+42"
+      "03/256*x^8*t+1839/64*x^6*t^3+3759/128*x^5*t^4+3*x^4*t^5+687/256*"
+      "x^8+3597/128*x^6*t^2+1839/32*x^5*t^3+3759/256*x^4*t^4+879/64*x^6"
+      "*t+3597/64*x^5*t^2+1839/64*x^4*t^3+x^3*t^4+687/256*x^6+879/32*x^"
+      "5*t+3597/128*x^4*t^2+997/256*x^3*t^3+3*x^2*t^4+687/128*x^5+879/6"
+      "4*x^4*t+1455/256*x^3*t^2+2991/256*x^2*t^3+3*x*t^4+687/256*x^4+94"
+      "3/256*x^3*t+4365/256*x^2*t^2+2991/256*x*t^3+t^4+229/256*x^3+2829"
+      "/256*x^2*t+4365/256*x*t^2+997/256*t^3+687/256*x^2+2829/256*x*t+1"
+      "455/256*t^2+687/256*x+943/256*t+229/256))*w")),
+]
+
+
+@pytest.mark.parametrize("curve, form, operator, certificate", _NONMONIC_PICARD_FUCHS,
+                         ids=[f"{c} form {f}" for c, f, _, _ in _NONMONIC_PICARD_FUCHS])
+def test_run_command_picard_fuchs_nonmonic(curve, form, operator, certificate):
+    code, report = run_command(["picard-fuchs", "--curve", curve, "--form", str(form),
+                                "--param", "t"])
+    assert code == 0
+    assert report.payload["operator"] == operator
+    assert report.payload["certificate"] == certificate
+
+
+_FUZZ_COEFFS = ["0", "1", "-1", "2", "-3", "t", "t+1", "-t"]
+
+
+def test_run_command_picard_fuchs_fuzz():
+    """Random curves of x-degree 2 to 5, both forms: every case ends in a
+    documented exit code, without a traceback, within a time budget."""
+    rnd = random.Random(9)
+    codes = []
+    for _ in range(20):
+        degree = rnd.randint(2, 5)
+        coeffs = [rnd.choice(_FUZZ_COEFFS) for _ in range(degree)] + \
+            [rnd.choice(_FUZZ_COEFFS[1:])]
+        curve = "+".join(f"({c})*x^{k}" for k, c in enumerate(coeffs) if c != "0")
+        for form in ("0", "1"):
+            start = time.perf_counter()
+            code, _ = run_command(["picard-fuchs", "--curve", curve, "--form", form,
+                                   "--param", "t"])
+            assert code in (0, 2, 3), (curve, form, code)
+            assert time.perf_counter() - start < 10.0, (curve, form)
+            codes.append(code)
+    assert 0 in codes and 2 in codes
 
 
 def _python(args, timeout):

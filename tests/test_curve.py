@@ -8,7 +8,7 @@ import pytest
 from isocert.curve import (CurveContext, CurveElement, CurveError, CurveSpec,
                            PicardFuchsNotFound, UnsupportedPoles, curve_derive,
                            curve_reduce, curve_w, picard_fuchs)
-from isocert.exactalg import RationalFunction, linear_solve
+from isocert.exactalg import RationalFunction, UPoly, linear_solve
 
 
 @pytest.fixture
@@ -177,3 +177,22 @@ def test_quartic_curve_basis(xt):
 def test_picard_fuchs_not_found(xt, legendre):
     with pytest.raises(PicardFuchsNotFound):
         picard_fuchs(legendre, 0, "t", max_order=1)
+
+
+def test_curve_reduction_is_fraction_free(xt, monkeypatch):
+    """Past the Hermite branch, curve reduction works on numerators over one
+    x-free denominator: a UPoly product or division there would stay
+    correct but bring back a gcd per coefficient.  The curves are built
+    first, because their Bezout identity still comes from upoly_xgcd."""
+    x, t, one = xt["x"], xt["t"], xt["one"]
+    curves = [CurveSpec((x * (x - one) * (x - t)).num, "x", xt["reg"]),
+              CurveSpec(((x ** 2 - one) * (x ** 2 - t)).num, "x", xt["reg"])]
+
+    def refuse(*args):
+        raise AssertionError("UPoly arithmetic in curve reduction")
+
+    monkeypatch.setattr(UPoly, "__mul__", refuse)
+    monkeypatch.setattr(UPoly, "divmod", refuse)
+    for curve in curves:
+        for form in range(curve.basis_size()):
+            assert picard_fuchs(curve, form, "t").operator.order >= 1
