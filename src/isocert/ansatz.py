@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactalg import MultiPoly, RationalFunction, VariableRegistry, lcm
-from .exactalg.poly import Mono, exact_div, mono_mul
+from .exactalg.poly import (EMPTY_MONO, MAX_DEGREE, DegreeTooLarge, Mono,
+                            exact_div, mono_from_items)
 from .fields import FieldContext
 
 _ZERO = Fraction(0)
@@ -24,14 +25,17 @@ Term = tuple[int, Mono, RationalFunction]
 def monomials_up_to(var_indices: list[int], bound: int) -> list[Mono]:
     """All monomials in the given variables of total degree <= bound, in
     breadth-first order (the order fixes the order of ansatz unknowns)."""
-    monos = [()]
-    seen = {()}
-    frontier = [()]
+    if bound > MAX_DEGREE:
+        raise DegreeTooLarge(bound)
+    units = [mono_from_items(((idx, 1),)) for idx in var_indices]
+    monos = [EMPTY_MONO]
+    seen = {EMPTY_MONO}
+    frontier = [EMPTY_MONO]
     for _ in range(bound):
         new_frontier = []
         for m in frontier:
-            for idx in var_indices:
-                cand = mono_mul(m, ((idx, 1),))
+            for unit in units:
+                cand = m + unit
                 if cand not in seen:
                     seen.add(cand)
                     monos.append(cand)
@@ -52,7 +56,7 @@ def derivative_terms(field: FieldContext, m: Mono,
     rebased derivation with rational coefficients)."""
     d = field.derive(monomial(m, field.registry), symbol)
     if not d.is_poly():
-        return [((), d)]
+        return [(EMPTY_MONO, d)]
     return [(shift, RationalFunction.const(c, field.registry))
             for shift, c in d.num.terms.items()]
 
@@ -79,7 +83,7 @@ def match_coefficients(equations: list[list[Term]], rhs: list[RationalFunction]
             if c is None:
                 c = cleared[value] = (value.num * exact_div(den, value.den)).terms
             for mono, coeff in c.items():
-                row = by_mono.setdefault(mono_mul(mono, shift), {})
+                row = by_mono.setdefault(mono + shift, {})
                 prev = row.get(k)
                 row[k] = coeff if prev is None else prev + coeff
         cleared_rhs = (target.num * exact_div(den, target.den)).terms

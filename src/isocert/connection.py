@@ -29,7 +29,7 @@ from .exactalg import (ExactAlgError, RationalFunction, SingularMatrix, VarKind,
                        mat_inverse, mat_is_zero, mat_mul, mat_neg, mat_scale,
                        mat_sub, zeros)
 from .exactalg.linalg import Matrix, mat_apply
-from .exactalg.poly import Mono
+from .exactalg.poly import Mono, mono_from_items
 from .fields import FieldContext, RationalFieldContext
 
 __all__ = [
@@ -492,7 +492,7 @@ def _ansatz_matrices(system: ConnectionSystem, constraint: Optional[list[Matrix]
     params = system.parametric_symbols()
     param_vars = [i for i in range(len(reg))
                   if reg.kind(i) not in (VarKind.TOWER, VarKind.JET)
-                  and any(not f.derive(monomial(((i, 1),), reg), s).is_zero()
+                  and any(not f.derive(monomial(mono_from_items(((i, 1),)), reg), s).is_zero()
                           for s in params)]
     monomials = monomials_up_to(param_vars, degree_bound)
     if constraint is not None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (MultiPoly, ZeroPolynomial, content_wrt, exact_div, gcd,
-                   poly_sqrt, squarefree_decomposition)
+                   mono_exponent, mono_key_grlex, poly_sqrt, squarefree_decomposition)
 from .rational import RationalFunction
 from .registry import ExactAlgError, VariableRegistry
 from .upoly import UPoly
@@ -184,7 +184,7 @@ def _poly_to_series(p: MultiPoly, u: int, tau: Fraction, n: int) -> list[Fractio
     (tau + s)^e = sum_k C(e,k) tau^(e-k) s^k."""
     out = [Fraction(0)] * n
     for mono, c in p.terms.items():
-        e = dict(mono).get(u, 0)
+        e = mono_exponent(mono, u)
         for k in range(min(e, n - 1) + 1):
             out[k] += c * Fraction(math.comb(e, k)) * tau ** (e - k)
     return out
@@ -310,8 +310,6 @@ def linear_poles(den: MultiPoly, v: int,
 
 
 def _rf_sort_key(f: RationalFunction):
-    from .poly import mono_key_grlex
-
     def poly_key(p: MultiPoly):
         return tuple(sorted(((mono_key_grlex(m), c) for m, c in p.terms.items()),
                             reverse=True))

@@ -1,9 +1,25 @@
 """Sparse multivariate polynomials over Q with exact arithmetic.
 
-Monomials are sorted tuples of (variable index, exponent) pairs with positive
-exponents; coefficients are `fractions.Fraction`.  The term order is graded
-lexicographic in the registry order (lower index = more significant).  All
-values are immutable; no zero coefficients are ever stored.
+A monomial is a packed exponent vector: a non-negative `int` whose bits
+[16i, 16i+16) hold the exponent of registry variable i, so the empty
+monomial is 0, a product of monomials is the sum of their ints and, since
+2^16 = 1 modulo 0xFFFF, the total degree is the int modulo 0xFFFF.  Both
+hold only while every total degree stays below 0xFFFF: `var`, `*` and `**`
+refuse to build a polynomial of total degree above MAX_DEGREE
+(DegreeTooLarge), so no exponent ever carries into the next variable.
+Quotients test divisibility through the borrows of one subtraction, read
+at the field boundaries; the borrow mask covers MAX_VARIABLES variables, and
+a variable index past it is refused (TooManyVariables).  `mono_from_items`
+and `mono_items` convert from and to (index, exponent) pairs.
+
+Coefficients are `fractions.Fraction`.  All values are immutable; no zero
+coefficients are ever stored.  Everything observable (leading monomials,
+`monic`, gcd normalization, printing) uses the graded lexicographic order in
+the registry order, lower index = more significant.  The heap divisions pop
+terms by (total degree, packed int) instead: a graded order in which the
+higher index is more significant.  An exact quotient is the same under every
+monomial order, and a graded order keeps the early exit on a leading term
+that does not divide bounded.
 
 Also provides the polynomial toolbox the rest of the package is built on:
 exact division, pseudo-remainders, gcd, content/primitive splitting, Yun
@@ -22,53 +38,99 @@ from fractions import Fraction
 
 from .registry import ExactAlgError
 
-Mono = tuple[tuple[int, int], ...]
+Mono = int
 
-EMPTY_MONO: Mono = ()
+EMPTY_MONO: Mono = 0
+
+FIELD_BITS = 16
+FIELD_MASK = 0xFFFF
+# The total degree is read as m % FIELD_MASK, exact below FIELD_MASK.
+MAX_DEGREE = FIELD_MASK - 1
+MAX_VARIABLES = 4096
+# One bit at each field boundary 16, 32, ..., 16 * MAX_VARIABLES: the sum of
+# 2^(16k) for k = 1..MAX_VARIABLES, in closed form.
+BORROWS = ((1 << FIELD_BITS * (MAX_VARIABLES + 1)) - (1 << FIELD_BITS)) // FIELD_MASK
 
 
 class ZeroPolynomial(ExactAlgError):
     pass
 
 
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    out: dict[int, int] = dict(a)
-    for i, e in b:
-        out[i] = out.get(i, 0) + e
-    return tuple(sorted(out.items()))
+class DegreeTooLarge(ExactAlgError):
+    """A polynomial of total degree past MAX_DEGREE."""
+
+    def __init__(self, degree: int):
+        super().__init__(f"total degree {degree} is outside the supported bound "
+                         f"<= {MAX_DEGREE}")
 
 
-def mono_div(a: Mono, b: Mono) -> Mono | None:
-    """a / b, or None when b does not divide a."""
-    if not b:
-        return a
-    da = dict(a)
-    for i, e in b:
-        r = da.get(i, 0) - e
-        if r < 0:
-            return None
-        if r == 0:
-            da.pop(i, None)
-        else:
-            da[i] = r
-    return tuple(sorted(da.items()))
+class TooManyVariables(ExactAlgError):
+    """A variable index at or past MAX_VARIABLES."""
+
+    def __init__(self, index: int):
+        super().__init__(f"variable index {index} is outside the supported bound "
+                         f"< {MAX_VARIABLES}")
 
 
-def mono_gcd(a: Mono, b: Mono) -> Mono:
-    db = dict(b)
+def mono_from_items(items) -> Mono:
+    """The monomial with exponent e at variable i for each pair (i, e)."""
+    m = 0
+    degree = 0
+    for i, e in items:
+        if i >= MAX_VARIABLES:
+            raise TooManyVariables(i)
+        if e < 0:
+            raise ValueError("negative exponent")
+        m += e << FIELD_BITS * i
+        degree += e
+    if degree > MAX_DEGREE:
+        raise DegreeTooLarge(degree)
+    return m
+
+
+def mono_items(m: Mono) -> tuple[tuple[int, int], ...]:
+    """The (variable index, positive exponent) pairs of m, by index."""
     out = []
-    for i, e in a:
-        if i in db:
-            out.append((i, min(e, db[i])))
+    while m:
+        i = ((m & -m).bit_length() - 1) // FIELD_BITS
+        e = (m >> FIELD_BITS * i) & FIELD_MASK
+        out.append((i, e))
+        m -= e << FIELD_BITS * i
     return tuple(out)
 
 
+def mono_exponent(m: Mono, i: int) -> int:
+    return (m >> FIELD_BITS * i) & FIELD_MASK
+
+
+def mono_mul(a: Mono, b: Mono) -> Mono:
+    return a + b
+
+
+def mono_div(a: Mono, b: Mono) -> Mono | None:
+    """a / b, or None when b does not divide a: some field of a - b borrowed."""
+    d = a - b
+    if d < 0 or (d ^ a ^ b) & BORROWS:
+        return None
+    return d
+
+
+def mono_gcd(a: Mono, b: Mono) -> Mono:
+    # Most calls peel a content that already divides the next term.
+    d = b - a
+    if d >= 0 and not (d ^ a ^ b) & BORROWS:
+        return a
+    out = 0
+    while a:
+        s = ((a & -a).bit_length() - 1) // FIELD_BITS * FIELD_BITS
+        e = (a >> s) & FIELD_MASK
+        out += min(e, (b >> s) & FIELD_MASK) << s
+        a -= e << s
+    return out
+
+
 def mono_degree(a: Mono) -> int:
-    return sum(e for _, e in a)
+    return a % FIELD_MASK
 
 
 def mono_key_grlex(a: Mono):
@@ -76,13 +138,33 @@ def mono_key_grlex(a: Mono):
     # Lex tie-break: scanning variables in registry order, the monomial whose
     # exponent is larger at the first difference wins.  Encoding each pair as
     # (-index, exponent) and comparing the padded sequence realizes this.
-    return (mono_degree(a), tuple((-i, e) for i, e in a))
+    return (a % FIELD_MASK, tuple((-i, e) for i, e in mono_items(a)))
 
 
-def mono_key_inv(a: Mono):
-    """Order-reversing companion of mono_key_grlex, for min-heaps.  Safe
-    because same-degree monomials never have prefix-related encodings."""
-    return (-mono_degree(a), tuple((i, -e) for i, e in a))
+def _leading(monos) -> Mono:
+    """The graded-lex largest of a nonempty collection of monomials: the
+    largest total degree, then the larger exponent at the lowest index where
+    two candidates differ (the field of the lowest set bit of their xor)."""
+    it = iter(monos)
+    best = next(it)
+    top = best % FIELD_MASK
+    for m in it:
+        d = m % FIELD_MASK
+        if d > top:
+            best, top = m, d
+        elif d == top:
+            x = best ^ m
+            s = ((x & -x).bit_length() - 1) // FIELD_BITS * FIELD_BITS
+            if (m >> s) & FIELD_MASK > (best >> s) & FIELD_MASK:
+                best = m
+    return best
+
+
+def _variables(monos) -> set[int]:
+    acc = 0
+    for m in monos:
+        acc |= m
+    return {i for i, _ in mono_items(acc)}
 
 
 class MultiPoly:
@@ -117,7 +199,7 @@ class MultiPoly:
             raise ValueError("negative exponent")
         if exp == 0:
             return _ONE
-        return MultiPoly({((idx, exp),): Fraction(1)})
+        return MultiPoly({mono_from_items(((idx, exp),)): Fraction(1)})
 
     @staticmethod
     def from_terms(items) -> "MultiPoly":
@@ -149,11 +231,7 @@ class MultiPoly:
         return len(self.terms) == 1 and self.terms.get(EMPTY_MONO) == 1
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for mono in self.terms:
-            for i, _ in mono:
-                out.add(i)
-        return out
+        return _variables(self.terms)
 
     # -- ring operations ---------------------------------------------------
 
@@ -188,6 +266,9 @@ class MultiPoly:
             return self
         if self.is_one():
             return other
+        degree = self.total_degree() + other.total_degree()
+        if degree > MAX_DEGREE:
+            raise DegreeTooLarge(degree)
         # Integer coefficients are the common case; plain ints avoid the
         # normalization cost of Fraction arithmetic in the inner loop.
         if all(c.denominator == 1 for c in self.terms.values()) and \
@@ -197,13 +278,13 @@ class MultiPoly:
             b_items = [(m, c.numerator) for m, c in other.terms.items()]
             for m1, c1 in a_items:
                 for m2, c2 in b_items:
-                    m = mono_mul(m1, m2)
+                    m = m1 + m2
                     iterms[m] = iterms.get(m, 0) + c1 * c2
             return MultiPoly({m: Fraction(v) for m, v in iterms.items() if v})
         terms: dict[Mono, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = mono_mul(m1, m2)
+                m = m1 + m2
                 s = terms.get(m)
                 v = c1 * c2
                 if s is None:
@@ -227,6 +308,8 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power")
+        if n > 1 and (degree := n * self.total_degree()) > MAX_DEGREE:
+            raise DegreeTooLarge(degree)
         result = _ONE
         base = self
         while n:
@@ -250,51 +333,34 @@ class MultiPoly:
         bits = []
         for mono in sorted(self.terms, key=mono_key_grlex, reverse=True):
             coeff = self.terms[mono]
-            mono_s = "*".join(f"v{i}^{e}" if e > 1 else f"v{i}" for i, e in mono)
+            mono_s = "*".join(f"v{i}^{e}" if e > 1 else f"v{i}" for i, e in mono_items(mono))
             bits.append(f"{coeff}" + (f"*{mono_s}" if mono_s else ""))
         return "MultiPoly(" + " + ".join(bits) + ")"
 
     # -- calculus and structure --------------------------------------------
 
     def derivative(self, var: int) -> "MultiPoly":
-        terms: dict[Mono, Fraction] = {}
-        for mono, c in self.terms.items():
-            d = dict(mono)
-            e = d.get(var)
-            if not e:
-                continue
-            if e == 1:
-                d.pop(var)
-            else:
-                d[var] = e - 1
-            m = tuple(sorted(d.items()))
-            s = terms.get(m, Fraction(0)) + c * e
-            if s == 0:
-                terms.pop(m, None)
-            else:
-                terms[m] = s
-        return MultiPoly(terms)
+        s = FIELD_BITS * var
+        unit = 1 << s
+        return MultiPoly({m - unit: c * e for m, c in self.terms.items()
+                          if (e := (m >> s) & FIELD_MASK)})
 
     def degree(self, var: int) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        best = 0
-        for mono in self.terms:
-            for i, e in mono:
-                if i == var and e > best:
-                    best = e
-        return best
+        s = FIELD_BITS * var
+        return max((m >> s) & FIELD_MASK for m in self.terms)
 
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        return max(mono_degree(m) for m in self.terms)
+        return max(m % FIELD_MASK for m in self.terms)
 
     def leading_monomial(self) -> Mono:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading monomial")
-        return max(self.terms, key=mono_key_grlex)
+        return _leading(self.terms)
 
     def leading_coefficient(self) -> Fraction:
         return self.terms[self.leading_monomial()]
@@ -309,14 +375,12 @@ class MultiPoly:
 
     def as_univariate(self, var: int) -> dict[int, "MultiPoly"]:
         """Coefficients by power of `var`; coefficients do not involve `var`."""
+        s = FIELD_BITS * var
         out: dict[int, dict[Mono, Fraction]] = {}
         for mono, c in self.terms.items():
-            d = dict(mono)
-            e = d.pop(var, 0)
-            rest = tuple(sorted(d.items()))
-            out.setdefault(e, {})[rest] = out.get(e, {}).get(rest, Fraction(0)) + c
-        return {e: MultiPoly({m: c for m, c in terms.items() if c != 0})
-                for e, terms in out.items()}
+            e = (mono >> s) & FIELD_MASK
+            out.setdefault(e, {})[mono - (e << s)] = c
+        return {e: MultiPoly(terms) for e, terms in out.items()}
 
     @staticmethod
     def from_univariate(var: int, coeffs: dict[int, "MultiPoly"]) -> "MultiPoly":
@@ -338,6 +402,19 @@ _ONE = MultiPoly({EMPTY_MONO: Fraction(1)})
 # ---------------------------------------------------------------------------
 
 
+def _key_width(a, b) -> int:
+    """Bit width of the monomial part of the heap keys of a / b.
+
+    A heap key is (total degree << width) + monomial: the degree sits in a
+    field of its own above every exponent, so keys add like monomials and
+    integer order on keys is the graded order the heap divisions use.  Every
+    term of the division has a variable of a or b and, in a graded order, a
+    total degree no larger than that of a's largest term, so it fits.
+    """
+    top = (max(a) | max(b)).bit_length()
+    return -(-top // FIELD_BITS) * FIELD_BITS
+
+
 def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """a / b when b divides a exactly; raises ArithmeticError otherwise.
 
@@ -352,35 +429,38 @@ def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return a
     if b.is_const():
         return a.scale(Fraction(1) / b.const_value())
-    lm_b = b.leading_monomial()
-    lc_b = b.terms[lm_b]
-    b_rest = [(m, c) for m, c in b.terms.items() if m != lm_b]
-    r = dict(a.terms)
-    heap = [(mono_key_inv(m), m) for m in r]
+    width = _key_width(a.terms, b.terms)
+    low = (1 << width) - 1
+    kb = {((m % FIELD_MASK) << width) + m: c for m, c in b.terms.items()}
+    lk_b = max(kb)
+    lc_b = kb.pop(lk_b)
+    b_rest = list(kb.items())
+    r = {((m % FIELD_MASK) << width) + m: c for m, c in a.terms.items()}
+    heap = [-k for k in r]
     heapq.heapify(heap)
     q: dict[Mono, Fraction] = {}
     while heap:
-        _, m = heapq.heappop(heap)
-        c = r.pop(m, None)
+        k = -heapq.heappop(heap)
+        c = r.pop(k, None)
         if c is None:
             continue
-        qm = mono_div(m, lm_b)
-        if qm is None:
+        qk = k - lk_b
+        if qk < 0 or (qk ^ k ^ lk_b) & BORROWS:
             raise ArithmeticError("inexact polynomial division")
         qc = c / lc_b
-        q[qm] = qc
-        for mb, cb in b_rest:
-            mm = mono_mul(qm, mb)
-            prev = r.get(mm)
+        q[qk & low] = qc
+        for k_b, cb in b_rest:
+            kk = qk + k_b
+            prev = r.get(kk)
             if prev is None:
-                r[mm] = -qc * cb
-                heapq.heappush(heap, (mono_key_inv(mm), mm))
+                r[kk] = -qc * cb
+                heapq.heappush(heap, -kk)
             else:
                 nxt = prev - qc * cb
                 if nxt == 0:
-                    del r[mm]
+                    del r[kk]
                 else:
-                    r[mm] = nxt
+                    r[kk] = nxt
     if r:
         raise ArithmeticError("inexact polynomial division")
     return MultiPoly(q)
@@ -467,7 +547,7 @@ def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         g = _heugcd(_int_terms(a), _int_terms(b))
     except _HeuristicFailure:
         return _prs_route(a, b, max(a.variables() & b.variables())).monic()
-    lc = g[max(g, key=mono_key_grlex)]
+    lc = g[_leading(g)]
     return MultiPoly({m: Fraction(c, lc) for m, c in g.items()})
 
 
@@ -503,12 +583,9 @@ def _int_terms(p: MultiPoly) -> IntTerms:
     return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
 
 
-def _int_variables(p: IntTerms) -> set[int]:
-    return {i for m in p for i, _ in m}
-
-
 def _int_degree(p: IntTerms, var: int) -> int:
-    return max((e for m in p for i, e in m if i == var), default=0)
+    s = FIELD_BITS * var
+    return max(((m >> s) & FIELD_MASK for m in p), default=0)
 
 
 def _peel_monomial(p: IntTerms) -> tuple[Mono, IntTerms]:
@@ -521,7 +598,7 @@ def _peel_monomial(p: IntTerms) -> tuple[Mono, IntTerms]:
         m = mono_gcd(m, k)
     if not m:
         return m, p
-    return m, {mono_div(k, m): c for k, c in p.items()}
+    return m, {k - m: c for k, c in p.items()}
 
 
 def _int_primitive(p: IntTerms) -> IntTerms:
@@ -531,37 +608,36 @@ def _int_primitive(p: IntTerms) -> IntTerms:
 
 def _int_eval(p: IntTerms, var: int, powers: list[int]) -> IntTerms:
     """p with `var` set to powers[1]; powers[e] is its e-th power."""
+    s = FIELD_BITS * var
     out: IntTerms = {}
     for m, c in p.items():
-        for k, (i, e) in enumerate(m):
-            if i == var:
-                c *= powers[e]
-                m = m[:k] + m[k + 1:]
-                break
+        e = (m >> s) & FIELD_MASK
+        if e:
+            m -= e << s
+            c *= powers[e]
         out[m] = out.get(m, 0) + c
     return {m: c for m, c in out.items() if c}
 
 
 def _int_reconstruct(gamma: IntTerms, var: int, xi: int, deg_cap: int) -> IntTerms | None:
     """Invert evaluation of `var` at xi via balanced xi-adic digits in
-    (-xi/2, xi/2]; None when a coefficient needs more than deg_cap + 1."""
+    (-xi/2, xi/2]; None when a coefficient needs more than deg_cap + 1, or
+    a term would pass MAX_DEGREE (no such candidate divides anything)."""
+    s = FIELD_BITS * var
     half = xi // 2
     out: IntTerms = {}
     for m, c in gamma.items():
-        pos = 0
-        while pos < len(m) and m[pos][0] < var:
-            pos += 1
-        head, tail = m[:pos], m[pos:]
+        cap = min(deg_cap, MAX_DEGREE - m % FIELD_MASK)
         k = 0
         while c:
-            if k > deg_cap:
+            if k > cap:
                 return None
             c, r = divmod(c, xi)
             if r > half:
                 r -= xi
                 c += 1
             if r:
-                out[head + ((var, k),) + tail if k else m] = r
+                out[m + (k << s)] = r
             k += 1
     return out
 
@@ -582,37 +658,40 @@ def _int_div(a: IntTerms, b: IntTerms) -> IntTerms | None:
                 return None
             q[qm] = qc
         return q
-    lm_b = max(b, key=mono_key_grlex)
-    lc_b = b[lm_b]
-    b_rest = [(m, c) for m, c in b.items() if m != lm_b]
-    r = dict(a)
-    heap = [(mono_key_inv(m), m) for m in r]
+    width = _key_width(a, b)
+    low = (1 << width) - 1
+    kb = {((m % FIELD_MASK) << width) + m: c for m, c in b.items()}
+    lk_b = max(kb)
+    lc_b = kb.pop(lk_b)
+    b_rest = list(kb.items())
+    r = {((m % FIELD_MASK) << width) + m: c for m, c in a.items()}
+    heap = [-k for k in r]
     heapq.heapify(heap)
     q = {}
     while heap:
-        _, m = heapq.heappop(heap)
-        c = r.pop(m, None)
+        k = -heapq.heappop(heap)
+        c = r.pop(k, None)
         if c is None:
             continue
-        qm = mono_div(m, lm_b)
-        if qm is None:
+        qk = k - lk_b
+        if qk < 0 or (qk ^ k ^ lk_b) & BORROWS:
             return None
         qc, rem = divmod(c, lc_b)
         if rem:
             return None
-        q[qm] = qc
-        for mb, cb in b_rest:
-            mm = mono_mul(qm, mb)
-            prev = r.get(mm)
+        q[qk & low] = qc
+        for k_b, cb in b_rest:
+            kk = qk + k_b
+            prev = r.get(kk)
             if prev is None:
-                r[mm] = -qc * cb
-                heapq.heappush(heap, (mono_key_inv(mm), mm))
+                r[kk] = -qc * cb
+                heapq.heappush(heap, -kk)
             else:
                 nxt = prev - qc * cb
                 if nxt:
-                    r[mm] = nxt
+                    r[kk] = nxt
                 else:
-                    del r[mm]
+                    del r[kk]
     return q
 
 
@@ -638,9 +717,9 @@ def _heugcd(a: IntTerms, b: IntTerms) -> IntTerms:
     def scaled(h: IntTerms) -> IntTerms:
         if not mono:
             return h if ig == 1 else {m: c * ig for m, c in h.items()}
-        return {mono_mul(m, mono): c * ig for m, c in h.items()}
+        return {m + mono: c * ig for m, c in h.items()}
 
-    common = _int_variables(a) & _int_variables(b)
+    common = _variables(a) & _variables(b)
     if not common:
         return scaled({EMPTY_MONO: 1})
     if a == b:

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import MultiPoly, mono_key_grlex
+from .poly import MultiPoly, mono_items, mono_key_grlex
 from .rational import RationalFunction
 from .registry import VariableRegistry
 
 
 def format_monomial(mono, registry: VariableRegistry) -> str:
     parts = []
-    for idx, exp in mono:
+    for idx, exp in mono_items(mono):
         name = registry.name(idx)
         parts.append(name if exp == 1 else f"{name}^{exp}")
     return "*".join(parts)

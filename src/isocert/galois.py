@@ -26,7 +26,7 @@ from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
                        mat_scale, zeros)
 from .exactalg.factor import rational_roots
 from .exactalg.linalg import Matrix
-from .exactalg.poly import exact_div
+from .exactalg.poly import EMPTY_MONO, exact_div
 from .fields import FieldContext, RebasedFieldContext
 from .operators import LinearDiffOperator
 
@@ -158,7 +158,7 @@ def rational_solutions(op: LinearDiffOperator, registry) -> list[RationalFunctio
         return []
     bound = max(nonneg)
     monos = [t ** k for k in range(bound + 1)]
-    equation = [(k, (), _apply_coeff_list(field_ctx_coeffs, mono, op.symbol))
+    equation = [(k, EMPTY_MONO, _apply_coeff_list(field_ctx_coeffs, mono, op.symbol))
                 for k, mono in enumerate(monos)]
     rows, rhs = match_coefficients([equation], [RationalFunction.const(0, registry)])
     sol = linear_solve(rows, rhs, len(monos), Fraction(0), Fraction(1))

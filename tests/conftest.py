@@ -9,6 +9,7 @@ import pytest
 
 from isocert.exactalg import (MultiPoly, RationalFunction, VariableRegistry,
                               VarKind)
+from isocert.exactalg.poly import mono_from_items
 from isocert.fields import RationalFieldContext
 
 
@@ -64,8 +65,8 @@ def random_poly(rnd: random.Random, registry, max_terms=3, max_deg=2,
     p = MultiPoly.zero()
     nvars = len(registry)
     for _ in range(rnd.randint(1, max_terms)):
-        mono = tuple((i, e) for i in range(nvars)
-                     if (e := rnd.randint(0, max_deg)) > 0)
+        mono = mono_from_items((i, e) for i in range(nvars)
+                               if (e := rnd.randint(0, max_deg)) > 0)
         c = rnd.randint(*coeff_range)
         if c:
             p = p + MultiPoly.from_terms([(mono, Fraction(c))])

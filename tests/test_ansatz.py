@@ -14,7 +14,7 @@ from isocert.exactalg import (MultiPoly, RationalFunction, VariableRegistry,
                               VarKind, lcm, linear_solve, mat_add,
                               mat_commutator, mat_neg, mat_scale, mat_sub, zeros)
 from isocert.exactalg.linalg import mat_apply
-from isocert.exactalg.poly import exact_div
+from isocert.exactalg.poly import exact_div, mono_from_items
 from isocert.fields import RationalFieldContext
 from isocert.galois import DerivationRebase, rebase_derivations
 
@@ -86,9 +86,9 @@ def _planted(work, target, rnd, constraint=None, degree_bound=2):
 def _poly(rnd, reg, names, max_deg=1):
     terms = []
     for _ in range(rnd.randint(1, 3)):
-        mono = tuple((reg.index(v), e) for v in names
-                     if (e := rnd.randint(0, max_deg)) > 0)
-        terms.append((tuple(sorted(mono)), Fraction(rnd.randint(-3, 3))))
+        mono = mono_from_items((reg.index(v), e) for v in names
+                               if (e := rnd.randint(0, max_deg)) > 0)
+        terms.append((mono, Fraction(rnd.randint(-3, 3))))
     return RationalFunction.from_poly(MultiPoly.from_terms(terms), reg)
 
 

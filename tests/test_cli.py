@@ -17,6 +17,7 @@ from isocert.cli.files import ProblemFileError, apply_dual, load_problem
 from isocert.cli.main import run_command
 from isocert.cli.reports import Report, emit_report, operator_text
 from isocert.exactalg import RationalFunction, VarKind, VariableRegistry, format_rational
+from isocert.exactalg.poly import MAX_DEGREE
 from isocert.operators import LinearDiffOperator
 
 
@@ -372,6 +373,33 @@ def test_huge_exponent_is_refused_quickly():
     assert code == 2
     code, _ = run_command(["reduce", "--integrand", f"x^{MAX_EXPONENT}", "--var", "x"])
     assert code == 0
+
+
+def test_nested_powers_past_the_degree_cap_are_refused_quickly():
+    # Every exponent is within MAX_EXPONENT, but the nesting reaches x^1000000.
+    done = _python_m_main(["--json", "reduce", "--integrand", "((x^100)^100)^100",
+                           "--var", "x"], timeout=10)
+    assert done.returncode == 2
+    payload = json.loads(done.stdout)
+    assert payload["status"] == "unsupported-input"
+    assert "total degree 1000000" in payload["detail"]
+    assert f"<= {MAX_DEGREE}" in payload["detail"]
+    at_cap = "((t^100)^100)^6*(t^100)^55*t^34"
+    code, report = run_command(["reduce", "--integrand", f"{at_cap}/x", "--var", "x"])
+    assert code == 0
+    assert report.payload["class"] == {"0": f"t^{MAX_DEGREE}"}
+    code, _ = run_command(["reduce", "--integrand", f"{at_cap}*t/x", "--var", "x"])
+    assert code == 2
+
+
+def test_traced_functions_exist():
+    """perfbench's layer tracer wraps program functions and methods by name;
+    installing it fails when one of them is renamed or deleted."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import isocert.cli.main, spans; spans.install(spans.Tracer())")
+    done = _python(["-c", code, os.path.join(root, "perfbench")], timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_huge_constant_poles_finish_quickly():

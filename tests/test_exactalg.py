@@ -7,14 +7,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
 
-from isocert.exactalg import (MultiPoly, NonLinearFactor, RationalFunction,
-                              SingularMatrix, VariableRegistry, VarKind,
-                              ZeroDenominator, gcd, identity, linear_poles,
-                              linear_solve, mat_inverse, mat_mul, normalize,
-                              partial_fractions, poly_sqrt, squarefree_factor)
+from isocert.exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
+                              RationalFunction, SingularMatrix, VariableRegistry,
+                              VarKind, ZeroDenominator, gcd, identity,
+                              linear_poles, linear_solve, mat_inverse, mat_mul,
+                              normalize, partial_fractions, poly_sqrt,
+                              squarefree_factor)
 from isocert.exactalg import poly
 from isocert.exactalg.factor import rational_roots
-from isocert.exactalg.poly import exact_div
+from isocert.exactalg.poly import (MAX_DEGREE, MAX_VARIABLES, DegreeTooLarge,
+                                   exact_div, mono_degree, mono_div, mono_exponent,
+                                   mono_from_items, mono_gcd, mono_items,
+                                   mono_key_grlex, mono_mul)
 
 from conftest import random_poly, random_rational
 
@@ -397,14 +401,14 @@ def _strategy_rational(reg):
         for _ in range(draw(st.integers(1, 3))):
             e = draw(exps)
             c = draw(coeff)
-            mono = tuple((i, v) for i, v in enumerate(e) if v)
+            mono = mono_from_items((i, v) for i, v in enumerate(e) if v)
             if c:
                 num = num + MultiPoly.from_terms([(mono, Fraction(c))])
         den = MultiPoly.zero()
         while den.is_zero():
             e = draw(exps)
             c = draw(st.integers(1, 3))
-            mono = tuple((i, v) for i, v in enumerate(e) if v)
+            mono = mono_from_items((i, v) for i, v in enumerate(e) if v)
             den = MultiPoly.from_terms([(mono, Fraction(c))]) + MultiPoly.const(draw(coeff))
         return RationalFunction(num, den, reg)
 
@@ -485,19 +489,18 @@ def _to_sympy(p, syms):
     import sympy
 
     return sympy.Poly(sympy.Add(*[
-        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[syms[i] ** e for i, e in m])
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[syms[i] ** e for i, e in mono_items(m)])
         for m, c in p.terms.items()]), *syms)
 
 
 def _from_sympy(q):
     return MultiPoly.from_terms(
-        (tuple((i, e) for i, e in enumerate(exps) if e), Fraction(int(c.p), int(c.q)))
+        (mono_from_items(enumerate(exps)), Fraction(int(c.p), int(c.q)))
         for exps, c in q.terms())
 
 
 def _monomial(exps):
-    return MultiPoly.from_terms([(tuple((i, e) for i, e in enumerate(exps) if e),
-                                  Fraction(1))])
+    return MultiPoly.from_terms([(mono_from_items(enumerate(exps)), Fraction(1))])
 
 
 _X, _T1 = MultiPoly.var(0), MultiPoly.var(1)
@@ -516,7 +519,7 @@ def _gcd_pairs(draw):
 
     def draw_poly():
         return MultiPoly.from_terms(
-            (tuple((i, e) for i, e in enumerate(draw(exps)) if e), draw(coeff))
+            (mono_from_items(enumerate(draw(exps))), draw(coeff))
             for _ in range(draw(st.integers(1, 3))))
 
     p, q = draw_poly(), draw_poly()
@@ -564,7 +567,7 @@ def test_gcd_prs_fallback_agrees(monkeypatch):
 
     def failing(a, b):
         # The heuristic answers inputs without a shared variable outright.
-        if poly._int_variables(a) & poly._int_variables(b):
+        if poly._variables(a) & poly._variables(b):
             raise poly._HeuristicFailure
         return heuristic(a, b)
 
@@ -579,3 +582,114 @@ def test_gcd_prs_fallback_agrees(monkeypatch):
     monkeypatch.setattr(poly, "_prs_route", counted)
     assert [gcd(a, b) for a, b in pairs] == expected
     assert prs_calls
+
+
+# -- packed monomials against exponent dicts ------------------------------------
+#
+# The reference keeps a monomial as a dict from variable index to positive
+# exponent and compares graded-lex through the padded exponent vector.
+
+
+def _ref_mul(a, b):
+    out = dict(a)
+    for i, e in b.items():
+        out[i] = out.get(i, 0) + e
+    return out
+
+
+def _ref_div(a, b):
+    if any(a.get(i, 0) < e for i, e in b.items()):
+        return None
+    out = {i: e - b.get(i, 0) for i, e in a.items()}
+    return {i: e for i, e in out.items() if e}
+
+
+def _ref_gcd(a, b):
+    return {i: min(e, b[i]) for i, e in a.items() if i in b}
+
+
+def _ref_grlex_cmp(a, b):
+    top = max([*a, *b], default=-1) + 1
+    ka = (sum(a.values()), [a.get(i, 0) for i in range(top)])
+    kb = (sum(b.values()), [b.get(i, 0) for i in range(top)])
+    return (ka > kb) - (ka < kb)
+
+
+_INDICES = st.sampled_from([0, 1, 2, 3, 15, 63, 64, 65, 100, MAX_VARIABLES - 2,
+                            MAX_VARIABLES - 1])
+_EXPONENTS = st.one_of(st.integers(1, 3), st.integers(1, MAX_DEGREE))
+
+
+@st.composite
+def _exponent_dicts(draw):
+    out, budget = {}, MAX_DEGREE
+    for i in draw(st.lists(_INDICES, max_size=4, unique=True)):
+        e = min(draw(_EXPONENTS), budget)
+        if e:
+            out[i] = e
+            budget -= e
+    return out
+
+
+@st.composite
+def _mono_pairs(draw):
+    """Unrelated pairs, and pairs in which b divides a."""
+    a, b = draw(_exponent_dicts()), draw(_exponent_dicts())
+    if draw(st.booleans()) and sum(a.values()) + sum(b.values()) <= MAX_DEGREE:
+        a = _ref_mul(a, b)
+    return a, b
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(_mono_pairs())
+# Non-dividing pairs whose borrow crosses into the next field.
+@example(({1: 1}, {0: 1}))
+@example(({0: 5, 2: 1}, {1: 1}))
+@example(({0: 1, 65: 2}, {64: 1, 65: 1}))
+# Exponents at the degree cap.
+@example(({0: MAX_DEGREE}, {0: MAX_DEGREE}))
+@example(({0: MAX_DEGREE}, {1: MAX_DEGREE}))
+@example(({MAX_VARIABLES - 1: MAX_DEGREE}, {MAX_VARIABLES - 2: 1}))
+# Indices past 64 and at the variable limit.
+@example(({70: 2, MAX_VARIABLES - 1: 3}, {70: 1, MAX_VARIABLES - 1: 3}))
+def test_packed_monomials_match_exponent_dicts(pair):
+    a, b = pair
+    ma, mb = mono_from_items(a.items()), mono_from_items(b.items())
+    assert mono_items(ma) == tuple(sorted(a.items()))
+    assert mono_degree(ma) == sum(a.values())
+    for i in {*a, *b, 0, 64, MAX_VARIABLES - 1}:
+        assert mono_exponent(ma, i) == a.get(i, 0)
+    quotient = _ref_div(a, b)
+    got = mono_div(ma, mb)
+    assert got == (None if quotient is None else mono_from_items(quotient.items()))
+    assert mono_gcd(ma, mb) == mono_from_items(_ref_gcd(a, b).items())
+    if sum(a.values()) + sum(b.values()) <= MAX_DEGREE:
+        assert mono_mul(ma, mb) == mono_from_items(_ref_mul(a, b).items())
+    cmp = (mono_key_grlex(ma) > mono_key_grlex(mb)) - (mono_key_grlex(ma) < mono_key_grlex(mb))
+    assert cmp == _ref_grlex_cmp(a, b)
+    p = MultiPoly.from_terms([(ma, Fraction(2)), (mb, Fraction(3))])
+    if ma != mb:
+        assert p.leading_monomial() == (ma if cmp > 0 else mb)
+
+
+def test_variable_past_the_limit_is_refused():
+    last = MultiPoly.var(MAX_VARIABLES - 1)
+    assert (last * last).degree(MAX_VARIABLES - 1) == 2
+    assert (last * last).variables() == {MAX_VARIABLES - 1}
+    with pytest.raises(ExactAlgError):
+        MultiPoly.var(MAX_VARIABLES)
+    with pytest.raises(ExactAlgError):
+        mono_from_items([(MAX_VARIABLES, 1)])
+
+
+def test_degree_cap_is_refused_with_the_true_degree():
+    x, t = MultiPoly.var(0), MultiPoly.var(1)
+    top = MultiPoly.var(0, MAX_DEGREE)
+    assert (top.derivative(0) * x) == top.scale(MAX_DEGREE)
+    with pytest.raises(DegreeTooLarge, match=f"total degree {MAX_DEGREE + 1} "):
+        top * t
+    with pytest.raises(DegreeTooLarge, match="total degree 90000 "):
+        (x ** 300) ** 300
+    with pytest.raises(DegreeTooLarge):
+        MultiPoly.var(1, MAX_DEGREE + 1)
