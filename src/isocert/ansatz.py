@@ -45,7 +45,7 @@ def monomials_up_to(var_indices: list[int], bound: int) -> list[Mono]:
 
 
 def monomial(m: Mono, registry: VariableRegistry) -> RationalFunction:
-    return RationalFunction.from_poly(MultiPoly({m: Fraction(1)}), registry)
+    return RationalFunction.from_poly(MultiPoly({m: 1}), registry)
 
 
 def derivative_terms(field: FieldContext, m: Mono,
@@ -58,7 +58,7 @@ def derivative_terms(field: FieldContext, m: Mono,
     if not d.is_poly():
         return [(EMPTY_MONO, d)]
     return [(shift, RationalFunction.const(c, field.registry))
-            for shift, c in d.num.terms.items()]
+            for shift, c in d.num.rational_terms().items()]
 
 
 def match_coefficients(equations: list[list[Term]], rhs: list[RationalFunction]
@@ -81,12 +81,12 @@ def match_coefficients(equations: list[list[Term]], rhs: list[RationalFunction]
         for k, shift, value in terms:
             c = cleared.get(value)
             if c is None:
-                c = cleared[value] = (value.num * exact_div(den, value.den)).terms
+                c = cleared[value] = (value.num * exact_div(den, value.den)).rational_terms()
             for mono, coeff in c.items():
                 row = by_mono.setdefault(mono + shift, {})
                 prev = row.get(k)
                 row[k] = coeff if prev is None else prev + coeff
-        cleared_rhs = (target.num * exact_div(den, target.den)).terms
+        cleared_rhs = (target.num * exact_div(den, target.den)).rational_terms()
         for mono in cleared_rhs:
             by_mono.setdefault(mono, {})
         for mono, row in by_mono.items():

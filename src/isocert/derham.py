@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import (MultiPoly, NonLinearFactor, RationalFunction, UPoly,
-                       partial_fractions)
+from .exactalg import MultiPoly, NonLinearFactor, RationalFunction, partial_fractions
 from .exactalg.factor import _rf_sort_key
+from .fields import RationalFieldContext
 from .operators import LinearDiffOperator, reduction_telescoper
 
 
@@ -86,12 +86,12 @@ class ReductionResult:
 
 
 def integrate_poly(f: RationalFunction, v_name: str) -> RationalFunction:
-    """Antiderivative in v of a polynomial (in v) rational function."""
-    v = f.registry.index(v_name)
-    u = UPoly.from_rational(f, v)
-    zero = RationalFunction.const(0, f.registry)
-    coeffs = [zero] + [c / Fraction(e + 1) for e, c in enumerate(u.coeffs)]
-    return UPoly(coeffs, f.registry).to_rational(v)
+    """Antiderivative in v, without constant term, of a polynomial (in v)
+    rational function: the numerator term by term over the v-free
+    denominator.  A factor of the denominator that divided the antiderivative
+    would divide its derivative, the numerator, so the result is reduced."""
+    return RationalFunction(f.num.integral(f.registry.index(v_name)), f.den, f.registry,
+                            _reduced=True)
 
 
 def reduce(f: RationalFunction, x_name: str) -> ReductionResult:
@@ -177,14 +177,8 @@ def telescoper(b: RationalFunction, x_name: str, t_name: str,
 
 def _check_telescoper(operator: LinearDiffOperator, b: RationalFunction,
                       cert: RationalFunction, x_name: str, t_name: str) -> None:
-    applied = b
-    derivs = [b]
-    for _ in range(operator.order):
-        derivs.append(derivs[-1].derive(t_name))
-    applied = derivs[operator.order]
-    for i, c in enumerate(operator.coeffs):
-        applied = applied - c * derivs[i]
-    if applied != cert.derive(x_name):
+    field = RationalFieldContext(b.registry, {operator.symbol: t_name})
+    if operator.apply(field, b) != cert.derive(x_name):
         raise AssertionError("telescoper identity failed; this is a bug")
 
 

@@ -183,7 +183,7 @@ def _poly_to_series(p: MultiPoly, u: int, tau: Fraction, n: int) -> list[Fractio
     """Expand p(u) around u = tau + s, truncated to order n:
     (tau + s)^e = sum_k C(e,k) tau^(e-k) s^k."""
     out = [Fraction(0)] * n
-    for mono, c in p.terms.items():
+    for mono, c in p.rational_terms().items():
         e = mono_exponent(mono, u)
         for k in range(min(e, n - 1) + 1):
             out[k] += c * Fraction(math.comb(e, k)) * tau ** (e - k)
@@ -311,7 +311,7 @@ def linear_poles(den: MultiPoly, v: int,
 
 def _rf_sort_key(f: RationalFunction):
     def poly_key(p: MultiPoly):
-        return tuple(sorted(((mono_key_grlex(m), c) for m, c in p.terms.items()),
+        return tuple(sorted(((mono_key_grlex(m), c) for m, c in p.rational_terms().items()),
                             reverse=True))
 
     return (poly_key(f.den), poly_key(f.num))

@@ -12,22 +12,34 @@ at the field boundaries; the borrow mask covers MAX_VARIABLES variables, and
 a variable index past it is refused (TooManyVariables).  `mono_from_items`
 and `mono_items` convert from and to (index, exponent) pairs.
 
-Coefficients are `fractions.Fraction`.  All values are immutable; no zero
-coefficients are ever stored.  Everything observable (leading monomials,
-`monic`, gcd normalization, printing) uses the graded lexicographic order in
-the registry order, lower index = more significant.  The heap divisions pop
-terms by (total degree, packed int) instead: a graded order in which the
-higher index is more significant.  An exact quotient is the same under every
-monomial order, and a graded order keeps the early exit on a leading term
-that does not divide bounded.
+A polynomial is one nonzero rational `content` times a primitive integer
+polynomial `ints`: a dict from monomials to nonzero ints whose gcd is 1 and
+whose coefficient at the largest packed monomial (as an int) is positive.
+The zero polynomial has no terms and content 1.  Every value has exactly this
+one representation, so equality and hashing are structural.  The content
+carries the sign, so negation, `scale` and `monic` share the integer dict.
+By Gauss's lemma products and exact quotients of such integer parts are
+again primitive, and their coefficients at the largest packed monomial
+multiply, so they need no normalization; sums, derivatives and coefficient
+extraction take one `math.gcd` over the result.  `rational_terms` gives the
+coefficients as Fractions.  All values are immutable.
+
+Everything observable (leading monomials, `monic`, gcd normalization,
+printing) uses the graded lexicographic order in the registry order, lower
+index = more significant.  The heap division pops terms by (total degree,
+packed int) instead: a graded order in which the higher index is more
+significant.  An exact quotient is the same under every monomial order, and
+a graded order keeps the early exit on a leading term that does not divide
+bounded.
 
 Also provides the polynomial toolbox the rest of the package is built on:
 exact division, pseudo-remainders, gcd, content/primitive splitting, Yun
-squarefree decomposition and exact polynomial square roots.  The gcd clears
-denominators once and runs the heuristic GCDHEU (Char, Geddes and Gonnet,
-JSC 1989) variable by variable on integer term dicts, checking every
-candidate by exact division over Z; the rare heuristic failure falls back to
-the subresultant PRS on the top common variable.
+squarefree decomposition and exact polynomial square roots.  Exact division
+and the gcd both work on the integer parts: one heap division over Z
+(Monagan and Pearce, JSC 2011), and the heuristic GCDHEU (Char, Geddes and
+Gonnet, JSC 1989) variable by variable, checking every candidate by that
+division; the rare heuristic failure falls back to the subresultant PRS on
+the top common variable.
 """
 
 from __future__ import annotations
@@ -160,6 +172,11 @@ def _leading(monos) -> Mono:
     return best
 
 
+IntTerms = dict[Mono, int]
+
+_F1 = Fraction(1)
+
+
 def _variables(monos) -> set[int]:
     acc = 0
     for m in monos:
@@ -168,12 +185,17 @@ def _variables(monos) -> set[int]:
 
 
 class MultiPoly:
-    """Immutable sparse polynomial; `terms` maps monomials to nonzero Fractions."""
+    """Immutable sparse polynomial: `content` times the primitive integer
+    polynomial `ints` (monomial -> nonzero int), in the canonical form of the
+    module docstring."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("content", "ints", "_hash")
 
-    def __init__(self, terms: dict[Mono, Fraction] | None = None):
-        self.terms: dict[Mono, Fraction] = terms or {}
+    def __init__(self, ints: IntTerms | None = None, content: Fraction = _F1):
+        # Trusts (ints, content) to be canonical; `from_terms` and `_normal`
+        # build canonical values from anything else.
+        self.ints: IntTerms = ints or {}
+        self.content = content
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
@@ -191,7 +213,7 @@ class MultiPoly:
         c = Fraction(c)
         if c == 0:
             return _ZERO
-        return MultiPoly({EMPTY_MONO: c})
+        return MultiPoly({EMPTY_MONO: 1}, c)
 
     @staticmethod
     def var(idx: int, exp: int = 1) -> "MultiPoly":
@@ -199,10 +221,11 @@ class MultiPoly:
             raise ValueError("negative exponent")
         if exp == 0:
             return _ONE
-        return MultiPoly({mono_from_items(((idx, exp),)): Fraction(1)})
+        return MultiPoly({mono_from_items(((idx, exp),)): 1})
 
     @staticmethod
     def from_terms(items) -> "MultiPoly":
+        """The sum of c * m over (monomial m, rational c) pairs."""
         terms: dict[Mono, Fraction] = {}
         for mono, coeff in items:
             c = terms.get(mono, Fraction(0)) + coeff
@@ -210,100 +233,106 @@ class MultiPoly:
                 terms.pop(mono, None)
             else:
                 terms[mono] = c
-        return MultiPoly(terms)
+        if not terms:
+            return _ZERO
+        den = math.lcm(*[c.denominator for c in terms.values()])
+        return _normal({m: c.numerator * (den // c.denominator) for m, c in terms.items()},
+                       1, den)
+
+    def rational_terms(self) -> dict[Mono, Fraction]:
+        """The coefficients as a monomial -> nonzero Fraction dict."""
+        c = self.content
+        return {m: c * v for m, v in self.ints.items()}
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and EMPTY_MONO in self.terms)
+        return not self.ints or (len(self.ints) == 1 and EMPTY_MONO in self.ints)
 
     def const_value(self) -> Fraction:
-        if not self.terms:
+        if not self.ints:
             return Fraction(0)
         if not self.is_const():
             raise ValueError("not a constant polynomial")
-        return self.terms[EMPTY_MONO]
+        return self.content
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get(EMPTY_MONO) == 1
+        return self is _ONE or (self.content == 1 and self.ints == _ONE.ints)
 
     def variables(self) -> set[int]:
-        return _variables(self.terms)
+        return _variables(self.ints)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if not other.terms:
+        a, b = self.ints, other.ints
+        if not b:
             return self
-        if not self.terms:
+        if not a:
             return other
-        terms = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = terms.get(mono)
+        # Over the common denominator den: num * (fa * a + fb * b) / den,
+        # with fa = 1 when the contents are equal.
+        ca, cb = self.content, other.content
+        na, da, nb, db = ca.numerator, ca.denominator, cb.numerator, cb.denominator
+        num = math.gcd(na, nb) if na > 0 else -math.gcd(na, nb)
+        den = da if da == db else math.lcm(da, db)
+        fa, fb = na // num * (den // da), nb // num * (den // db)
+        terms = dict(a) if fa == 1 else {m: c * fa for m, c in a.items()}
+        for m, c in b.items():
+            s = terms.get(m)
             if s is None:
-                terms[mono] = c
+                terms[m] = c * fb
             else:
-                s = s + c
-                if s == 0:
-                    del terms[mono]
+                s += c * fb
+                if s:
+                    terms[m] = s
                 else:
-                    terms[mono] = s
-        return MultiPoly(terms)
+                    del terms[m]
+        return _normal(terms, num, den)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({m: -c for m, c in self.terms.items()})
+        if not self.ints:
+            return self
+        return MultiPoly(self.ints, -self.content)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if not self.terms or not other.terms:
+        a, b = self.ints, other.ints
+        if not a or not b:
             return _ZERO
-        if other.is_one():
-            return self
-        if self.is_one():
-            return other
+        if len(b) == 1 and EMPTY_MONO in b:
+            return self.scale(other.content)
+        if len(a) == 1 and EMPTY_MONO in a:
+            return other.scale(self.content)
         degree = self.total_degree() + other.total_degree()
         if degree > MAX_DEGREE:
             raise DegreeTooLarge(degree)
-        # Integer coefficients are the common case; plain ints avoid the
-        # normalization cost of Fraction arithmetic in the inner loop.
-        if all(c.denominator == 1 for c in self.terms.values()) and \
-           all(c.denominator == 1 for c in other.terms.values()):
-            iterms: dict[Mono, int] = {}
-            a_items = [(m, c.numerator) for m, c in self.terms.items()]
-            b_items = [(m, c.numerator) for m, c in other.terms.items()]
-            for m1, c1 in a_items:
-                for m2, c2 in b_items:
-                    m = m1 + m2
-                    iterms[m] = iterms.get(m, 0) + c1 * c2
-            return MultiPoly({m: Fraction(v) for m, v in iterms.items() if v})
-        terms: dict[Mono, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        terms: IntTerms = {}
+        b_items = list(b.items())
+        for m1, c1 in a.items():
+            for m2, c2 in b_items:
                 m = m1 + m2
-                s = terms.get(m)
-                v = c1 * c2
-                if s is None:
-                    terms[m] = v
-                else:
-                    s = s + v
-                    if s == 0:
-                        del terms[m]
-                    else:
-                        terms[m] = s
-        return MultiPoly(terms)
+                terms[m] = terms.get(m, 0) + c1 * c2
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c}
+        # By Gauss's lemma the product of primitive polynomials is primitive,
+        # and the coefficients at the largest packed monomials multiply, so
+        # the product is canonical as it stands.
+        return MultiPoly(terms, self.content * other.content)
 
     def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
-        if c == 0:
-            return _ZERO
+        if not isinstance(c, Fraction):
+            c = Fraction(c)
         if c == 1:
             return self
-        return MultiPoly({m: v * c for m, v in self.terms.items()})
+        if c == 0 or not self.ints:
+            return _ZERO
+        return MultiPoly(self.ints, self.content * c)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -320,21 +349,22 @@ class MultiPoly:
         return result
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MultiPoly) and self.terms == other.terms
+        return isinstance(other, MultiPoly) and self.content == other.content and \
+            self.ints == other.ints
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash((self.content, frozenset(self.ints.items())))
         return self._hash
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.ints:
             return "MultiPoly(0)"
+        terms = self.rational_terms()
         bits = []
-        for mono in sorted(self.terms, key=mono_key_grlex, reverse=True):
-            coeff = self.terms[mono]
+        for mono in sorted(terms, key=mono_key_grlex, reverse=True):
             mono_s = "*".join(f"v{i}^{e}" if e > 1 else f"v{i}" for i, e in mono_items(mono))
-            bits.append(f"{coeff}" + (f"*{mono_s}" if mono_s else ""))
+            bits.append(f"{terms[mono]}" + (f"*{mono_s}" if mono_s else ""))
         return "MultiPoly(" + " + ".join(bits) + ")"
 
     # -- calculus and structure --------------------------------------------
@@ -342,45 +372,60 @@ class MultiPoly:
     def derivative(self, var: int) -> "MultiPoly":
         s = FIELD_BITS * var
         unit = 1 << s
-        return MultiPoly({m - unit: c * e for m, c in self.terms.items()
-                          if (e := (m >> s) & FIELD_MASK)})
+        c = self.content
+        return _normal({m - unit: v * e for m, v in self.ints.items()
+                        if (e := (m >> s) & FIELD_MASK)}, c.numerator, c.denominator)
+
+    def integral(self, var: int) -> "MultiPoly":
+        """The antiderivative in `var` without constant term."""
+        if not self.ints:
+            return _ZERO
+        if (degree := self.total_degree() + 1) > MAX_DEGREE:
+            raise DegreeTooLarge(degree)
+        s = FIELD_BITS * var
+        unit = mono_from_items(((var, 1),))
+        den = math.lcm(*{((m >> s) & FIELD_MASK) + 1 for m in self.ints})
+        c = self.content
+        return _normal({m + unit: v * (den // (((m >> s) & FIELD_MASK) + 1))
+                        for m, v in self.ints.items()}, c.numerator, c.denominator * den)
 
     def degree(self, var: int) -> int:
         """Degree in one variable; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.ints:
             return -1
         s = FIELD_BITS * var
-        return max((m >> s) & FIELD_MASK for m in self.terms)
+        return max((m >> s) & FIELD_MASK for m in self.ints)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.ints:
             return -1
-        return max(m % FIELD_MASK for m in self.terms)
+        return max(m % FIELD_MASK for m in self.ints)
 
     def leading_monomial(self) -> Mono:
-        if not self.terms:
+        if not self.ints:
             raise ZeroPolynomial("zero polynomial has no leading monomial")
-        return _leading(self.terms)
+        return _leading(self.ints)
 
     def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
+        return self.content * self.ints[self.leading_monomial()]
 
     def monic(self) -> "MultiPoly":
-        if not self.terms:
+        if not self.ints:
             return self
-        lc = self.leading_coefficient()
-        if lc == 1:
+        c = Fraction(1, self.ints[_leading(self.ints)])
+        if c == self.content:
             return self
-        return self.scale(Fraction(1) / lc)
+        return MultiPoly(self.ints, c)
 
     def as_univariate(self, var: int) -> dict[int, "MultiPoly"]:
         """Coefficients by power of `var`; coefficients do not involve `var`."""
         s = FIELD_BITS * var
-        out: dict[int, dict[Mono, Fraction]] = {}
-        for mono, c in self.terms.items():
+        out: dict[int, IntTerms] = {}
+        for mono, c in self.ints.items():
             e = (mono >> s) & FIELD_MASK
             out.setdefault(e, {})[mono - (e << s)] = c
-        return {e: MultiPoly(terms) for e, terms in out.items()}
+        n, d = self.content.numerator, self.content.denominator
+        return {e: _normal(terms, n, d) for e, terms in out.items()}
 
     @staticmethod
     def from_univariate(var: int, coeffs: dict[int, "MultiPoly"]) -> "MultiPoly":
@@ -393,8 +438,21 @@ class MultiPoly:
         return self.as_univariate(var).get(power, _ZERO)
 
 
+def _normal(ints: IntTerms, num: int, den: int) -> MultiPoly:
+    """The canonical form of (num / den) * ints: the integer content and the
+    sign move into the rational content."""
+    if not ints:
+        return _ZERO
+    g = math.gcd(*ints.values())
+    if ints[max(ints)] < 0:
+        g = -g
+    if g != 1:
+        ints = {m: c // g for m, c in ints.items()}
+    return MultiPoly(ints, Fraction(num * g, den))
+
+
 _ZERO = MultiPoly({})
-_ONE = MultiPoly({EMPTY_MONO: Fraction(1)})
+_ONE = MultiPoly({EMPTY_MONO: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -418,52 +476,20 @@ def _key_width(a, b) -> int:
 def exact_div(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """a / b when b divides a exactly; raises ArithmeticError otherwise.
 
-    Leading-term elimination driven by a lazy-deletion heap, so each step
-    costs O(|b| log |r|) instead of a full scan of the remainder.
+    The integer parts divide in `_int_div`: b's is primitive, so by Gauss's
+    lemma an exact quotient is integral, and primitive with a positive
+    coefficient at its largest packed monomial, so canonical as it stands.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero():
         return _ZERO
-    if b.is_one():
-        return a
     if b.is_const():
-        return a.scale(Fraction(1) / b.const_value())
-    width = _key_width(a.terms, b.terms)
-    low = (1 << width) - 1
-    kb = {((m % FIELD_MASK) << width) + m: c for m, c in b.terms.items()}
-    lk_b = max(kb)
-    lc_b = kb.pop(lk_b)
-    b_rest = list(kb.items())
-    r = {((m % FIELD_MASK) << width) + m: c for m, c in a.terms.items()}
-    heap = [-k for k in r]
-    heapq.heapify(heap)
-    q: dict[Mono, Fraction] = {}
-    while heap:
-        k = -heapq.heappop(heap)
-        c = r.pop(k, None)
-        if c is None:
-            continue
-        qk = k - lk_b
-        if qk < 0 or (qk ^ k ^ lk_b) & BORROWS:
-            raise ArithmeticError("inexact polynomial division")
-        qc = c / lc_b
-        q[qk & low] = qc
-        for k_b, cb in b_rest:
-            kk = qk + k_b
-            prev = r.get(kk)
-            if prev is None:
-                r[kk] = -qc * cb
-                heapq.heappush(heap, -kk)
-            else:
-                nxt = prev - qc * cb
-                if nxt == 0:
-                    del r[kk]
-                else:
-                    r[kk] = nxt
-    if r:
+        return a.scale(1 / b.content)
+    q = _int_div(a.ints, b.ints)
+    if q is None:
         raise ArithmeticError("inexact polynomial division")
-    return MultiPoly(q)
+    return MultiPoly(q, a.content / b.content)
 
 
 def prem(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
@@ -532,8 +558,8 @@ def primitive_part(p: MultiPoly, var: int) -> MultiPoly:
 def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Polynomial gcd over Q, normalized monic under graded-lex.
 
-    Clears denominators once and runs the evaluation-reconstruction heuristic
-    on integer term dicts; every candidate it returns has been checked to
+    Runs the evaluation-reconstruction heuristic on the primitive integer
+    parts; every candidate it returns has been checked to
     divide both inputs exactly, so the answer is provably correct, and the
     subresultant PRS on the top common variable handles the rare failures.
     """
@@ -544,11 +570,10 @@ def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if a.is_const() or b.is_const():
         return _ONE
     try:
-        g = _heugcd(_int_terms(a), _int_terms(b))
+        g = _heugcd(a.ints, b.ints)
     except _HeuristicFailure:
         return _prs_route(a, b, max(a.variables() & b.variables())).monic()
-    lc = g[_leading(g)]
-    return MultiPoly({m: Fraction(c, lc) for m, c in g.items()})
+    return _normal(g, 1, 1).monic()
 
 
 def _prs_route(a: MultiPoly, b: MultiPoly, var: int) -> MultiPoly:
@@ -565,22 +590,12 @@ class _HeuristicFailure(Exception):
     pass
 
 
-# -- integer kernel of the heuristic gcd --------------------------------------
+# -- integer kernel of the heuristic gcd and of exact division ---------------
 #
 # Polynomials here are plain dicts from monomials to nonzero ints.  By Gauss's
 # lemma a primitive integer polynomial that divides another over Q divides it
 # over Z, so every divisibility check is an exact heap division over Z that
 # gives up at the first non-integral quotient coefficient.
-
-IntTerms = dict[Mono, int]
-
-
-def _int_terms(p: MultiPoly) -> IntTerms:
-    """p times the lcm of its denominators, as an integer term dict."""
-    den = math.lcm(*[c.denominator for c in p.terms.values()])
-    if den == 1:
-        return {m: c.numerator for m, c in p.terms.items()}
-    return {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
 
 
 def _int_degree(p: IntTerms, var: int) -> int:
@@ -645,7 +660,9 @@ def _int_reconstruct(gamma: IntTerms, var: int, xi: int, deg_cap: int) -> IntTer
 def _int_div(a: IntTerms, b: IntTerms) -> IntTerms | None:
     """a / b when the quotient exists with integer coefficients, else None.
 
-    The heap loop of `exact_div`, stopping at the first leading term of the
+    Leading-term elimination driven by a lazy-deletion heap (Monagan and
+    Pearce, JSC 2011), so each step costs O(|b| log |r|) instead of a full
+    scan of the remainder; it stops at the first leading term of the
     remainder that b does not divide over Z.
     """
     if len(b) == 1:

@@ -37,8 +37,9 @@ def format_poly(p: MultiPoly, registry: VariableRegistry) -> str:
     if p.is_zero():
         return "0"
     out = ""
-    for mono in sorted(p.terms, key=mono_key_grlex, reverse=True):
-        term = _format_term(p.terms[mono], mono, registry)
+    terms = p.rational_terms()
+    for mono in sorted(terms, key=mono_key_grlex, reverse=True):
+        term = _format_term(terms[mono], mono, registry)
         if not out:
             out = term
         elif term.startswith("-"):

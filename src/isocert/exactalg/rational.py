@@ -2,7 +2,9 @@
 
 Canonical form: gcd(num, den) = 1 and the denominator is monic under the
 graded-lex leading term, so equality of values is equality of representations
-and instances are hashable.  All operations are pure.
+and instances are hashable.  All operations are pure.  Making the denominator
+monic scales both polynomials by one rational, which changes only their
+contents (see `poly`), never their integer terms.
 """
 
 from __future__ import annotations
@@ -145,11 +147,7 @@ class RationalFunction:
         d2 = other.den if g1.is_one() else exact_div(other.den, g1)
         n2 = other.num if g2.is_one() else exact_div(other.num, g2)
         d1 = self.den if g2.is_one() else exact_div(self.den, g2)
-        num, den = n1 * n2, d1 * d2
-        lc = den.leading_coefficient()
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num, den = num.scale(inv), den.scale(inv)
+        num, den = _monic_den(n1 * n2, d1 * d2)
         return RationalFunction(num, den, self.registry, _reduced=True)
 
     __rmul__ = __mul__
@@ -163,11 +161,7 @@ class RationalFunction:
     def _inverse(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDenominator("division by zero")
-        num, den = self.den, self.num
-        lc = den.leading_coefficient()
-        if lc != 1:
-            inv = Fraction(1) / lc
-            num, den = num.scale(inv), den.scale(inv)
+        num, den = _monic_den(self.den, self.num)
         return RationalFunction(num, den, self.registry, _reduced=True)
 
     def __rtruediv__(self, other) -> "RationalFunction":
@@ -262,12 +256,16 @@ def _reduce(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     if not g.is_one():
         num = exact_div(num, g)
         den = exact_div(den, g)
-    lc = den.leading_coefficient()
-    if lc != 1:
-        inv = Fraction(1) / lc
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return num, den
+    return _monic_den(num, den)
+
+
+def _monic_den(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """num/den with den made monic: both scale by one rational, which only
+    changes their contents."""
+    monic = den.monic()
+    if monic is den:
+        return num, den
+    return num.scale(monic.content / den.content), monic
 
 
 def normalize(num: MultiPoly, den: MultiPoly, registry: VariableRegistry) -> RationalFunction:

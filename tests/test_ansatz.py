@@ -43,9 +43,9 @@ def _dense_rows(work, target, earlier, monomials, shapes):
             den = lcm(den, v.den)
         by_mono = {}
         for k, v in entries:
-            for mono, coeff in (v.num * exact_div(den, v.den)).terms.items():
+            for mono, coeff in (v.num * exact_div(den, v.den)).rational_terms().items():
                 by_mono.setdefault(mono, {})[k] = coeff
-        cleared = (target_e.num * exact_div(den, target_e.den)).terms
+        cleared = (target_e.num * exact_div(den, target_e.den)).rational_terms()
         for mono in cleared:
             by_mono.setdefault(mono, {})
         for mono, row in by_mono.items():

@@ -67,7 +67,7 @@ def test_round_trip_stability(text):
     assert print_tree(t2) == print_tree(parse_expression(print_tree(t2)))
 
 
-def _tree_strategy():
+def _tree_strategy(max_exponent=3):
     from hypothesis import strategies as st
 
     leaves = st.one_of(
@@ -79,7 +79,7 @@ def _tree_strategy():
         binary = st.tuples(st.sampled_from(["add", "sub", "mul", "div"]),
                            children, children).map(tuple)
         neg = children.map(lambda c: ("neg", c))
-        power = st.tuples(children, st.integers(-3, 3)).map(
+        power = st.tuples(children, st.integers(-max_exponent, max_exponent)).map(
             lambda it: ("pow", it[0], it[1]))
         return st.one_of(binary, neg, power)
 
@@ -390,6 +390,38 @@ def test_nested_powers_past_the_degree_cap_are_refused_quickly():
     assert report.payload["class"] == {"0": f"t^{MAX_DEGREE}"}
     code, _ = run_command(["reduce", "--integrand", f"{at_cap}*t/x", "--var", "x"])
     assert code == 2
+
+
+def test_reduce_of_a_sparse_high_power_is_quick():
+    # The antiderivative goes term by term, so one term of x-degree 60000
+    # costs no more than one of degree 1.
+    done = _python_m_main(["--json", "reduce", "--integrand", "((x^100)^100)^6",
+                           "--var", "x"], timeout=10)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["certificate"] == "1/60001*x^60001"
+    assert payload["class_is_zero"]
+
+
+def test_run_command_reduce_and_telescope_fuzz():
+    """Random expression trees through `reduce` and `telescope`: every case
+    ends in a documented exit code, without an exception, within a time
+    budget."""
+    from hypothesis import given, seed, settings
+
+    @seed(20261019)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(_tree_strategy(max_exponent=6))
+    def inner(tree):
+        text = print_tree(tree)
+        for argv in (["reduce", f"--integrand={text}", "--var", "x"],
+                     ["telescope", f"--integrand={text}", "--var", "x", "--param", "t"]):
+            start = time.perf_counter()
+            code, _ = run_command(argv)
+            assert code in (0, 1, 2, 3, 4), (argv, code)
+            assert time.perf_counter() - start < 10.0, argv
+
+    inner()
 
 
 def test_traced_functions_exist():

@@ -1,6 +1,7 @@
 """Exact arithmetic core: canonical forms, derivations, factor structure,
 partial fractions and linear solving."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -490,7 +491,7 @@ def _to_sympy(p, syms):
 
     return sympy.Poly(sympy.Add(*[
         sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*[syms[i] ** e for i, e in mono_items(m)])
-        for m, c in p.terms.items()]), *syms)
+        for m, c in p.rational_terms().items()]), *syms)
 
 
 def _from_sympy(q):
@@ -693,3 +694,118 @@ def test_degree_cap_is_refused_with_the_true_degree():
         (x ** 300) ** 300
     with pytest.raises(DegreeTooLarge):
         MultiPoly.var(1, MAX_DEGREE + 1)
+    with pytest.raises(DegreeTooLarge, match=f"total degree {MAX_DEGREE + 1} "):
+        top.integral(1)
+
+
+# -- the content/integer-part representation against Fraction term dicts ---------
+#
+# The reference keeps a polynomial as a dict from packed monomial to nonzero
+# Fraction; the canonical form is checked after every operation.
+
+
+def _assert_canonical(p):
+    assert isinstance(p.content, Fraction)
+    if not p.ints:
+        assert p.content == 1
+        return
+    assert p.content != 0
+    assert all(type(c) is int and c for c in p.ints.values())
+    assert math.gcd(*p.ints.values()) == 1
+    assert p.ints[max(p.ints)] > 0
+
+
+def _ref(p):
+    _assert_canonical(p)
+    ref = p.rational_terms()
+    assert all(type(c) is Fraction and c for c in ref.values())
+    return ref
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        s = out.get(m, 0) + sign * c
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _ref_poly_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            out = _ref_add(out, {m1 + m2: c1 * c2})
+    return out
+
+
+@st.composite
+def _content_polys(draw):
+    """Polynomials in 2 variables of degree <= 3 with rational coefficients,
+    times a content of either sign: constants, negative leading terms and
+    non-unit contents all occur."""
+    mono = st.builds(lambda i, j: mono_from_items([(0, i), (1, j)]),
+                     st.integers(0, 3), st.integers(0, 2))
+    coeff = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+    terms = draw(st.lists(st.tuples(mono, coeff), max_size=4))
+    content = draw(st.sampled_from([1, -1, 2, -6, Fraction(3, 4), Fraction(-5, 9)]))
+    return MultiPoly.from_terms(terms).scale(content)
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None, database=None)
+@given(_content_polys(), _content_polys(), _content_polys())
+@example(MultiPoly.const(-4), MultiPoly.zero(), MultiPoly.var(0).scale(-2))
+@example(_X - _T1, (_X + _T1).scale(Fraction(-2, 3)), _X * _T1 + MultiPoly.one())
+def test_content_representation_matches_fraction_terms(a, b, c):
+    ra, rb, rc = _ref(a), _ref(b), _ref(c)
+    assert _ref(MultiPoly.from_terms(ra.items())) == ra
+    assert _ref(a + b) == _ref_add(ra, rb)
+    assert _ref(a - b) == _ref_add(ra, rb, -1)
+    assert _ref(-a) == {m: -v for m, v in ra.items()}
+    assert _ref(a * b) == _ref_poly_mul(ra, rb)
+    assert _ref(a ** 3) == _ref_poly_mul(ra, _ref_poly_mul(ra, ra))
+    assert _ref(a.scale(Fraction(-7, 3))) == {m: v * Fraction(-7, 3) for m, v in ra.items()}
+    if ra:
+        lc = ra[max(ra, key=mono_key_grlex)]
+        assert _ref(a.monic()) == {m: v / lc for m, v in ra.items()}
+        assert a.leading_coefficient() == lc
+    for var in (0, 1):
+        d = {}
+        for m, v in ra.items():
+            if e := mono_exponent(m, var):
+                d[m - mono_from_items([(var, 1)])] = v * e
+        assert _ref(a.derivative(var)) == d
+        assert a.integral(var).derivative(var) == a
+        parts = {}
+        for m, v in ra.items():
+            e = mono_exponent(m, var)
+            parts.setdefault(e, {})[m - mono_from_items([(var, e)])] = v
+        assert {e: _ref(p) for e, p in a.as_univariate(var).items()} == parts
+    if ra and rb:
+        # Exact division recovers a factor; any other quotient is exact or
+        # raises.
+        assert _ref(exact_div(a * b * c, b)) == _ref_poly_mul(ra, rc)
+        off = b + MultiPoly.one()
+        if not off.is_const():
+            try:
+                q = exact_div(a, off)
+            except ArithmeticError:
+                pass
+            else:
+                assert _ref_poly_mul(_ref(q), _ref(off)) == ra
+        g = gcd(a * c, b * c)
+        assert g == g.monic()
+        for p in (a * c, b * c):
+            if not p.is_zero():
+                assert _ref_poly_mul(_ref(exact_div(p, g)), _ref(g)) == _ref(p)
+        if rc:
+            exact_div(g, c)
+    # Equal values built two ways are equal and hash equally.
+    for left, right in ((a + b - b, a), (a * b, b * a), ((a - c) + c, a),
+                        (a.scale(2).scale(Fraction(1, 2)), a)):
+        assert left == right
+        assert hash(left) == hash(right)
+    assert (a == b) == (ra == rb)
