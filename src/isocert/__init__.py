@@ -8,9 +8,9 @@ Picard-Fuchs operators with certificates, all over Q with zero tolerance.
 from .connection import (ConnectionSystem, CurvatureForm, FlattenFound,
                          FlattenNotFound, FlattenObstruction,
                          IntegrabilityReport, SingularGauge, UnknownDerivation,
-                         UnsupportedField, bianchi_sum, centralizer,
-                         check_integrability, curvature, defect,
-                         equivalence_move, flatten, gauge, moved_defect)
+                         bianchi_sum, centralizer, check_integrability,
+                         curvature, defect, equivalence_move, flatten, gauge,
+                         moved_defect)
 from .curve import (CurveClass, CurveContext, CurveElement, CurveReduction,
                     CurveSpec, CurveTelescoperResult, PicardFuchsNotFound,
                     UnsupportedPoles, curve_derive, curve_reduce, curve_w,
@@ -48,9 +48,9 @@ __all__ = [
     "NotFree", "PicardFuchsNotFound", "RationalFieldContext",
     "RationalFunction", "RebasedFieldContext", "ReductionResult",
     "SingularGauge", "SingularRebase", "TelescoperNotFound",
-    "TelescoperResult", "Tower", "UnknownDerivation", "UnsupportedField",
-    "UnsupportedOperator", "UnsupportedPoles", "VarKind", "VariableRegistry",
-    "ZeroDenominator", "ZeroPolynomial", "bianchi_sum", "centralizer",
+    "TelescoperResult", "Tower", "UnknownDerivation", "UnsupportedOperator",
+    "UnsupportedPoles", "VarKind", "VariableRegistry", "ZeroDenominator",
+    "ZeroPolynomial", "bianchi_sum", "centralizer",
     "check_integrability", "companion_system", "curvature", "curve_derive",
     "curve_reduce", "curve_w", "defect", "descriptor_from_operator",
     "equivalence_move", "exact2form_solvable", "flatten", "galois_descriptor",

@@ -8,6 +8,7 @@ obstruction proven, example expectation failed); 2 unsupported input;
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 from ..connection import (FlattenFound, FlattenObstruction, check_integrability,
@@ -58,10 +59,34 @@ def _registry_for(expr_text: str, var: str, param: str | None) -> VariableRegist
     return registry
 
 
-def _cmd_check(args) -> tuple[int, Report]:
-    problem = load_problem(args.file)
+def _load_system(path: str):
+    """A problem file that must have a system section."""
+    problem = load_problem(path)
     if problem.system is None:
         raise ProblemFileError("file has no system section")
+    return problem
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ProblemFileError(f"bad {what} file: {exc}") from None
+
+
+def _operator_payload(result) -> dict:
+    """Payload of a telescoper or Picard-Fuchs result."""
+    return {
+        "operator": operator_text(result.operator),
+        "order": result.operator.order,
+        "certificate": value_text(result.certificate),
+        "minimal_certified": result.minimal_certified,
+    }
+
+
+def _cmd_check(args) -> tuple[int, Report]:
+    problem = _load_system(args.file)
     report_obj = check_integrability(problem.system, args.mode)
     payload = {
         "mode": args.mode,
@@ -80,16 +105,8 @@ def _cmd_check(args) -> tuple[int, Report]:
 
 
 def _cmd_gauge(args) -> tuple[int, Report]:
-    problem = load_problem(args.file)
-    if problem.system is None:
-        raise ProblemFileError("file has no system section")
-    import json
-
-    try:
-        with open(args.matrix, "r", encoding="utf-8") as handle:
-            mat_data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ProblemFileError(f"bad gauge matrix file: {exc}") from None
+    problem = _load_system(args.file)
+    mat_data = _read_json(args.matrix, "gauge matrix")
     rows = mat_data["matrix"] if isinstance(mat_data, dict) else mat_data
     g = parse_matrix(problem, rows, problem.system.size)
     transformed = gauge(problem.system, g)
@@ -118,13 +135,7 @@ def _cmd_telescope(args) -> tuple[int, Report]:
     registry = _registry_for(args.integrand, args.var, args.param)
     b = parse_to_rational(args.integrand, registry)
     result = telescoper(b, args.var, args.param, max_order=args.max_order)
-    payload = {
-        "operator": operator_text(result.operator),
-        "order": result.operator.order,
-        "certificate": value_text(result.certificate),
-        "minimal_certified": result.minimal_certified,
-    }
-    return EXIT_OK, Report("telescope", payload)
+    return EXIT_OK, Report("telescope", _operator_payload(result))
 
 
 def _cmd_picard_fuchs(args) -> tuple[int, Report]:
@@ -136,28 +147,14 @@ def _cmd_picard_fuchs(args) -> tuple[int, Report]:
 
     curve = CurveSpec(f.num, "x", registry)
     result = picard_fuchs(curve, args.form, args.param, max_order=args.max_order)
-    payload = {
-        "operator": operator_text(result.operator),
-        "order": result.operator.order,
-        "certificate": value_text(result.certificate),
-        "minimal_certified": result.minimal_certified,
-    }
-    return EXIT_OK, Report("picard-fuchs", payload)
+    return EXIT_OK, Report("picard-fuchs", _operator_payload(result))
 
 
 def _cmd_flatten(args) -> tuple[int, Report]:
-    problem = load_problem(args.file)
-    if problem.system is None:
-        raise ProblemFileError("file has no system section")
+    problem = _load_system(args.file)
     constraint = None
     if args.commutant:
-        import json
-
-        try:
-            with open(args.commutant, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ProblemFileError(f"bad commutant file: {exc}") from None
+        data = _read_json(args.commutant, "commutant")
         rows_list = data["matrices"] if isinstance(data, dict) else data
         constraint = [parse_matrix(problem, rows, problem.system.size)
                       for rows in rows_list]

@@ -15,10 +15,6 @@ class Report:
     command: str = ""
     payload: dict = dc_field(default_factory=dict)
 
-    def set(self, key: str, value) -> "Report":
-        self.payload[key] = value
-        return self
-
 
 def matrix_text(mat: Matrix) -> list[list[str]]:
     return [[value_text(e) for e in row] for row in mat]

@@ -33,7 +33,7 @@ from .exactalg.poly import Mono, mono_from_items
 from .fields import FieldContext, RationalFieldContext
 
 __all__ = [
-    "ConnectionSystemError", "UnknownDerivation", "SingularGauge", "UnsupportedField",
+    "ConnectionSystemError", "UnknownDerivation", "SingularGauge",
     "ConnectionSystem", "CurvatureForm", "PairVerdict", "IntegrabilityReport",
     "FlattenFound", "FlattenObstruction", "FlattenNotFound", "ObstructionWitness",
     "defect", "curvature", "check_integrability", "gauge", "centralizer",
@@ -51,10 +51,6 @@ class UnknownDerivation(ConnectionSystemError):
 
 class SingularGauge(ConnectionSystemError):
     pass
-
-
-class UnsupportedField(ConnectionSystemError):
-    """Obstruction proof requested outside the bivariate rational machinery."""
 
 
 @dataclass
@@ -104,7 +100,7 @@ class CurvatureForm:
 
     entries: dict[tuple[str, str], Matrix]
 
-    def matrix(self, u: str, v: str, zero) -> Matrix:
+    def matrix(self, u: str, v: str) -> Matrix:
         if (u, v) in self.entries:
             return self.entries[(u, v)]
         if (v, u) in self.entries:
@@ -287,8 +283,8 @@ FlattenResult = FlattenFound | FlattenObstruction | FlattenNotFound
 
 
 def flatten(system: ConnectionSystem, order: Optional[list[str]] = None,
-            constraint: Optional[list[Matrix]] = None, degree_bound: int = 4,
-            require_proof: bool = False) -> FlattenResult:
+            constraint: Optional[list[Matrix]] = None,
+            degree_bound: int = 4) -> FlattenResult:
     """Search for an equivalence move on the parametric symbols making the
     system fully integrable.
 
@@ -306,7 +302,7 @@ def flatten(system: ConnectionSystem, order: Optional[list[str]] = None,
         system.matrix(s)
     curv = curvature(system)
     if system.principal is not None and not all(
-            mat_is_zero(curv.matrix(t, system.principal, f.zero), f.zero)
+            mat_is_zero(curv.matrix(t, system.principal), f.zero)
             for t in system.parametric_symbols()):
         raise ValueError("system fails the pairwise principal check; "
                          "flatten preconditions are violated")
@@ -315,15 +311,9 @@ def flatten(system: ConnectionSystem, order: Optional[list[str]] = None,
 
     if len(syms) == 2:
         outcome = _flatten_bivariate(system, syms, constraint,
-                                     curv.matrix(syms[1], syms[0], f.zero))
+                                     curv.matrix(syms[1], syms[0]))
         if outcome is not None:
             return outcome
-        if require_proof:
-            raise UnsupportedField(
-                "obstruction machinery needs two rational parameters and a "
-                "commuting constraint span")
-    elif require_proof:
-        raise UnsupportedField("obstruction machinery is bivariate only")
     return _flatten_ansatz(system, syms, constraint, degree_bound)
 
 

@@ -190,9 +190,6 @@ class CurveContext(FieldContext):
         zero = RationalFunction.const(0, self.curve.registry)
         return CurveElement(f, zero, self.curve)
 
-    def derivation_names(self) -> tuple[str, ...]:
-        return tuple(self.registry.names())
-
 
 @dataclass(frozen=True)
 class CurveClass:

@@ -209,9 +209,10 @@ Exact2FormOutcome = Exact2FormSolvable | Exact2FormUnsolvable | Exact2FormUnsupp
 def exact2form_solvable(g: RationalFunction, t1_name: str, t2_name: str) -> Exact2FormOutcome:
     """Decide existence of rational f1, f2 with d_t2(f1) - d_t1(f2) = g.
 
-    The polynomial part and higher-order t1-poles of g integrate directly in
-    t1; each simple-pole residue must itself be a d_t2-derivative, which is
-    the obstruction the residue witness reports.
+    The reduction of g in t1 gives g = d_t1(c) + sum r_p/(t1 - p), so
+    f2 = -c takes the polynomial part and the higher-order t1-poles; each
+    residue r_p must itself be a d_t2-derivative, which is the obstruction
+    the residue witness reports.
     """
     reg = g.registry
     i1, i2 = reg.index(t1_name), reg.index(t2_name)
@@ -221,29 +222,25 @@ def exact2form_solvable(g: RationalFunction, t1_name: str, t2_name: str) -> Exac
     if g.is_zero():
         return Exact2FormSolvable(zero, zero)
     try:
-        pfd = partial_fractions(g, t1_name)
+        red = reduce(g, t1_name)
     except NonLinearFactor as exc:
         return Exact2FormUnsupported(f"poles not linear in {t1_name}: {exc}")
     f1 = zero
-    f2 = zero - integrate_poly(pfd.poly_part, t1_name)
+    f2 = -red.certificate
     t1 = RationalFunction.var(t1_name, reg)
-    for term in pfd.terms:
-        if term.order >= 2:
-            m = term.order
-            antider = -term.coeff / (Fraction(m - 1) * (t1 - term.pole) ** (m - 1))
-            f2 = f2 - antider
-        else:
-            try:
-                rr = reduce(term.coeff, t2_name)
-            except NonLinearFactor as exc:
-                return Exact2FormUnsupported(f"residue poles not linear in {t2_name}: {exc}")
-            if not rr.h1.is_zero():
-                return Exact2FormUnsolvable(term.pole, term.coeff, rr.h1)
-            h = rr.certificate
-            f1 = f1 + h / (t1 - term.pole)
-            dp = term.pole.derive(t2_name)
-            if not dp.is_zero():
-                f2 = f2 - h * dp / (t1 - term.pole)
+    for pole in red.h1.poles():
+        residue = red.h1.residue(pole)
+        try:
+            rr = reduce(residue, t2_name)
+        except NonLinearFactor as exc:
+            return Exact2FormUnsupported(f"residue poles not linear in {t2_name}: {exc}")
+        if not rr.h1.is_zero():
+            return Exact2FormUnsolvable(pole, residue, rr.h1)
+        h = rr.certificate
+        f1 = f1 + h / (t1 - pole)
+        dp = pole.derive(t2_name)
+        if not dp.is_zero():
+            f2 = f2 - h * dp / (t1 - pole)
     if f1.derive(t2_name) - f2.derive(t1_name) != g:
         raise AssertionError("two-form certificate identity failed; this is a bug")
     return Exact2FormSolvable(f1, f2)

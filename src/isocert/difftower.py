@@ -109,10 +109,6 @@ class Tower(FieldContext):
     def generators(self) -> tuple[str, ...]:
         return tuple(self._rules)
 
-    def free_directions(self, generator: str) -> tuple[str, ...]:
-        rules = self._rules[generator]
-        return tuple(s.name for s in self.symbols if s.name not in rules)
-
     def is_free(self, generator: str, symbol: str) -> bool:
         return symbol not in self._rules[generator]
 
@@ -192,25 +188,12 @@ class Tower(FieldContext):
     def derive(self, element: RationalFunction, symbol: str) -> RationalFunction:
         """Chain rule through every variable of the element."""
         self.symbol(symbol)
-        num, den = element.num, element.den
         total = self.zero
         for idx in sorted(element.variables()):
             dvar = self._var_derivative(idx, symbol)
-            if dvar.is_zero():
-                continue
-            dn = num.derivative(idx)
-            dd = den.derivative(idx)
-            if dd.is_zero():
-                partial = RationalFunction(dn, den, self.registry)
-            else:
-                partial = RationalFunction(dn * den - num * dd, den * den,
-                                           self.registry)
-            if not partial.is_zero():
-                total = total + partial * dvar
+            if not dvar.is_zero():
+                total = total + element.derive_index(idx) * dvar
         return total
-
-    def derivation_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.symbols)
 
     # -- consistency ---------------------------------------------------------
 
@@ -235,9 +218,9 @@ class Tower(FieldContext):
                          for label, el in level for sym in self.symbols]
         return witnesses
 
-    def validate(self, depth: int = 2, on_inconsistent: str = "error") -> list[CommutativityWitness]:
+    def validate(self, depth: int = 2) -> list[CommutativityWitness]:
         witnesses = self.check_commutativity(depth)
-        if witnesses and on_inconsistent == "error":
+        if witnesses:
             w = witnesses[0]
             raise InconsistentTower(
                 f"derivations do not commute on {w.element} for pair {w.pair}")

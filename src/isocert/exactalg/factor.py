@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (MultiPoly, ZeroPolynomial, content_wrt, exact_div, gcd,
-                   mono_exponent, mono_key_grlex, poly_sqrt, squarefree_decomposition)
+                   mono_exponent, mono_key_grlex, poly_sqrt, prem,
+                   squarefree_decomposition)
 from .rational import RationalFunction
 from .registry import ExactAlgError, VariableRegistry
-from .upoly import UPoly
 
 
 class NonLinearFactor(ExactAlgError):
@@ -345,10 +345,12 @@ def partial_fractions(f: RationalFunction, v_name: str) -> PartialFractions:
     v = registry.index(v_name)
     if f.den.degree(v) <= 0:
         return PartialFractions(f, ())
-    num_u = UPoly.from_rational(RationalFunction.from_poly(f.num, registry), v)
-    den_u = UPoly.from_rational(RationalFunction.from_poly(f.den, registry), v)
-    q, _ = num_u.divmod(den_u)
-    poly_part = q.to_rational(v)
+    # Pseudo-division: lc^e * num = q * den + prem(num, den) with lc the
+    # v-free leading coefficient of den, so the polynomial part is q / lc^e.
+    lc_e = f.den.coefficient(v, f.den.degree(v)) ** max(
+        f.num.degree(v) - f.den.degree(v) + 1, 0)
+    q = exact_div(f.num * lc_e - prem(f.num, f.den, v), f.den)
+    poly_part = RationalFunction(q, lc_e, registry)
     proper = f - poly_part
     poles = linear_poles(f.den, v, registry)
     x = RationalFunction.from_poly(MultiPoly.var(v), registry)

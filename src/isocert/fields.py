@@ -27,9 +27,6 @@ class FieldContext:
         """Embed a scalar from the parameter field."""
         return f
 
-    def derivation_names(self) -> tuple[str, ...]:
-        raise NotImplementedError
-
 
 class RationalFieldContext(FieldContext):
     """Q(variables) with one partial derivative per derivation symbol."""
@@ -43,9 +40,6 @@ class RationalFieldContext(FieldContext):
 
     def derive(self, element: RationalFunction, symbol: str) -> RationalFunction:
         return element.derive_index(self._vars[symbol])
-
-    def derivation_names(self) -> tuple[str, ...]:
-        return tuple(self._vars)
 
 
 class RebasedFieldContext(FieldContext):
@@ -70,9 +64,3 @@ class RebasedFieldContext(FieldContext):
 
     def from_rational(self, f: RationalFunction):
         return self.base.from_rational(f)
-
-    def derivation_names(self) -> tuple[str, ...]:
-        seen = dict.fromkeys(self.combos)
-        for name in self.base.derivation_names():
-            seen.setdefault(name)
-        return tuple(seen)

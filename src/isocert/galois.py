@@ -9,7 +9,6 @@ about extensions of the parameter field.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -21,13 +20,12 @@ from .curve import CurveSpec, picard_fuchs
 from .derham import telescoper
 from .difftower import Tower
 from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
-                       RationalFunction, SingularMatrix, UPoly, VarKind,
-                       linear_poles, linear_solve, lcm, mat_add, mat_inverse,
-                       mat_scale, zeros)
-from .exactalg.factor import rational_roots
+                       RationalFunction, SingularMatrix, VarKind, linear_poles,
+                       linear_solve, lcm, mat_add, mat_inverse, mat_scale, zeros)
+from .exactalg.factor import _poly_to_series, rational_roots
 from .exactalg.linalg import Matrix
 from .exactalg.poly import EMPTY_MONO, exact_div
-from .fields import FieldContext, RebasedFieldContext
+from .fields import FieldContext, RationalFieldContext, RebasedFieldContext
 from .operators import LinearDiffOperator
 
 
@@ -56,69 +54,20 @@ def _falling_factorial_poly(i: int) -> list[Fraction]:
     return out
 
 
-def _operator_poly_coeffs(coeffs: list[RationalFunction], t_idx: int,
-                          registry) -> list[MultiPoly]:
-    """Clear denominators of sum coeffs[i] d^i to polynomial coefficients."""
-    den = MultiPoly.one()
-    for c in coeffs:
-        den = lcm(den, c.den)
-    return [c.num * exact_div(den, c.den) for c in coeffs]
-
-
-def _indicial_at(poly_coeffs: list[MultiPoly], root: RationalFunction,
-                 t_idx: int, registry) -> list[Fraction]:
-    """Indicial polynomial (in alpha) at a finite point t = root."""
-    data = []
-    for i, p in enumerate(poly_coeffs):
-        if p.is_zero():
-            continue
-        u = UPoly.from_rational(RationalFunction.from_poly(p, registry), t_idx)
-        val = u.eval(root)
-        v = 0
-        t_shift = UPoly([-root, RationalFunction.const(1, registry)], registry)
-        while val.is_zero():
-            u, r = u.divmod(t_shift)
-            if not r.is_zero():
-                raise AssertionError("valuation division failed; this is a bug")
-            val = u.eval(root)
-            v += 1
-        data.append((i, v, val))
-    w = min(v - i for i, v, _ in data)
+def _indicial(data: list[tuple[int, int, Fraction]], pick) -> list[Fraction]:
+    """Indicial polynomial (in alpha) from local data (i, e_i, c_i): the
+    coefficient of d^i has exponent e_i and leading value c_i there.  With
+    pick = min (valuations at a finite point) or max (degrees at infinity),
+    the terms with e_i - i = pick(e - i) contribute c_i * alpha^(i falling)."""
+    w = pick(e - i for i, e, _ in data)
     out = [Fraction(0)]
-    for i, v, val in data:
-        if v - i != w:
+    for i, e, c in data:
+        if e - i != w:
             continue
-        if not val.is_const():
-            raise UnsupportedOperator("indicial data not rational")
         ff = _falling_factorial_poly(i)
-        scaled = [c * val.const_value() for c in ff]
-        if len(scaled) > len(out):
-            out += [Fraction(0)] * (len(scaled) - len(out))
-        for j, c in enumerate(scaled):
-            out[j] += c
-    return out
-
-
-def _indicial_at_infinity(poly_coeffs: list[MultiPoly], t_idx: int) -> list[Fraction]:
-    delta = None
-    for i, p in enumerate(poly_coeffs):
-        if p.is_zero():
-            continue
-        d = p.degree(t_idx) - i
-        delta = d if delta is None else max(delta, d)
-    out = [Fraction(0)]
-    for i, p in enumerate(poly_coeffs):
-        if p.is_zero() or p.degree(t_idx) - i != delta:
-            continue
-        lead = p.coefficient(t_idx, p.degree(t_idx))
-        if not lead.is_const():
-            raise UnsupportedOperator("leading data not rational")
-        ff = _falling_factorial_poly(i)
-        scaled = [c * lead.const_value() for c in ff]
-        if len(scaled) > len(out):
-            out += [Fraction(0)] * (len(scaled) - len(out))
-        for j, c in enumerate(scaled):
-            out[j] += c
+        out += [Fraction(0)] * (len(ff) - len(out))
+        for j, a in enumerate(ff):
+            out[j] += a * c
     return out
 
 
@@ -126,17 +75,24 @@ def rational_solutions(op: LinearDiffOperator, registry) -> list[RationalFunctio
     """Basis of the rational solutions of op over Q(t).
 
     Complete when the cleared leading coefficient splits t-linearly over Q;
-    richer singularities raise UnsupportedOperator.  Every returned element
-    is verified to satisfy op(u) = 0 exactly.
+    richer singularities raise UnsupportedOperator.  The solutions are
+    z/den with den from the negative integer exponents at the finite poles
+    and z a polynomial whose degree bound comes from the exponents at
+    infinity, shifted by deg den.  Every returned element is verified to
+    satisfy op(u) = 0 exactly.
     """
     t_idx = registry.index(op.symbol)
-    full = [-c for c in op.coeffs] + [RationalFunction.const(1, registry)]
+    one = RationalFunction.const(1, registry)
+    full = op.scaled_coefficients(one)
     for c in full:
         if not c.variables() <= {t_idx}:
             raise UnsupportedOperator("coefficients involve extra variables")
-    poly_coeffs = _operator_poly_coeffs(full, t_idx, registry)
-    lead = poly_coeffs[-1]
-    one = RationalFunction.const(1, registry)
+    cleared = MultiPoly.one()
+    for c in full:
+        cleared = lcm(cleared, c.den)
+    poly_coeffs = [(i, c.num * exact_div(cleared, c.den))
+                   for i, c in enumerate(full) if not c.is_zero()]
+    lead = poly_coeffs[-1][1]
     t = RationalFunction.from_poly(MultiPoly.var(t_idx), registry)
     den = one
     if lead.degree(t_idx) > 0:
@@ -144,21 +100,28 @@ def rational_solutions(op: LinearDiffOperator, registry) -> list[RationalFunctio
             poles = linear_poles(lead, t_idx, registry)
         except NonLinearFactor as exc:
             raise UnsupportedOperator(str(exc)) from None
+        # The coefficients lie in Q[t], so every pole is a rational constant,
+        # and the Taylor coefficients there give each valuation and value.
         for root, _ in poles:
-            indicial = _indicial_at(poly_coeffs, root, t_idx, registry)
-            neg = [r for r in _integer_roots(indicial) if r < 0]
+            tau = root.const_value()
+            data = []
+            for i, p in poly_coeffs:
+                series = _poly_to_series(p, t_idx, tau, p.degree(t_idx) + 1)
+                v = next(k for k, c in enumerate(series) if c)
+                data.append((i, v, series[v]))
+            neg = [r for r in _integer_roots(_indicial(data, min)) if r < 0]
             if neg:
                 den = den * (t - root) ** (-min(neg))
-    # Conjugate: solutions y = z / den with z polynomial.
-    field_ctx_coeffs = _compose_with_multiplier(full, one / den, op.symbol, registry)
-    conj_polys = _operator_poly_coeffs(field_ctx_coeffs, t_idx, registry)
-    inf_ind = _indicial_at_infinity(conj_polys, t_idx)
-    nonneg = [r for r in _integer_roots(inf_ind) if r >= 0]
-    if not nonneg:
+    # z = den * y is polynomial; y ~ t^alpha at infinity gives deg z = alpha + deg den.
+    shift = den.num.degree(t_idx)
+    data = [(i, p.degree(t_idx), p.coefficient(t_idx, p.degree(t_idx)).const_value())
+            for i, p in poly_coeffs]
+    degrees = [r + shift for r in _integer_roots(_indicial(data, max)) if r + shift >= 0]
+    if not degrees:
         return []
-    bound = max(nonneg)
-    monos = [t ** k for k in range(bound + 1)]
-    equation = [(k, EMPTY_MONO, _apply_coeff_list(field_ctx_coeffs, mono, op.symbol))
+    field = RationalFieldContext(registry, {op.symbol: op.symbol})
+    monos = [t ** k for k in range(max(degrees) + 1)]
+    equation = [(k, EMPTY_MONO, op.apply(field, mono / den))
                 for k, mono in enumerate(monos)]
     rows, rhs = match_coefficients([equation], [RationalFunction.const(0, registry)])
     sol = linear_solve(rows, rhs, len(monos), Fraction(0), Fraction(1))
@@ -169,37 +132,10 @@ def rational_solutions(op: LinearDiffOperator, registry) -> list[RationalFunctio
             if coeff != 0:
                 z = z + RationalFunction.const(coeff, registry) * mono
         u = z / den
-        if not _apply_coeff_list(full, u, op.symbol).is_zero():
+        if not op.apply(field, u).is_zero():
             raise AssertionError("rational solution verification failed; this is a bug")
         basis.append(u)
     return basis
-
-
-def _apply_coeff_list(coeffs: list[RationalFunction], u: RationalFunction,
-                      symbol: str) -> RationalFunction:
-    total = RationalFunction.const(0, u.registry)
-    d = u
-    for i, c in enumerate(coeffs):
-        if not c.is_zero():
-            total = total + c * d
-        d = d.derive(symbol)
-    return total
-
-
-def _compose_with_multiplier(coeffs: list[RationalFunction], u: RationalFunction,
-                             symbol: str, registry) -> list[RationalFunction]:
-    """Coefficients of the operator z -> sum coeffs[i] d^i (u*z)."""
-    n = len(coeffs) - 1
-    u_derivs = [u]
-    for _ in range(n):
-        u_derivs.append(u_derivs[-1].derive(symbol))
-    out = [RationalFunction.const(0, registry) for _ in range(n + 1)]
-    for i, a in enumerate(coeffs):
-        if a.is_zero():
-            continue
-        for j in range(i + 1):
-            out[j] = out[j] + a * Fraction(math.comb(i, j)) * u_derivs[i - j]
-    return out
 
 
 # -- companion systems -------------------------------------------------------

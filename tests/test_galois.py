@@ -9,7 +9,7 @@ import pytest
 from isocert.connection import ConnectionSystem, check_integrability
 from isocert.derham import telescoper
 from isocert.difftower import gamma_tower
-from isocert.exactalg import RationalFunction, mat_eq
+from isocert.exactalg import RationalFunction, UPoly, mat_eq, partial_fractions
 from isocert.fields import RationalFieldContext
 from isocert.galois import (DerivationRebase, SingularRebase,
                             UnsupportedOperator, companion_system,
@@ -80,10 +80,18 @@ def test_rational_solutions_recovers_constructed_spaces(xt):
     pool = [t, t + one, t - one, t + 2 * one]
 
     def unit():
+        # Poles of order 1 to 3, and numerators of up to degree 3 that can
+        # exceed the pole order, so the degree bound at infinity needs the
+        # shift by the degree of the denominator.
         u = RationalFunction.const(rnd.choice([1, 2, -1]), reg)
         for _ in range(rnd.randint(1, 2)):
-            u = u * rnd.choice(pool) ** rnd.choice([1, -1])
-        return u
+            u = u * rnd.choice(pool) ** rnd.choice([1, -1, -2, -3])
+        return u * rnd.choice(pool) ** rnd.randint(0, 3)
+
+    for u in (t ** 3 / (t - one) ** 2, (t + one) ** 3 / (t * (t - one) ** 2)):
+        op = LinearDiffOperator("t", (u.derive("t") / u,))
+        basis = rational_solutions(op, reg)
+        assert len(basis) == 1 and (u / basis[0]).derive("t").is_zero()
 
     done = 0
     while done < 10:
@@ -125,6 +133,36 @@ def test_rational_solutions_recovers_constructed_spaces(xt):
                                [target, target.derive("t")], 2, zero, one)
             assert not chk.inconsistent
         done += 1
+
+
+def test_rational_solutions_is_upoly_free(xt, monkeypatch):
+    """Local data at a pole comes from a Taylor shift and the polynomial part
+    of partial fractions from pseudo-division, so neither reaches UPoly."""
+    reg, x, t, one = xt["reg"], xt["x"], xt["t"], xt["one"]
+
+    def refuse(*args):
+        raise AssertionError("UPoly arithmetic in rational solutions")
+
+    monkeypatch.setattr(UPoly, "divmod", refuse)
+    monkeypatch.setattr(UPoly, "eval", refuse)
+    monkeypatch.setattr(UPoly, "from_rational", staticmethod(refuse))
+    ctx = RationalFieldContext(reg)
+    for u in (one / (t - one), t ** 3 / (t - one) ** 2, (t + 2 * one) / (t * t)):
+        op = LinearDiffOperator("t", (u.derive("t") / u,))
+        basis = rational_solutions(op, reg)
+        assert len(basis) == 1 and (u / basis[0]).derive("t").is_zero()
+    # (t - 1)^2 y'' - 2 y = 0 has the solutions (t - 1)^2 and 1/(t - 1).
+    op = LinearDiffOperator("t", (2 * one / (t - one) ** 2, RationalFunction.const(0, reg)))
+    basis = rational_solutions(op, reg)
+    assert len(basis) == 2 and all(op.apply(ctx, u).is_zero() for u in basis)
+    cases = [(x ** 3 / (x - t) ** 2, x + 2 * t),
+             ((x * x + t) / (x - one), x + one),
+             ((t * x ** 4 + one) / ((t * x - one) * (x + t)),
+              x * x + (one / t - t) * x + t * t - one + one / (t * t))]
+    for g, poly_part in cases:
+        pfd = partial_fractions(g, "x")
+        assert pfd.poly_part == poly_part
+        assert pfd.recombine(reg.index("x")) == g
 
 
 def test_rational_solutions_unsupported(xt):
