@@ -1,11 +1,13 @@
 """Problem files: JSON documents describing fields (with optional tower
 generators), connection systems (with the dual-convention flag), curves and
-integrands.  Validated against a schema before any computation."""
+integrands.  Validated against PROBLEM_SCHEMA before any computation, by a
+small validator for the few JSON Schema keywords that schema uses, so that
+loading a file needs no third-party package."""
 
 from __future__ import annotations
 
-import functools
 import json
+import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -151,17 +153,62 @@ def _make_resolver(tower: Optional[Tower], registry: VariableRegistry):
     return resolve
 
 
-@functools.cache
-def _problem_validator():
-    """The schema validator, built and the schema checked on first use;
-    reporting its best_match error gives jsonschema.validate's message.
-    jsonschema is imported here, not at module level, because importing it
-    is most of the cost of starting the CLI and most commands read no file."""
-    import jsonschema
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
 
-    cls = jsonschema.validators.validator_for(PROBLEM_SCHEMA)
-    cls.check_schema(PROBLEM_SCHEMA)
-    return cls(PROBLEM_SCHEMA)
+
+def _schema_errors(instance, schema: dict, path: tuple):
+    """Yield (path, matches_type, message) for each violation of schema by
+    instance, in the order JSON Schema (draft 2020-12) validators report
+    them: keywords in schema order, properties in schema order.  Supports
+    the keywords PROBLEM_SCHEMA uses and raises on any other."""
+    matches = "type" in schema and _TYPES[schema["type"]](instance)
+    for keyword, value in schema.items():
+        if keyword == "type":
+            if not matches:
+                yield path, False, f"{instance!r} is not of type {value!r}"
+        elif keyword == "minimum":
+            if (isinstance(instance, numbers.Number) and not isinstance(instance, bool)
+                    and instance < value):
+                yield path, matches, f"{instance!r} is less than the minimum of {value!r}"
+        elif keyword == "required":
+            if isinstance(instance, dict):
+                for name in value:
+                    if name not in instance:
+                        yield path, matches, f"{name!r} is a required property"
+        elif keyword == "properties":
+            if isinstance(instance, dict):
+                for name, sub in value.items():
+                    if name in instance:
+                        yield from _schema_errors(instance[name], sub, path + (name,))
+        elif keyword == "additionalProperties":
+            if isinstance(instance, dict):
+                known = schema.get("properties", {})
+                for name in instance:
+                    if name not in known:
+                        yield from _schema_errors(instance[name], value, path + (name,))
+        elif keyword == "items":
+            if isinstance(instance, list):
+                for index, item in enumerate(instance):
+                    yield from _schema_errors(item, value, path + (index,))
+        else:
+            raise ValueError(f"unsupported schema keyword {keyword!r}")
+
+
+def schema_violation(instance, schema: dict = PROBLEM_SCHEMA) -> Optional[str]:
+    """The message of the most relevant violation, or None if instance is
+    valid.  The choice follows jsonschema's best_match: the shallowest
+    error, then the largest path, then one whose instance has the wrong
+    type, then the first reported; the messages are jsonschema's too."""
+    best = max(_schema_errors(instance, schema, ()), default=None,
+               key=lambda error: (-len(error[0]), error[0], not error[1]))
+    return None if best is None else best[2]
 
 
 def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
@@ -169,8 +216,6 @@ def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
 
     Towers are checked for commuting derivations (depth 2) before use;
     tower_consistency may be "error" (refuse), "warn" or "skip"."""
-    from jsonschema.exceptions import best_match
-
     if isinstance(source, dict):
         data = source
     elif hasattr(source, "read"):
@@ -186,9 +231,9 @@ def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
             raise ProblemFileError(str(exc)) from None
         except json.JSONDecodeError as exc:
             raise ProblemFileError(f"invalid JSON: {exc}") from None
-    error = best_match(_problem_validator().iter_errors(data))
-    if error is not None:
-        raise ProblemFileError(f"schema violation: {error.message}") from None
+    message = schema_violation(data)
+    if message is not None:
+        raise ProblemFileError(f"schema violation: {message}")
 
     field_spec = data["field"]
     principal = field_spec.get("principal")

@@ -209,17 +209,24 @@ class CurveReduction:
 
 def _split_f_level(p1: RationalFunction, curve: CurveSpec) -> tuple[int, RationalFunction]:
     """Write p1*w*dx = Q dx / w^(2m+1) with Q's denominator coprime to f:
-    returns (m, Q)."""
-    q = p1
-    sigma = 0
-    while poly_gcd(q.den, curve.f).degree(curve.x_index) > 0:
-        sigma += 1
-        q = q * curve.f_rf
-        if sigma > 64:
+    returns (m, Q), Q = p1 * f^(m+1).  Each factor f cancels g = gcd(den, f)
+    by exact division, one gcd per level: num*(f/g) over den/g stays in
+    lowest terms because gcd(f/g, den/g) = 1, and monic because gcd is."""
+    f, x = curve.f, curve.x_index
+    num, den = p1.num, p1.den
+    g = poly_gcd(den, f)
+    m = 0
+    while True:
+        if g.is_one():
+            num = num * f
+        else:
+            num, den = num * exact_div(f, g), exact_div(den, g)
+        if g.degree(x) <= 0 or (g := poly_gcd(den, f)).degree(x) <= 0:
+            break
+        m += 1
+        if m >= 64:
             raise CurveError("cannot separate the branch-locus denominator")
-    if sigma == 0:
-        return 0, q * curve.f_rf
-    return sigma - 1, q
+    return m, RationalFunction(num, den, curve.registry, _reduced=True)
 
 
 def _reduce_numerator(curve: CurveSpec, m: int, num: MultiPoly, den: MultiPoly

@@ -156,7 +156,7 @@ def test_load_problem_schema_violation(tmp_path):
 
 
 def test_load_problem_schema_violation_message():
-    # The cached validator reports what jsonschema.validate reported.
+    # The messages are those jsonschema.validate reported.
     with pytest.raises(ProblemFileError) as err:
         load_problem({"field": {"parametric": "oops"}})
     assert str(err.value) == "schema violation: 'oops' is not of type 'array'"
@@ -346,13 +346,41 @@ def _python_m_main(args, timeout):
     return _python(["-m", "isocert.cli.main", *args], timeout)
 
 
-def test_cli_import_leaves_jsonschema_unloaded():
-    # Importing jsonschema is most of the CLI's start-up; only loading a
-    # problem file needs it.
-    done = _python(["-c", "import sys, isocert.cli.main; "
-                          "print('jsonschema' in sys.modules)"], timeout=60)
+def test_file_commands_run_without_jsonschema(tmp_path):
+    # Problem files are validated without jsonschema, so with it made
+    # unimportable every file-loading command still runs, and a file that
+    # violates the schema still gets its exit-4 report.
+    heisenberg = fixture_path("heisenberg-obstruction")
+    gauge = tmp_path / "gauge.json"
+    gauge.write_text(json.dumps({"matrix": [["1", "0", "0"], ["0", "1", "0"],
+                                            ["0", "0", "1"]]}))
+    scalar = tmp_path / "scalar.json"
+    scalar.write_text(json.dumps({"field": {"parametric": ["t1", "t2"]},
+                                  "system": {"size": 1, "matrices": {
+                                      "t1": [["t2"]], "t2": [["0"]]}}}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"field": {"parametric": "oops"}}))
+    runs = [["check", heisenberg, "--mode", "full"], ["flatten", str(scalar)],
+            ["gauge", heisenberg, "--matrix", str(gauge)],
+            ["examples", "run", "all"], ["check", str(bad)]]
+    script = ("import json, sys\n"
+              "sys.modules['jsonschema'] = None\n"
+              "from isocert.cli.main import run_command\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    code, report = run_command(argv)\n"
+              "    print(json.dumps([code, report.payload]))\n")
+    done = _python(["-c", script, json.dumps(runs)], timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    results = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [code for code, _ in results] == [1, 0, 0, 0, 4]
+    (_, check), (_, flat), (_, gauged), (_, suite), (_, refusal) = results
+    assert check["flat"] is False
+    assert flat["outcome"] == "found"
+    assert gauged["matrices"]["t1"][0][1] == "1/t1"
+    assert suite["all_pass"] is True
+    assert refusal == {
+        "status": "malformed-input",
+        "detail": "schema violation: 'oops' is not of type 'array'"}
 
 
 def test_python_m_runs_main_once():

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 from isocert.curve import (CurveContext, CurveElement, CurveError, CurveSpec,
-                           PicardFuchsNotFound, UnsupportedPoles, curve_derive,
-                           curve_reduce, curve_w, picard_fuchs)
+                           PicardFuchsNotFound, UnsupportedPoles, _split_f_level,
+                           curve_derive, curve_reduce, curve_w, picard_fuchs)
 from isocert.exactalg import RationalFunction, UPoly, linear_solve
+from isocert.exactalg.poly import gcd as poly_gcd
 
 
 @pytest.fixture
@@ -196,3 +197,35 @@ def test_curve_reduction_is_fraction_free(xt, monkeypatch):
     for curve in curves:
         for form in range(curve.basis_size()):
             assert picard_fuchs(curve, form, "t").operator.order >= 1
+
+
+def _split_f_level_by_products(p1, curve):
+    """The level split as a loop of RationalFunction products: multiply by
+    f while the denominator still meets f in x, and at least once."""
+    q, sigma = p1, 0
+    while poly_gcd(q.den, curve.f).degree(curve.x_index) > 0:
+        sigma += 1
+        q = q * curve.f_rf
+    if sigma == 0:
+        return 0, q * curve.f_rf
+    return sigma - 1, q
+
+
+def test_split_f_level_matches_products(xt):
+    x, t, one, zero = xt["x"], xt["t"], xt["one"], xt["zero"]
+    curves = [CurveSpec((x * (x - one) * (x - t)).num, "x", xt["reg"]),
+              CurveSpec((t * (x ** 2 - one) * (2 * x ** 2 - t)).num, "x", xt["reg"])]
+    for curve in curves:
+        f = curve.f_rf
+        forms = [
+            zero, one, x, x ** 5 / 3,
+            # poles on f
+            one / f, (x + t) / f ** 3, x ** 2 / (3 * f ** 2 * (x - 2 * one)),
+            # poles on a proper factor of f, alone and with the rest of f
+            one / (x - one), one / (x - one) ** 4, x / ((x + one) ** 2 * f),
+            # x-free denominators, some sharing f's content in t
+            one / t, x ** 3 / (t * (t - one)), (x - t) / (2 * t ** 2),
+            one / (t * (x - one) ** 2), (x + one) / ((t + one) * (x - 2 * one)),
+        ]
+        for p1 in forms:
+            assert _split_f_level(p1, curve) == _split_f_level_by_products(p1, curve), p1
