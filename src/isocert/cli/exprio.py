@@ -17,8 +17,10 @@ Node = tuple
 
 # Largest |n| accepted in `^n`.  Powers are expanded densely, and the heuristic
 # gcd on a power of degree n works on integers of about n^2 bits, so an
-# unbounded exponent is unbounded work: reducing 1/(x-t)^100 takes seconds,
-# 1/(x-t)^200 over a minute.  The corpora and fixtures use n <= 5.
+# unbounded exponent is unbounded work.  A single high-order pole no longer
+# reaches that heuristic (its squarefree gcds are answered by exact division),
+# but two of them still do: reducing 1/((x-t)^20*(x-1)^20) takes seconds,
+# ^40 and ^40 over two minutes.  The corpora and fixtures use n <= 5.
 MAX_EXPONENT = 100
 
 

@@ -558,10 +558,16 @@ def primitive_part(p: MultiPoly, var: int) -> MultiPoly:
 def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     """Polynomial gcd over Q, normalized monic under graded-lex.
 
-    Runs the evaluation-reconstruction heuristic on the primitive integer
-    parts; every candidate it returns has been checked to
-    divide both inputs exactly, so the answer is provably correct, and the
-    subresultant PRS on the top common variable handles the rare failures.
+    Three routes, cheapest first.  Exact division: when one primitive integer
+    part divides the other, that operand is the gcd by Gauss's lemma.  One
+    heap division is tried, which stops at the first leading term that does
+    not divide.  Its divisor is the operand with fewer terms or, on a tie,
+    the one with the smaller largest packed monomial: a proper multiple with
+    as many terms has a larger one, since packed-int order is a monomial
+    order.  Otherwise the evaluation-reconstruction heuristic (GCDHEU)
+    runs on the integer parts; every candidate it returns has been checked to
+    divide both inputs exactly, so the answer is provably correct.  The
+    subresultant PRS on the top common variable handles its rare failures.
     """
     if a.is_zero():
         return b.monic()
@@ -569,6 +575,13 @@ def gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
         return a.monic()
     if a.is_const() or b.is_const():
         return _ONE
+    la, lb = len(a.ints), len(b.ints)
+    if la < lb or la == lb and max(a.ints) <= max(b.ints):
+        small, large = a, b
+    else:
+        small, large = b, a
+    if _int_div(large.ints, small.ints) is not None:
+        return small.monic()
     try:
         g = _heugcd(a.ints, b.ints)
     except _HeuristicFailure:

@@ -431,10 +431,22 @@ def test_reduce_of_a_sparse_high_power_is_quick():
     assert payload["class_is_zero"]
 
 
-def test_run_command_reduce_and_telescope_fuzz():
-    """Random expression trees through `reduce` and `telescope`: every case
-    ends in a documented exit code, without an exception, within a time
-    budget."""
+def test_reduce_of_a_high_order_pole_is_quick():
+    # gcd(w, w') in the squarefree decomposition of (x-t)^100 is answered by
+    # exact division, since w' divides w.
+    start = time.perf_counter()
+    done = _python_m_main(["--json", "reduce", "--integrand", "1/(x-t)^100",
+                           "--var", "x"], timeout=60)
+    assert time.perf_counter() - start < 2.0
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["class_is_zero"]
+
+
+def test_run_command_reduce_telescope_and_galois_fuzz():
+    """Random expression trees through `reduce`, `telescope` and `galois`:
+    every case ends in a documented exit code, without an exception, within a
+    time budget."""
     from hypothesis import given, seed, settings
 
     @seed(20261019)
@@ -443,7 +455,8 @@ def test_run_command_reduce_and_telescope_fuzz():
     def inner(tree):
         text = print_tree(tree)
         for argv in (["reduce", f"--integrand={text}", "--var", "x"],
-                     ["telescope", f"--integrand={text}", "--var", "x", "--param", "t"]):
+                     ["telescope", f"--integrand={text}", "--var", "x", "--param", "t"],
+                     ["galois", f"--integrand={text}", "--var", "x", "--param", "t"]):
             start = time.perf_counter()
             code, _ = run_command(argv)
             assert code in (0, 1, 2, 3, 4), (argv, code)

@@ -2,6 +2,7 @@
 telescopers and the bivariate exactness decision."""
 
 import random
+import time
 
 import pytest
 
@@ -62,6 +63,20 @@ def test_reduce_of_exact_is_zero_class(xt):
         # certificate recovers g up to an additive x-constant
         diff = r.certificate - g
         assert diff.derive("x").is_zero()
+
+
+def test_reduce_of_a_high_order_pole_is_quick(xt):
+    # The squarefree decomposition of (x-t)^200 asks for gcd(w, w'), and w'
+    # divides w, so gcd answers by exact division instead of running the
+    # heuristic on images of about 200^2 bits.  The power is built in the
+    # library, past the parser's exponent cap.
+    x, t, one = xt["x"], xt["t"], xt["one"]
+    f = one / (x - t) ** 200
+    start = time.perf_counter()
+    r = reduce(f, "x")
+    assert time.perf_counter() - start < 2.0
+    assert r.h1.is_zero()
+    assert r.certificate == -one / (199 * (x - t) ** 199)
 
 
 def test_reduce_is_k_linear(xt):

@@ -509,10 +509,11 @@ _X, _T1 = MultiPoly.var(0), MultiPoly.var(1)
 
 @st.composite
 def _gcd_pairs(draw):
-    """Pairs over Q in 2-3 variables: a planted common factor, a coprime pair
-    (p, p*q + 1) or two unrelated polynomials; both are then multiplied by a
-    shared monomial and one of their own, and each is scaled by an integer
-    content times a rational of either sign."""
+    """Pairs over Q in 2-3 variables: a planted common factor, a divisor and
+    its multiple (c, p*c) in either order, a coprime pair (p, p*q + 1) or two
+    unrelated polynomials; both are then multiplied by a shared monomial and
+    one of their own (in the divides shape only the multiple takes one), and
+    each is scaled by an integer content times a rational of either sign."""
     nvars = draw(st.integers(2, 3))
     exps = st.tuples(*[st.integers(0, 2)] * nvars)
     coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -524,17 +525,25 @@ def _gcd_pairs(draw):
             for _ in range(draw(st.integers(1, 3))))
 
     p, q = draw_poly(), draw_poly()
-    shape = draw(st.sampled_from(("planted", "coprime", "unrelated")))
+    shape = draw(st.sampled_from(("planted", "divides", "coprime", "unrelated")))
     if shape == "planted":
         c = draw_poly()
         a, b = p * c, q * c
+    elif shape == "divides":
+        # The multiple alone takes a monomial of its own, so that b | a holds.
+        c = draw_poly()
+        a, b = p * c * _monomial(draw(exps)), c
     elif shape == "coprime":
         a, b = p, p * q + MultiPoly.one()
     else:
         a, b = p, q
+    if shape != "divides":
+        a, b = a * _monomial(draw(exps)), b * _monomial(draw(exps))
     shared = _monomial(draw(exps))
-    a = (a * shared * _monomial(draw(exps))).scale(draw(nonzero) * draw(st.integers(1, 12)))
-    b = (b * shared * _monomial(draw(exps))).scale(draw(nonzero) * draw(st.integers(1, 12)))
+    a = (a * shared).scale(draw(nonzero) * draw(st.integers(1, 12)))
+    b = (b * shared).scale(draw(nonzero) * draw(st.integers(1, 12)))
+    if shape == "divides" and draw(st.booleans()):
+        a, b = b, a
     assume(not a.is_zero() and not b.is_zero())
     return a, b
 
@@ -551,8 +560,58 @@ def test_gcd_matches_sympy(pair):
     g = gcd(a, b)
     assert g == expected
     assert g == g.monic()
+    assert gcd(b, a) == g
     exact_div(a, g)
     exact_div(b, g)
+
+
+def test_gcd_of_a_divisor_and_its_multiple_skips_the_heuristic(monkeypatch):
+    # One exact division answers, in either argument order, also when the
+    # multiple has no more terms than the divisor: x*(x - t1) and x - t1.
+    x, t = _X, _T1
+    one = MultiPoly.one()
+    pairs = [(x - t, x * (x - t)), ((x - t) ** 3, (x - t) ** 4 * (x + one)),
+             ((x.scale(3) - t).scale(Fraction(-2, 5)), (x.scale(3) - t) * (x * t + one)),
+             (x + t, (x + t).scale(Fraction(-7, 3)))]
+
+    def failing(a, b):
+        raise AssertionError("heuristic gcd called")
+
+    monkeypatch.setattr(poly, "_heugcd", failing)
+    for c, multiple in pairs:
+        assert gcd(c, multiple) == c.monic()
+        assert gcd(multiple, c) == c.monic()
+
+
+def test_squarefree_decomposition_matches_sympy(xt):
+    # Seeded products of powers (exponents up to 8) of 1-3 factors in x and t
+    # times an integer content.  The decomposition is over Q(t), so sympy's
+    # squarefree factors over Z[x, t] are compared after their content in x
+    # is dropped; a factor that is left of x-degree 0 belongs to the unit.
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("x t")
+    rnd = random.Random(14)
+    cases = 0
+    while cases < 30:
+        parts = [random_poly(rnd, xt["reg"]) for _ in range(rnd.randint(1, 3))]
+        if any(q.is_zero() for q in parts) or all(q.degree(0) <= 0 for q in parts):
+            continue
+        cases += 1
+        p = MultiPoly.const(rnd.choice([-1, 1]) * rnd.randint(1, 30))
+        for q in parts:
+            p = p * q ** rnd.randint(1, 8)
+        unit, factors = poly.squarefree_decomposition(p, 0)
+        assert unit.degree(0) == 0
+        prod = unit
+        for q, mult in factors:
+            prod = prod * q ** mult
+        assert prod == p
+        expected = set()
+        for f, mult in sympy.sqf_list(_to_sympy(p, syms))[1]:
+            _, prim = sympy.Poly(f.as_expr(), syms[0]).primitive()
+            if prim.degree() > 0:
+                expected.add((_from_sympy(sympy.Poly(prim.as_expr(), *syms)).monic(), mult))
+        assert set(factors) == expected
 
 
 def test_gcd_prs_fallback_agrees(monkeypatch):
