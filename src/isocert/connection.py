@@ -151,7 +151,7 @@ def check_integrability(system: ConnectionSystem, mode: str = "full") -> Integra
     zero = system.field.zero
     if mode == "pairwise":
         if system.principal is None:
-            raise ValueError("pairwise mode needs a designated principal symbol")
+            raise ConnectionSystemError("pairwise mode needs a designated principal symbol")
         pairs = [(t, system.principal) for t in system.parametric_symbols()]
     elif mode == "full":
         pairs = _canonical_pairs(system, system.symbols())
@@ -304,8 +304,8 @@ def flatten(system: ConnectionSystem, order: Optional[list[str]] = None,
     if system.principal is not None and not all(
             mat_is_zero(curv.matrix(t, system.principal), f.zero)
             for t in system.parametric_symbols()):
-        raise ValueError("system fails the pairwise principal check; "
-                         "flatten preconditions are violated")
+        raise ConnectionSystemError("system fails the pairwise principal check; "
+                                    "flatten preconditions are violated")
     if curv.is_zero(f.zero):
         return FlattenFound({}, system)
 
@@ -421,7 +421,7 @@ def _flatten_ansatz(system: ConnectionSystem, syms: list[str],
                                    f"no degree-{degree_bound} move for {target!r}")
         a_j = zeros(n, n, f.zero)
         for k, coeff in enumerate(sol.particular):
-            if coeff != 0:
+            if coeff:
                 m, s = divmod(k, len(shapes))
                 scale = RationalFunction.const(coeff, f.registry) * monomial(
                     monomials[m], f.registry)

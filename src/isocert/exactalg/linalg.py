@@ -1,15 +1,19 @@
 """Exact linear algebra over any field-like element type.
 
-The routines are generic: entries only need +, -, *, / and an is_zero test
-(``e == zero``).  They are used with RationalFunction, tower elements and
-curve elements alike.  Matrices are plain lists of lists; the rows of a
-linear system are sparse: dicts from column index to entry.
+Entries only need +, -, *, / and a zero test, resolved once per call from
+the type of ``zero``, which every entry shares: the type's ``is_zero``
+(RationalFunction, tower and curve elements), ``not e`` for int and
+Fraction, ``e == zero`` otherwise.  Matrices are lists of lists; the rows of
+a linear system are sparse dicts from column index to entry.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Any, Sequence
+from fractions import Fraction
+from functools import partial
+from typing import Any, Callable, Sequence
 
 Matrix = list[list[Any]]
 SparseRow = dict[int, Any]
@@ -25,27 +29,32 @@ class LinearSolution:
     nullspace: list[list]
 
 
-def _is_zero(e, zero) -> bool:
-    z = getattr(e, "is_zero", None)
-    if callable(z):
-        return e.is_zero()
-    return e == zero
+def _zero_test(zero) -> Callable[[Any], bool]:
+    is_zero = getattr(type(zero), "is_zero", None)
+    if callable(is_zero):
+        return is_zero
+    return operator.not_ if type(zero) in (int, Fraction) else partial(operator.eq, zero)
 
 
-def _eliminate(row: SparseRow, pivot: SparseRow, col: int, zero) -> None:
-    """row -= row[col] * pivot, for a pivot row with pivot[col] == 1; only the
-    pivot row's nonzeros are touched and cancelled entries are deleted."""
+def _eliminate(rows: list[SparseRow], rid: int, pivot: SparseRow, col: int,
+               index: list[set[int]], zero, is_zero) -> None:
+    """rows[rid] -= rows[rid][col] * pivot for a pivot row with pivot[col] == 1,
+    deleting cancelled entries and keeping the column index up to date."""
+    row = rows[rid]
     f = row.pop(col)
+    index[col].discard(rid)
     for j, v in pivot.items():
         if j == col:
             continue
         e = row.get(j)
         if e is None:
             row[j] = zero - f * v
+            index[j].add(rid)
         else:
             e = e - f * v
-            if _is_zero(e, zero):
+            if is_zero(e):
                 del row[j]
+                index[j].discard(rid)
             else:
                 row[j] = e
 
@@ -55,67 +64,60 @@ def linear_solve(rows: Sequence[SparseRow], rhs: Sequence, ncols: int,
     """Exact sparse Gauss-Jordan elimination for the system
     sum_j rows[i][j] * x_j = rhs[i] in the unknowns x_0..x_{ncols-1}.
 
-    Each row maps column indices to entries; absent columns are zero.  Pivot
-    columns are taken in column order, and within a column the candidate row
-    with the fewest nonzeros becomes the pivot row.  Back-substitution then
-    brings the pivot rows to reduced row echelon form.  That form is unique,
-    so the particular solution (free unknowns zero) and the kernel basis (one
+    Rows map column indices to entries (absent columns are zero) and are not
+    modified.  A column index keeps the ids of the rows with a nonzero in each
+    column.  Pivot columns are taken in column order; the pivot is the active
+    row with the fewest nonzeros, the lowest id on a tie.  The solve stops at
+    the first row that reads 0 = b, as given or after elimination.  Otherwise
+    back-substitution gives the reduced row echelon form.  It is unique, so
+    the particular solution (free unknowns zero) and the kernel basis (one
     vector per free column, ascending) do not depend on the pivot choice, and
     every returned vector satisfies the system exactly.
     """
+    is_zero = _zero_test(zero)
     # Working copies without zero entries; the right-hand side is column ncols.
-    active: list[SparseRow] = []
+    work: list[SparseRow] = []
+    index: list[set[int]] = [set() for _ in range(ncols + 1)]
     for row, b in zip(rows, rhs):
-        work = {j: e for j, e in row.items() if not _is_zero(e, zero)}
-        if not _is_zero(b, zero):
-            work[ncols] = b
-        if work:
-            active.append(work)
-    pivots: list[tuple[int, SparseRow]] = []
+        r = {j: e for j, e in row.items() if not is_zero(e)}
+        if not is_zero(b):
+            r[ncols] = b
+            if len(r) == 1:
+                return LinearSolution(True, None, [])
+        for j in r:
+            index[j].add(len(work))
+        work.append(r)
+    col_of: dict[int, int] = {}  # pivot row id -> its column, ascending
     for col in range(ncols):
-        candidates = [r for r in active if col in r]
+        candidates = index[col].difference(col_of)
         if not candidates:
             continue
-        pivot = min(candidates, key=len)
-        active = [r for r in active if r is not pivot]
-        inv = one / pivot[col]
-        for j in pivot:
-            pivot[j] = inv * pivot[j]
-        for r in candidates:
-            if r is not pivot:
-                _eliminate(r, pivot, col, zero)
-        pivots.append((col, pivot))
-    # A row left without a pivot reads 0 = its right-hand side.
-    if any(active):
-        return LinearSolution(True, None, [])
-    for k in range(len(pivots) - 1, 0, -1):
-        col, pivot = pivots[k]
-        for _, r in pivots[:k]:
-            if col in r:
-                _eliminate(r, pivot, col, zero)
+        pid = min(candidates, key=lambda i: (len(work[i]), i))
+        inv = one / work[pid][col]
+        work[pid] = pivot = {j: inv * e for j, e in work[pid].items()}
+        for rid in candidates - {pid}:
+            _eliminate(work, rid, pivot, col, index, zero, is_zero)
+            if len(work[rid]) == 1 and ncols in work[rid]:
+                return LinearSolution(True, None, [])
+        col_of[pid] = col
+    # Other rows are empty; a pivot row is zero at the pivot columns left of its own.
+    for pid, col in reversed(col_of.items()):
+        for rid in index[col] - {pid}:
+            _eliminate(work, rid, work[pid], col, index, zero, is_zero)
     particular = [zero] * ncols
-    for col, pivot in pivots:
-        particular[col] = pivot.get(ncols, zero)
-    pivot_cols = {col for col, _ in pivots}
+    for pid, col in col_of.items():
+        particular[col] = work[pid].get(ncols, zero)
     nullspace = []
-    for fc in range(ncols):
-        if fc in pivot_cols:
-            continue
+    for fc in sorted(set(range(ncols)).difference(col_of.values())):
         vec = [zero] * ncols
         vec[fc] = one
-        for col, pivot in pivots:
-            e = pivot.get(fc)
-            if e is not None:
-                vec[col] = zero - e
+        for rid in index[fc]:
+            vec[col_of[rid]] = zero - work[rid][fc]
         nullspace.append(vec)
     return LinearSolution(False, particular, nullspace)
 
 
 # -- matrix helpers ----------------------------------------------------------
-
-
-def mat_shape(A: Matrix) -> tuple[int, int]:
-    return len(A), len(A[0]) if A else 0
 
 
 def zeros(n: int, m: int, zero) -> Matrix:
@@ -143,20 +145,16 @@ def mat_scale(A: Matrix, c) -> Matrix:
 
 
 def mat_mul(A: Matrix, B: Matrix, zero) -> Matrix:
-    n, k = mat_shape(A)
-    k2, m = mat_shape(B)
-    if k != k2:
+    if (len(A[0]) if A else 0) != len(B):
         raise ValueError("shape mismatch")
-    out = zeros(n, m, zero)
-    for i in range(n):
-        for p in range(k):
-            a = A[i][p]
-            if _is_zero(a, zero):
-                continue
-            for j in range(m):
-                b = B[p][j]
-                if not _is_zero(b, zero):
-                    out[i][j] = out[i][j] + a * b
+    is_zero = _zero_test(zero)
+    out = zeros(len(A), len(B[0]) if B else 0, zero)
+    for row, out_row in zip(A, out):
+        for a, b_row in zip(row, B):
+            if not is_zero(a):
+                for j, b in enumerate(b_row):
+                    if not is_zero(b):
+                        out_row[j] = out_row[j] + a * b
     return out
 
 
@@ -173,7 +171,8 @@ def mat_eq(A: Matrix, B: Matrix) -> bool:
 
 
 def mat_is_zero(A: Matrix, zero) -> bool:
-    return all(_is_zero(a, zero) for row in A for a in row)
+    is_zero = _zero_test(zero)
+    return all(is_zero(a) for row in A for a in row)
 
 
 class SingularMatrix(ArithmeticError):
@@ -188,13 +187,13 @@ def mat_inverse(A: Matrix, zero, one) -> Matrix:
     j-th kernel vector is (A^-1 e_j, e_j).  Otherwise the first free column
     is a column of A, and its kernel vector has y = 0.
     """
-    n, m = mat_shape(A)
-    if n != m:
+    n = len(A)
+    if any(len(row) != n for row in A):
         raise ValueError("inverse of a non-square matrix")
     minus_one = zero - one
     rows = [{**dict(enumerate(row)), n + i: minus_one} for i, row in enumerate(A)]
     kernel = linear_solve(rows, [zero] * n, 2 * n, zero, one).nullspace
-    if kernel and _is_zero(kernel[0][n], zero):
+    if kernel and _zero_test(zero)(kernel[0][n]):
         raise SingularMatrix("matrix is singular")
     return [[kernel[j][i] for j in range(n)] for i in range(n)]
 

@@ -129,7 +129,7 @@ def rational_solutions(op: LinearDiffOperator, registry) -> list[RationalFunctio
     for vec in sol.nullspace:
         z = RationalFunction.const(0, registry)
         for coeff, mono in zip(vec, monos):
-            if coeff != 0:
+            if coeff:
                 z = z + RationalFunction.const(coeff, registry) * mono
         u = z / den
         if not op.apply(field, u).is_zero():
@@ -312,7 +312,7 @@ def horizontal_sections(system: ConnectionSystem, symbols: Optional[list[str]] =
     for vec in sol.nullspace:
         Y = [RationalFunction.const(0, reg) for _ in range(n)]
         for idx, coeff in enumerate(vec):
-            if coeff != 0:
+            if coeff:
                 m, k = divmod(idx, n)
                 Y[k] = Y[k] + RationalFunction.const(coeff, reg) * monomial(monos[m], reg)
         for s in syms:

@@ -67,12 +67,12 @@ def test_round_trip_stability(text):
     assert print_tree(t2) == print_tree(parse_expression(print_tree(t2)))
 
 
-def _tree_strategy(max_exponent=3):
+def _tree_strategy(max_exponent=3, names=("x", "t", "u1")):
     from hypothesis import strategies as st
 
     leaves = st.one_of(
         st.integers(0, 30).map(lambda n: ("num", Fraction(n))),
-        st.sampled_from(["x", "t", "u1"]).map(lambda s: ("var", s)),
+        st.sampled_from(list(names)).map(lambda s: ("var", s)),
     )
 
     def extend(children):
@@ -465,6 +465,45 @@ def test_run_command_reduce_telescope_and_galois_fuzz():
     inner()
 
 
+def test_run_command_check_gauge_and_flatten_fuzz(tmp_path):
+    """Random 2x2 problem files, shaped like the fixtures, through `check`,
+    `gauge` and `flatten`: every case ends in a documented exit code, without
+    an exception, within a time budget."""
+    from hypothesis import given, seed, settings, strategies as st
+
+    def shape(field, names):
+        """The field, one matrix per derivation, and a gauge matrix."""
+        entry = _tree_strategy(max_exponent=6, names=names).map(print_tree)
+        matrix = st.lists(st.lists(entry, min_size=2, max_size=2), min_size=2, max_size=2)
+        return st.tuples(st.just(field), st.fixed_dictionaries({s: matrix for s in names}),
+                         matrix)
+
+    # With a principal variable x, or over the parameters alone.
+    shapes = st.one_of(shape({"principal": "x", "parametric": ["t", "u1"]}, ("x", "t", "u1")),
+                       shape({"parametric": ["t", "u1"]}, ("t", "u1")))
+
+    @seed(20261019)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(shapes, st.booleans())
+    def inner(shape, dual):
+        field, matrices, g = shape
+        system = tmp_path / "system.json"
+        system.write_text(json.dumps({"field": field, "system": {
+            "size": 2, "dual": dual, "matrices": matrices}}))
+        gauge_file = tmp_path / "gauge.json"
+        gauge_file.write_text(json.dumps({"matrix": g}))
+        for argv in (["check", str(system), "--mode", "full"],
+                     ["check", str(system), "--mode", "pairwise"],
+                     ["gauge", str(system), "--matrix", str(gauge_file)],
+                     ["flatten", str(system)]):
+            start = time.perf_counter()
+            code, _ = run_command(argv)
+            assert code in (0, 1, 2, 3, 4), (argv, code)
+            assert time.perf_counter() - start < 10.0, argv
+
+    inner()
+
+
 def test_traced_functions_exist():
     """perfbench's layer tracer wraps program functions and methods by name;
     installing it fails when one of them is renamed or deleted."""
@@ -505,6 +544,16 @@ def test_run_command_exit_codes(tmp_path):
     # unsupported input -> 2
     code, _ = run_command(["reduce", "--integrand", "1/(x^2+1)", "--var", "x"])
     assert code == 2
+    code, _ = run_command(["check", fixture_path("heisenberg-obstruction"),
+                           "--mode", "pairwise"])
+    assert code == 2
+    bad_pair = tmp_path / "bad-pair.json"
+    bad_pair.write_text(json.dumps({
+        "field": {"principal": "x", "parametric": ["t"]},
+        "system": {"size": 1, "matrices": {"x": [["t"]], "t": [["0"]]}}}))
+    code, report = run_command(["flatten", str(bad_pair)])
+    assert code == 2
+    assert "pairwise principal check" in report.payload["detail"]
     # not found within bounds -> 3
     code, _ = run_command(["telescope", "--integrand", "1/((x-t)*(x-1)*x)",
                            "--var", "x", "--param", "t", "--max-order", "1"])

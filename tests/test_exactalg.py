@@ -311,9 +311,46 @@ _ENTRY = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
 @st.composite
+def _ansatz_shaped_systems(draw):
+    """Systems shaped like a flatten-ansatz or horizontal-sections solve: up to
+    40 rows in up to 30 unknowns, most rows with one entry, plus repeated rows,
+    rows that read 0 = b as given, and combinations of two earlier rows whose
+    right-hand side is often shifted, so that the system becomes inconsistent
+    only after elimination."""
+    ncols = draw(st.integers(1, 30))
+    col = st.integers(0, ncols - 1)
+    single = st.builds(lambda j, e: {j: e}, col, _ENTRY.filter(bool))
+    several = st.dictionaries(col, _ENTRY, min_size=min(2, ncols), max_size=4)
+    rows = draw(st.lists(st.one_of(single, single, single, several), max_size=30))
+    rhs = [draw(_ENTRY) for _ in rows]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["repeat", "combine", "zero"]) if rows
+                    else st.just("zero"))
+        if kind == "zero":
+            row = draw(st.dictionaries(col, st.just(Fraction(0)), max_size=2))
+            b = draw(_ENTRY.filter(bool))
+        elif kind == "repeat":
+            i = draw(st.integers(0, len(rows) - 1))
+            row, b = dict(rows[i]), draw(st.sampled_from([rhs[i], rhs[i] + 1]))
+        else:
+            i, k = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+            a, c = draw(_ENTRY.filter(bool)), draw(_ENTRY.filter(bool))
+            # Cancelled entries are kept as explicit zeros.
+            row = {j: a * rows[i].get(j, 0) + c * rows[k].get(j, 0)
+                   for j in rows[i].keys() | rows[k].keys()}
+            b = a * rhs[i] + c * rhs[k] + draw(_ENTRY)
+        rows.append(row)
+        rhs.append(b)
+    return rows, rhs, ncols
+
+
+@st.composite
 def _sparse_systems(draw):
     """Sparse Fraction systems with empty rows, all-zero columns, explicit
-    zero entries and right-hand sides that are often inconsistent."""
+    zero entries and right-hand sides that are often inconsistent; or, in the
+    second branch, ansatz-shaped ones."""
+    if draw(st.booleans()):
+        return draw(_ansatz_shaped_systems())
     m, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     dead = draw(st.sets(st.integers(0, max(ncols - 1, 0))))
     live = [j for j in range(ncols) if j not in dead]
@@ -331,9 +368,15 @@ def _sparse_systems(draw):
 @example(([{}, {}], [Fraction(0), Fraction(0)], 0))
 @example(([{0: Fraction(1)}, {0: Fraction(1)}], [Fraction(0), Fraction(1)], 1))
 @example(([], [], 3))
+# The shape of a horizontal-sections solve: 30 one-entry rows in 45 unknowns.
+@example(([{3 * m + k: Fraction(-1)} for k in (1, 2) for m in range(15)],
+          [Fraction(0)] * 30, 45))
 def test_linear_solve_matches_sympy_rref(system):
     rows, rhs, ncols = system
+    given_rows, given_rhs = [dict(row) for row in rows], list(rhs)
     sol = linear_solve(rows, rhs, ncols, Fraction(0), Fraction(1))
+    # Callers such as reduction_telescoper reuse their rows.
+    assert (rows, rhs) == (given_rows, given_rhs)
     expected = _rref_solution(rows, rhs, ncols, _fraction_to_sympy, _sympy_to_fraction)
     assert (sol.inconsistent, sol.particular, sol.nullspace) == expected
 
