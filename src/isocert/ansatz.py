@@ -1,10 +1,14 @@
-"""Shared bounded-ansatz utilities: monomial bases, derivatives of monomials
-and conversion of rational-function linear identities into Q-linear systems.
+"""The bounded polynomial ansatz behind both equivalence searches: monomial
+bases, derivatives of monomials, and one Leibniz row builder that turns
+rational-function linear identities into Q-linear systems.
 
-Every ansatz unknown is a parameter monomial x^m times a fixed shape, so an
-equation is a sum of terms z_k * x^shift * value in which the value depends on
-the shape (and the equation) only.  The monomial never multiplies a rational
-function: it enters as a shift of the exponent keys of the cleared value.
+Every ansatz unknown is a parameter monomial x^m times a fixed shape S (a
+flat list of entries: a matrix unit or constraint basis element for flatten,
+a unit vector e_k for horizontal sections), so by Leibniz
+nabla_s(m*S) = d_s(m)*S + m*nabla_s(S) and an equation is a sum of terms
+z_k * x^shift * value in which the value depends on the shape (and the
+equation) only.  The monomial never multiplies a rational function: it enters
+as a shift of the exponent keys of the cleared value.
 """
 
 from __future__ import annotations
@@ -59,6 +63,36 @@ def derivative_terms(field: FieldContext, m: Mono,
         return [(EMPTY_MONO, d)]
     return [(shift, RationalFunction.const(c, field.registry))
             for shift, c in d.num.rational_terms().items()]
+
+
+def leibniz_rows(field: FieldContext, monomials: list[Mono], shapes: list[list],
+                 stages: list[tuple[str, list[list], list]]
+                 ) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
+    """Q-linear rows of nabla_s(a) == rhs for each stage (s, nablas, rhs),
+    where a = sum z_k * monomials[m] * shapes[j] with k = m * len(shapes) + j,
+    nablas[j] is nabla_s(shapes[j]) entry by entry and rhs has one entry per
+    shape entry.  Equation e of a stage gathers, per shape, m*nabla_s(S)[e]
+    and d_s(m)*S[e], with d_s(m) taken once per monomial and stage."""
+    count = len(shapes)
+    equations: list[list[Term]] = []
+    rhs: list[RationalFunction] = []
+    for symbol, nablas, target in stages:
+        d_monomials = [derivative_terms(field, m, symbol) for m in monomials]
+        rhs += target
+        for e in range(len(target)):
+            terms: list[Term] = []
+            for j, (S, nabla) in enumerate(zip(shapes, nablas)):
+                value = nabla[e]
+                if not value.is_zero():
+                    terms += [(m * count + j, mono, value)
+                              for m, mono in enumerate(monomials)]
+                entry = S[e]
+                if entry.is_zero():
+                    continue
+                terms += [(m * count + j, shift, d if entry.is_one() else d * entry)
+                          for m, dm in enumerate(d_monomials) for shift, d in dm]
+            equations.append(terms)
+    return match_coefficients(equations, rhs)
 
 
 def match_coefficients(equations: list[list[Term]], rhs: list[RationalFunction]

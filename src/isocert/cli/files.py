@@ -314,7 +314,7 @@ def _build_system(problem: LoadedProblem, spec: dict) -> ConnectionSystem:
             raise ProblemFileError(f"matrix for unknown derivation {name!r}")
         mat = parse_matrix(problem, rows, size)
         if dual:
-            mat = mat_neg(mat_transpose(mat))
+            mat = apply_dual(mat)
         matrices[name] = mat
     principal = problem.principal if problem.principal in matrices else None
     return ConnectionSystem(problem.field, size, matrices, principal)

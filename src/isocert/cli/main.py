@@ -13,10 +13,11 @@ import sys
 
 from ..connection import (FlattenFound, FlattenObstruction, check_integrability,
                           flatten, gauge)
-from ..curve import PicardFuchsNotFound, picard_fuchs
-from ..derham import TelescoperNotFound, reduce as derham_reduce, telescoper
+from ..curve import picard_fuchs
+from ..derham import reduce as derham_reduce, telescoper
 from ..exactalg import ExactAlgError, VariableRegistry, VarKind, ZeroDenominator
 from ..galois import galois_descriptor
+from ..operators import TelescoperNotFound
 from .examples import (EXAMPLE_NAMES, ExampleFailure, run_all, run_example)
 from .exprio import (ExprSyntaxError, UnknownIdentifier, parse_expression,
                      parse_to_rational)
@@ -32,7 +33,9 @@ EXIT_MALFORMED = 4
 
 def _registry_for(expr_text: str, var: str, param: str | None) -> VariableRegistry:
     """Registry inferred from an expression: the principal variable first,
-    then the declared parameter, then any remaining identifiers."""
+    then the declared parameter, then any remaining identifiers.  An invalid
+    variable name, or a parameter equal to the principal variable, is
+    malformed input."""
     tree = parse_expression(expr_text)
     names: list[str] = []
 
@@ -49,10 +52,15 @@ def _registry_for(expr_text: str, var: str, param: str | None) -> VariableRegist
             walk(node[1])
 
     walk(tree)
+    if param == var:
+        raise ProblemFileError(f"the parameter {param!r} is the integration variable")
     registry = VariableRegistry()
-    registry.add(var, VarKind.PRINCIPAL)
-    if param and param != var:
-        registry.add(param, VarKind.PARAMETRIC)
+    try:
+        registry.add(var, VarKind.PRINCIPAL)
+        if param is not None:
+            registry.add(param, VarKind.PARAMETRIC)
+    except ValueError as exc:
+        raise ProblemFileError(str(exc)) from None
     for name in sorted(names):
         if name not in registry:
             registry.add(name, VarKind.PARAMETRIC)
@@ -282,7 +290,7 @@ def run_command(argv: list[str]) -> tuple[int, Report]:
             ZeroDenominator) as exc:
         return EXIT_MALFORMED, Report(args.command, {
             "status": "malformed-input", "detail": str(exc)})
-    except (TelescoperNotFound, PicardFuchsNotFound) as exc:
+    except TelescoperNotFound as exc:
         return EXIT_NOT_FOUND, Report(args.command, {
             "status": "not-found-within-bounds", "detail": str(exc)})
     # The remaining exact-algebra errors, curve errors among them, refuse

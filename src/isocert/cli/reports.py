@@ -8,6 +8,7 @@ from dataclasses import dataclass, field as dc_field
 
 from ..exactalg import RationalFunction, format_rational
 from ..exactalg.linalg import Matrix
+from ..exactalg.printing import _top_level_ops
 
 
 @dataclass
@@ -49,7 +50,7 @@ def operator_text(op) -> str:
         text = format_rational(c)
         wrapped = text if _atomic(text) else f"({text})"
         if i == 0:
-            parts.append(text if _atomic(text) else f"({text})")
+            parts.append(wrapped)
         elif i == 1:
             parts.append(f"{wrapped}*{head}")
         else:
@@ -64,15 +65,7 @@ def operator_text(op) -> str:
 
 
 def _atomic(text: str) -> bool:
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif depth == 0 and (ch in "+*" or (ch == "-" and i > 0)):
-            return False
-    return True
+    return not _top_level_ops(text) & {"+", "*", "-"}
 
 
 def emit_report(report: Report, fmt: str = "human") -> str:

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .ansatz import (Term, derivative_terms, match_coefficients, monomial,
-                     monomials_up_to)
+from .ansatz import leibniz_rows, monomial, monomials_up_to
 from .derham import (Exact2FormUnsolvable, Exact2FormUnsupported, H1Class,
                      exact2form_solvable)
 from .exactalg import (ExactAlgError, RationalFunction, SingularMatrix, VarKind,
@@ -398,11 +397,11 @@ def _flatten_ansatz(system: ConnectionSystem, syms: list[str],
     Each unknown direction is m*S, a parameter monomial times a shape, and by
     Leibniz nabla_i(m*S) = d_i(m)*S + m*nabla_i(S) with nabla_i(S) =
     d_i(S) - [A_i, S]; so `_ansatz_rows` builds nabla_i(S) once per shape and
-    d_i(m) once per monomial.  Each equation is multiplied by the lcm D of its
-    distinct denominators.  That leaves its solution set unchanged, and
-    linear_solve returns the reduced-row-echelon particular solution and
-    kernel, which depend only on the solution set, so the moves do not depend
-    on D."""
+    `leibniz_rows` takes d_i(m) once per monomial.  Each equation is
+    multiplied by the lcm D of its distinct denominators.  That leaves its
+    solution set unchanged, and linear_solve returns the reduced-row-echelon
+    particular solution and kernel, which depend only on the solution set, so
+    the moves do not depend on D."""
     f = system.field
     n = system.size
     monomials, shapes = _ansatz_matrices(system, constraint, degree_bound)
@@ -439,35 +438,19 @@ def _ansatz_rows(work: ConnectionSystem, target: str, earlier: list[str],
                  ) -> tuple[list[dict[int, Fraction]], list[Fraction]]:
     """Q-linear rows of nabla_i(a) = defect(target, i) for i in `earlier`
     (zero for the principal symbol), a = sum z_k * monomials[m] * shapes[s]
-    with k = m * len(shapes) + s."""
+    with k = m * len(shapes) + s: `leibniz_rows` on the flattened shapes
+    with nabla_i(S) = d_i(S) - [A_i, S]."""
     f = work.field
     n = work.size
-    count = len(shapes)
-    equations: list[list[Term]] = []
-    rhs: list[RationalFunction] = []
+    stages = []
     for i_sym in earlier:
         A = work.matrix(i_sym)
-        nablas = [mat_sub(mat_apply(lambda e: f.derive(e, i_sym), S),
-                          mat_commutator(A, S, f.zero)) for S in shapes]
-        d_monomials = [derivative_terms(f, m, i_sym) for m in monomials]
-        rhs_mat = defect(work, target, i_sym) if i_sym != work.principal \
-            else zeros(n, n, f.zero)
-        for r in range(n):
-            for c in range(n):
-                terms: list[Term] = []
-                for s, (S, nabla) in enumerate(zip(shapes, nablas)):
-                    value = nabla[r][c]
-                    if not value.is_zero():
-                        terms += [(m * count + s, mono, value)
-                                  for m, mono in enumerate(monomials)]
-                    entry = S[r][c]
-                    if not entry.is_zero():
-                        terms += [(m * count + s, shift, d * entry)
-                                  for m, dm in enumerate(d_monomials)
-                                  for shift, d in dm]
-                equations.append(terms)
-                rhs.append(rhs_mat[r][c])
-    return match_coefficients(equations, rhs)
+        nablas = [sum(mat_sub(mat_apply(lambda e: f.derive(e, i_sym), S),
+                              mat_commutator(A, S, f.zero)), []) for S in shapes]
+        rhs = sum(defect(work, target, i_sym), []) if i_sym != work.principal \
+            else [f.zero] * (n * n)
+        stages.append((i_sym, nablas, rhs))
+    return leibniz_rows(f, monomials, [sum(S, []) for S in shapes], stages)
 
 
 def _ansatz_matrices(system: ConnectionSystem, constraint: Optional[list[Matrix]],

@@ -25,7 +25,7 @@ from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
 from .exactalg.factor import _rf_sort_key
 from .exactalg.poly import gcd as poly_gcd
 from .fields import FieldContext
-from .operators import LinearDiffOperator, reduction_telescoper
+from .operators import LinearDiffOperator, TelescoperResult, reduction_telescoper
 
 
 class CurveError(ExactAlgError):
@@ -35,12 +35,6 @@ class CurveError(ExactAlgError):
 class UnsupportedPoles(CurveError):
     """The form has poles the reduction cannot move into the certificate
     (e.g. simple poles off the branch locus: third-kind differentials)."""
-
-
-class PicardFuchsNotFound(CurveError):
-    def __init__(self, max_order: int):
-        super().__init__(f"no operator up to order {max_order}")
-        self.max_order = max_order
 
 
 @dataclass
@@ -342,13 +336,6 @@ def _check_curve_reduction(omega: CurveElement, result: CurveReduction) -> None:
         raise AssertionError("curve reduction identity failed; this is a bug")
 
 
-@dataclass(frozen=True)
-class CurveTelescoperResult:
-    operator: LinearDiffOperator
-    certificate: CurveElement
-    minimal_certified: bool
-
-
 def derive_curve_reduction(r: CurveReduction, t_name: str) -> CurveReduction:
     """The reduction of d_t omega from the reduction r of omega: if
     omega = d(C) + sum coords_k x^k/w, reduce d_t of the small representative
@@ -367,23 +354,27 @@ def derive_curve_reduction(r: CurveReduction, t_name: str) -> CurveReduction:
 
 
 def picard_fuchs(curve: CurveSpec, form_index: int, t_name: str,
-                 max_order: int = 4) -> CurveTelescoperResult:
+                 max_order: int = 4) -> TelescoperResult:
     """Minimal monic operator D in d_t with D(x^i/w) dx = d(certificate).
 
     Reduces the basis form once and gets the reduction of each d_t^j of it
     from the previous one by `derive_curve_reduction`; the first linear
     dependence of the class vectors over the parameter field gives D.  The
     identity is checked before returning."""
+    if t_name == curve.x_name:
+        raise ValueError(f"the parameter {t_name!r} is the curve variable")
     if not 0 <= form_index < curve.basis_size():
         raise CurveError(f"form index {form_index} out of range")
     b = curve.basis_form(form_index)
-    found = reduction_telescoper(curve_reduce(b),
-                                 lambda r: derive_curve_reduction(r, t_name),
-                                 lambda r: dict(enumerate(r.h1.coords)),
-                                 t_name, curve.registry, max_order)
-    if found is None:
-        raise PicardFuchsNotFound(max_order)
-    operator, cert = found
-    if not (operator.apply(CurveContext(curve), b) - curve_derive(cert, curve.x_name)).is_zero():
+    return reduction_telescoper(curve_reduce(b),
+                                lambda r: derive_curve_reduction(r, t_name),
+                                lambda r: dict(enumerate(r.h1.coords)),
+                                lambda op, cert: _check_picard_fuchs(op, b, cert),
+                                t_name, curve.registry, max_order)
+
+
+def _check_picard_fuchs(operator: LinearDiffOperator, b: CurveElement,
+                        cert: CurveElement) -> None:
+    curve = b.curve
+    if operator.apply(CurveContext(curve), b) != curve_derive(cert, curve.x_name):
         raise AssertionError("Picard-Fuchs identity failed; this is a bug")
-    return CurveTelescoperResult(operator, cert, minimal_certified=True)

@@ -17,15 +17,8 @@ from fractions import Fraction
 from .exactalg import MultiPoly, NonLinearFactor, RationalFunction, partial_fractions
 from .exactalg.factor import _rf_sort_key
 from .fields import RationalFieldContext
-from .operators import LinearDiffOperator, reduction_telescoper
-
-
-class TelescoperNotFound(Exception):
-    """No k-linear dependence among the reduced derivatives up to max_order."""
-
-    def __init__(self, max_order: int):
-        super().__init__(f"no telescoper up to order {max_order}")
-        self.max_order = max_order
+from .operators import (LinearDiffOperator, TelescoperNotFound,  # noqa: F401
+                        TelescoperResult, reduction_telescoper)
 
 
 class H1Class:
@@ -54,16 +47,6 @@ class H1Class:
 
     def scale(self, c: RationalFunction) -> "H1Class":
         return H1Class({p: c * r for p, r in self.residues.items()})
-
-    def representative(self, x_name: str) -> RationalFunction:
-        if not self.residues:
-            raise ValueError("zero class has the zero representative; build it from the registry")
-        reg = next(iter(self.residues)).registry
-        x = RationalFunction.var(x_name, reg)
-        total = RationalFunction.const(0, reg)
-        for p in self.poles():
-            total = total + self.residues[p] / (x - p)
-        return total
 
     def __eq__(self, other) -> bool:
         return isinstance(other, H1Class) and self.residues == other.residues
@@ -134,13 +117,6 @@ def gm_derivative(cls: H1Class, d_name: str) -> H1Class:
     return H1Class({p: r.derive(d_name) for p, r in cls.residues.items()})
 
 
-@dataclass(frozen=True)
-class TelescoperResult:
-    operator: LinearDiffOperator
-    certificate: RationalFunction
-    minimal_certified: bool
-
-
 def derive_reduction(r: ReductionResult, x_name: str, t_name: str) -> ReductionResult:
     """The reduction of d_t f from the reduction r of f, with no partial
     fractions: if f = d_x(c) + sum r_p/(x-p), then
@@ -165,14 +141,13 @@ def telescoper(b: RationalFunction, x_name: str, t_name: str,
     dependence of the residue vectors certifies minimality within the
     x-linear-pole domain.  The identity is checked before returning.
     """
-    found = reduction_telescoper(reduce(b, x_name),
-                                 lambda r: derive_reduction(r, x_name, t_name),
-                                 lambda r: r.h1.residues, t_name, b.registry, max_order)
-    if found is None:
-        raise TelescoperNotFound(max_order)
-    operator, cert = found
-    _check_telescoper(operator, b, cert, x_name, t_name)
-    return TelescoperResult(operator, cert, minimal_certified=True)
+    if t_name == x_name:
+        raise ValueError(f"the parameter {t_name!r} is the integration variable")
+    return reduction_telescoper(
+        reduce(b, x_name), lambda r: derive_reduction(r, x_name, t_name),
+        lambda r: r.h1.residues,
+        lambda op, cert: _check_telescoper(op, b, cert, x_name, t_name),
+        t_name, b.registry, max_order)
 
 
 def _check_telescoper(operator: LinearDiffOperator, b: RationalFunction,

@@ -36,20 +36,16 @@ def _format_term(coeff: Fraction, mono, registry: VariableRegistry) -> str:
 def format_poly(p: MultiPoly, registry: VariableRegistry) -> str:
     if p.is_zero():
         return "0"
-    out = ""
     terms = p.rational_terms()
+    parts: list[str] = []
     for mono in sorted(terms, key=mono_key_grlex, reverse=True):
         term = _format_term(terms[mono], mono, registry)
-        if not out:
-            out = term
-        elif term.startswith("-"):
-            out += "-" + term[1:]
-        else:
-            out += "+" + term
-    return out
+        parts.append(term if not parts or term.startswith("-") else "+" + term)
+    return "".join(parts)
 
 
 def _top_level_ops(text: str) -> set[str]:
+    """The operators of `text` outside parentheses; a leading '-' is a sign."""
     ops: set[str] = set()
     depth = 0
     for i, ch in enumerate(text):
@@ -64,8 +60,8 @@ def _top_level_ops(text: str) -> set[str]:
     return ops
 
 
-def format_rational(f: RationalFunction, registry: VariableRegistry | None = None) -> str:
-    reg = registry or f.registry
+def format_rational(f: RationalFunction) -> str:
+    reg = f.registry
     if f.den.is_one():
         return format_poly(f.num, reg)
     num, den = f.num, f.den

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .ansatz import (derivative_terms, match_coefficients, monomial,
-                     monomials_up_to)
+from .ansatz import leibniz_rows, match_coefficients, monomial, monomials_up_to
 from .connection import ConnectionSystem
 from .curve import CurveSpec, picard_fuchs
 from .derham import telescoper
@@ -269,44 +268,33 @@ def rebase_derivations(system: ConnectionSystem, rebase: DerivationRebase) -> Co
 
 
 def horizontal_sections(system: ConnectionSystem, symbols: Optional[list[str]] = None,
-                        degree_bound: int = 6,
-                        variables: Optional[list[str]] = None) -> list[list[RationalFunction]]:
+                        degree_bound: int = 6) -> list[list[RationalFunction]]:
     """Q-basis of polynomial-ansatz solutions of dY = A_d Y for all chosen
     derivations simultaneously; complete only within the degree bound, and
     every returned vector is verified exactly.
 
-    The unknowns are m*e_k, a parameter monomial times a unit vector, and
-    d_s(m*e_k) - A_s*(m*e_k) = d_s(m)*e_k - m*A_s*e_k: column k of A_s is
-    negated once per derivation and d_s(m) taken once per monomial.  Each
-    equation is multiplied by the lcm D of its distinct denominators, which
-    leaves its solution set unchanged, and the kernel basis linear_solve
-    returns is reduced row echelon, so it does not depend on D."""
+    The unknowns are m*e_k, a parameter monomial times a unit vector, so
+    `leibniz_rows` gets the shapes e_k with nabla_s(e_k) = -A_s*e_k (column k
+    of A_s, its nonzero entries negated once per derivation) and takes d_s(m)
+    once per monomial.  Each equation is multiplied by the lcm D of its
+    distinct denominators, which leaves its solution set unchanged, and the
+    kernel basis linear_solve returns is reduced row echelon, so it does not
+    depend on D."""
     f = system.field
     reg = f.registry
     syms = symbols if symbols is not None else system.symbols()
-    for s in syms:
-        system.matrix(s)
-    if variables is not None:
-        var_idx = [reg.index(v) for v in variables]
-    else:
-        var_idx = [i for i in range(len(reg)) if reg.kind(i) == VarKind.PARAMETRIC]
-    monos = monomials_up_to(var_idx, degree_bound)
     n = system.size
     zero = f.zero
-    equations = []
+    stages = []
     for s in syms:
         A = system.matrix(s)
-        d_monos = [derivative_terms(f, m, s) for m in monos]
-        for r in range(n):
-            terms = []
-            for k in range(n):
-                if not A[r][k].is_zero():
-                    value = -A[r][k]
-                    terms += [(m * n + k, mono, value) for m, mono in enumerate(monos)]
-            terms += [(m * n + r, shift, d) for m, dm in enumerate(d_monos)
-                      for shift, d in dm]
-            equations.append(terms)
-    rows, rhs_q = match_coefficients(equations, [zero] * len(equations))
+        nablas = [[zero if A[r][k].is_zero() else -A[r][k] for r in range(n)]
+                  for k in range(n)]
+        stages.append((s, nablas, [zero] * n))
+    monos = monomials_up_to([i for i in range(len(reg)) if reg.kind(i) == VarKind.PARAMETRIC],
+                            degree_bound)
+    units = [[f.one if r == k else zero for r in range(n)] for k in range(n)]
+    rows, rhs_q = leibniz_rows(f, monos, units, stages)
     sol = linear_solve(rows, rhs_q, len(monos) * n, Fraction(0), Fraction(1))
     basis = []
     for vec in sol.nullspace:

@@ -2,16 +2,26 @@
 
 D = d^n - sum_{i<n} c_i d^i, applied through any field context, so the same
 operator acts on rational functions, tower elements and curve elements.
-`reduction_telescoper` is the ascending search for the minimal such D that
-both telescopers (over k(x) and on genus-one curves) run on.
+`reduction_telescoper` is the one telescoping path for both telescopers (over
+k(x) and on genus-one curves): the ascending search for the minimal such D,
+the identity check its caller passes in, one `TelescoperResult` and one
+`TelescoperNotFound`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import RationalFunction, VariableRegistry, linear_solve
+from .exactalg import ExactAlgError, RationalFunction, VariableRegistry, linear_solve
 from .fields import FieldContext
+
+
+class TelescoperNotFound(ExactAlgError):
+    """No dependence among the reduced derivatives up to max_order."""
+
+    def __init__(self, max_order: int):
+        super().__init__(f"no telescoper up to order {max_order}")
+        self.max_order = max_order
 
 
 @dataclass(frozen=True)
@@ -48,8 +58,15 @@ class LinearDiffOperator:
         return LinearDiffOperator(symbol, tuple(-c for c in relation[:-1]))
 
 
-def reduction_telescoper(first, step, coords, t_name: str, registry: VariableRegistry,
-                         max_order: int):
+@dataclass(frozen=True)
+class TelescoperResult:
+    operator: LinearDiffOperator
+    certificate: object  # a RationalFunction, or a CurveElement on a curve
+    minimal_certified: bool
+
+
+def reduction_telescoper(first, step, coords, check, t_name: str,
+                         registry: VariableRegistry, max_order: int) -> TelescoperResult:
     """Minimal monic D in d_t with D(b) = d_x(certificate), by reduction-based
     creative telescoping (Bostan-Chen-Chyzak-Li 2010; Chen-Kauers-Koutschan
     2016).
@@ -60,8 +77,9 @@ def reduction_telescoper(first, step, coords, t_name: str, registry: VariableReg
     the coordinates of its class (a dict key -> coefficient in Q(params)).
     For ascending n, one linear solve looks for the first Q(params)-linear
     dependence of the class vectors of orders 0..n; the first one found is
-    minimal.  Returns (operator, certificate), or None when there is none up
-    to max_order.  The caller checks the identity D(b) = d_x(certificate).
+    minimal.  `check(operator, certificate)` verifies D(b) = d_x(certificate)
+    before the result is returned.  Raises TelescoperNotFound when there is
+    no dependence up to max_order.
     """
     zero = RationalFunction.const(0, registry)
     one = RationalFunction.const(1, registry)
@@ -82,6 +100,7 @@ def reduction_telescoper(first, step, coords, t_name: str, registry: VariableReg
             for e_j, r_j in zip(sol.particular, reductions):
                 if not e_j.is_zero():
                     certificate = certificate + r_j.certificate * e_j
-            relation = list(sol.particular) + [one]
-            return LinearDiffOperator.from_dependence(t_name, relation), certificate
-    return None
+            operator = LinearDiffOperator.from_dependence(t_name, list(sol.particular) + [one])
+            check(operator, certificate)
+            return TelescoperResult(operator, certificate, minimal_certified=True)
+    raise TelescoperNotFound(max_order)

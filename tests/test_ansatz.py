@@ -1,12 +1,14 @@
-"""Differential tests of the structured ansatz rows behind flatten: one
-nabla per shape, d(m) per monomial and monomials as key shifts, against a
-dense reference that builds one n x n column per unknown with
-mat_commutator and clears it one entry at a time."""
+"""Differential tests of the shared Leibniz rows behind flatten and
+horizontal sections: one nabla per shape, d(m) per monomial and monomials as
+key shifts, against dense references that build one column per unknown (an
+n x n matrix with mat_commutator for flatten, the vector
+d_s(m*e_k) - A_s*m*e_k for horizontal sections) and clear it one entry at a
+time."""
 
 import random
 from fractions import Fraction
 
-from isocert.ansatz import monomial
+from isocert.ansatz import monomial, monomials_up_to
 from isocert.connection import (ConnectionSystem, _ansatz_matrices, _ansatz_rows,
                                 defect, equivalence_move, gauge)
 from isocert.difftower import DerivationSymbol, Tower
@@ -16,7 +18,7 @@ from isocert.exactalg import (MultiPoly, RationalFunction, VariableRegistry,
 from isocert.exactalg.linalg import mat_apply
 from isocert.exactalg.poly import exact_div, mono_from_items
 from isocert.fields import RationalFieldContext
-from isocert.galois import DerivationRebase, rebase_derivations
+from isocert.galois import DerivationRebase, horizontal_sections, rebase_derivations
 
 from conftest import random_matrix
 
@@ -35,6 +37,12 @@ def _dense_rows(work, target, earlier, monomials, shapes):
             nabla = mat_sub(mat_apply(lambda e: f.derive(e, i_sym), U),
                             mat_commutator(work.matrix(i_sym), U, f.zero))
             columns[k] += [nabla[r][c] for r in range(n) for c in range(n)]
+    return _match_dense(columns, rhs)
+
+
+def _match_dense(columns, rhs):
+    """Q-linear rows of sum_k z_k * columns[k][e] == rhs[e], each equation
+    cleared by the lcm of all its denominators."""
     rows, out = [], []
     for e, target_e in enumerate(rhs):
         entries = [(k, col[e]) for k, col in enumerate(columns) if not col[e].is_zero()]
@@ -64,6 +72,45 @@ def _compare(work, target, earlier, constraint=None, degree_bound=2):
     assert got.inconsistent == want.inconsistent
     assert got.particular == want.particular
     assert got.nullspace == want.nullspace
+    return got
+
+
+def _dense_sections(system, syms, degree_bound=2):
+    """Horizontal sections from the dense rows: one column
+    d_s(m*e_k) - A_s*(m*e_k) per unknown m*e_k and derivation s."""
+    f = system.field
+    reg = f.registry
+    n = system.size
+    monos = monomials_up_to([i for i in range(len(reg)) if reg.kind(i) == VarKind.PARAMETRIC],
+                            degree_bound)
+    columns = []
+    for m in monos:
+        for k in range(n):
+            column = []
+            for s in syms:
+                A = system.matrix(s)
+                dm = f.derive(monomial(m, reg), s)
+                column += [(dm if r == k else f.zero) - A[r][k] * monomial(m, reg)
+                           for r in range(n)]
+            columns.append(column)
+    sol = linear_solve(*_match_dense(columns, [f.zero] * (n * len(syms))),
+                       len(columns), Fraction(0), Fraction(1))
+    assert not sol.inconsistent
+    basis = []
+    for vec in sol.nullspace:
+        Y = [f.zero] * n
+        for idx, coeff in enumerate(vec):
+            if coeff:
+                m, k = divmod(idx, n)
+                Y[k] = Y[k] + RationalFunction.const(coeff, reg) * monomial(monos[m], reg)
+        basis.append(Y)
+    return basis
+
+
+def _compare_sections(system, syms=None, degree_bound=2):
+    syms = syms if syms is not None else system.symbols()
+    got = horizontal_sections(system, syms, degree_bound=degree_bound)
+    assert got == _dense_sections(system, syms, degree_bound)
     return got
 
 
@@ -121,6 +168,8 @@ def test_rows_random_systems_with_principal():
                 for s in ("x", "t1", "t2")}
         work = ConnectionSystem(f, 2, mats, principal="x")
         _compare(work, "t2", ["t1", "x"])
+        _compare_sections(work)
+        _compare_sections(work, ["t1"])
 
 
 def test_rows_planted_with_principal():
@@ -140,6 +189,7 @@ def test_rows_planted_with_principal():
         work = _planted(flat, "t2", rnd)
         sol = _compare(work, "t2", ["t1", "x"])
         assert not sol.inconsistent and any(sol.particular)
+        _compare_sections(work)
 
 
 def test_rows_non_constant_constraint_shape():
@@ -154,6 +204,9 @@ def test_rows_non_constant_constraint_shape():
         work = _planted(flat, "t2", rnd, constraint=[shape])
         sol = _compare(work, "t2", ["t1"], constraint=[shape])
         assert not sol.inconsistent and any(sol.particular)
+        _compare_sections(work)
+        # The columns of g are sections of the gauge of the zero system by g.
+        assert _compare_sections(flat)
         _compare(flat.with_matrices({**flat.matrices, "t2": shape}), "t2", ["t1"],
                  constraint=[shape])
 
@@ -177,6 +230,8 @@ def test_rows_rebased_field_with_rational_monomial_derivatives():
         work = _planted(flat, "d2", rnd)
         sol = _compare(work, "d2", ["d1"])
         assert not sol.inconsistent and any(sol.particular)
+        _compare_sections(work)
+        _compare_sections(flat)
 
 
 def test_rows_tower_field():
@@ -195,3 +250,5 @@ def test_rows_tower_field():
         work = _planted(flat, "t2", rnd)
         sol = _compare(work, "t2", ["t1"])
         assert not sol.inconsistent and any(sol.particular)
+        _compare_sections(work)
+        _compare_sections(flat)

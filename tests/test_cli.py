@@ -444,25 +444,52 @@ def test_reduce_of_a_high_order_pole_is_quick():
 
 
 def test_run_command_reduce_telescope_and_galois_fuzz():
-    """Random expression trees through `reduce`, `telescope` and `galois`:
-    every case ends in a documented exit code, without an exception, within a
-    time budget."""
-    from hypothesis import given, seed, settings
+    """Random expression trees through `reduce`, `telescope`, `galois` and
+    `picard-fuchs`, with variable and parameter names drawn from a pool that
+    holds invalid names and lets the two coincide: every case ends in a
+    documented exit code, without an exception, within a time budget."""
+    from hypothesis import given, seed, settings, strategies as st
+
+    names = st.sampled_from(["x", "t", "u1", "2t"])
 
     @seed(20261019)
     @settings(max_examples=40, deadline=None, database=None)
-    @given(_tree_strategy(max_exponent=6))
-    def inner(tree):
+    @given(_tree_strategy(max_exponent=6), names, names)
+    def inner(tree, var, param):
         text = print_tree(tree)
-        for argv in (["reduce", f"--integrand={text}", "--var", "x"],
-                     ["telescope", f"--integrand={text}", "--var", "x", "--param", "t"],
-                     ["galois", f"--integrand={text}", "--var", "x", "--param", "t"]):
+        for argv in (["reduce", f"--integrand={text}", "--var", var],
+                     ["telescope", f"--integrand={text}", "--var", var, "--param", param],
+                     ["galois", f"--integrand={text}", "--var", var, "--param", param],
+                     ["picard-fuchs", f"--curve={text}", "--param", param]):
             start = time.perf_counter()
             code, _ = run_command(argv)
             assert code in (0, 1, 2, 3, 4), (argv, code)
             assert time.perf_counter() - start < 10.0, argv
 
     inner()
+
+
+def test_bad_variable_names_are_malformed_input():
+    # An invalid name, or a parameter equal to the integration variable,
+    # is refused before any computation.
+    for argv, detail in (
+            (["reduce", "--integrand", "x", "--var", "1x"], "invalid variable name: '1x'"),
+            (["telescope", "--integrand", "1/(x-t)", "--var", "x", "--param", "2t"],
+             "invalid variable name: '2t'"),
+            (["telescope", "--integrand", "1/(x-t)", "--var", "x", "--param", "x"],
+             "the parameter 'x' is the integration variable"),
+            (["galois", "--integrand", "1/(x-t)", "--var", "x", "--param", "x"],
+             "the parameter 'x' is the integration variable"),
+            (["picard-fuchs", "--curve", "x^3-t", "--param", "x"],
+             "the parameter 'x' is the integration variable")):
+        code, report = run_command(argv)
+        assert code == 4, argv
+        assert report.payload == {"status": "malformed-input", "detail": detail}
+    done = _python_m_main(["--json", "telescope", "--integrand", "1/(x-t)", "--var", "x",
+                           "--param", "2t"], timeout=60)
+    assert done.returncode == 4
+    assert json.loads(done.stdout)["status"] == "malformed-input"
+    assert "Traceback" not in done.stderr
 
 
 def test_run_command_check_gauge_and_flatten_fuzz(tmp_path):
@@ -502,6 +529,15 @@ def test_run_command_check_gauge_and_flatten_fuzz(tmp_path):
             assert time.perf_counter() - start < 10.0, argv
 
     inner()
+
+
+def test_every_exported_name_resolves():
+    import importlib
+
+    for package in ("isocert", "isocert.exactalg", "isocert.cli"):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            assert getattr(module, name, None) is not None, (package, name)
 
 
 def test_traced_functions_exist():

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from isocert.curve import (CurveContext, CurveElement, CurveError, CurveSpec,
-                           PicardFuchsNotFound, UnsupportedPoles, _split_f_level,
-                           curve_derive, curve_reduce, curve_w, picard_fuchs)
+                           UnsupportedPoles, _split_f_level, curve_derive,
+                           curve_reduce, curve_w, picard_fuchs)
 from isocert.exactalg import RationalFunction, UPoly, linear_solve
 from isocert.exactalg.poly import gcd as poly_gcd
+from isocert.operators import TelescoperNotFound
 
 
 @pytest.fixture
@@ -176,7 +177,7 @@ def test_quartic_curve_basis(xt):
 
 
 def test_picard_fuchs_not_found(xt, legendre):
-    with pytest.raises(PicardFuchsNotFound):
+    with pytest.raises(TelescoperNotFound):
         picard_fuchs(legendre, 0, "t", max_order=1)
 
 
