@@ -286,11 +286,20 @@ def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
     if "system" in data:
         problem.system = _build_system(problem, data["system"])
     if "curve" in data:
+        check_curve_names(registry)
         f_expr = problem.parse(data["curve"]["f"])
         if not f_expr.is_poly():
             raise ProblemFileError("curve polynomial must have denominator 1")
         problem.curve = CurveSpec(f_expr.num, principal or "x", registry)
     return problem
+
+
+def check_curve_names(registry: VariableRegistry) -> None:
+    """Reports print the square root on a curve w^2 = f as w, so no variable
+    next to a curve may be named w."""
+    if "w" in registry:
+        raise ProblemFileError("the name 'w' is reserved for the square root "
+                               "on the curve w^2 = f")
 
 
 def parse_matrix(problem: LoadedProblem, rows: list[list[str]],

@@ -21,7 +21,8 @@ from ..operators import TelescoperNotFound
 from .examples import (EXAMPLE_NAMES, ExampleFailure, run_all, run_example)
 from .exprio import (ExprSyntaxError, UnknownIdentifier, parse_expression,
                      parse_to_rational)
-from .files import ProblemFileError, load_problem, parse_matrix
+from .files import (ProblemFileError, check_curve_names, load_problem,
+                    parse_matrix)
 from .reports import Report, emit_report, matrix_text, operator_text, value_text
 
 EXIT_OK = 0
@@ -148,6 +149,7 @@ def _cmd_telescope(args) -> tuple[int, Report]:
 
 def _cmd_picard_fuchs(args) -> tuple[int, Report]:
     registry = _registry_for(args.curve, "x", args.param)
+    check_curve_names(registry)
     f = parse_to_rational(args.curve, registry)
     if not f.is_poly():
         raise ProblemFileError("curve polynomial must have denominator 1")
@@ -282,6 +284,10 @@ def run_command(argv: list[str]) -> tuple[int, Report]:
         code = exc.code if isinstance(exc.code, int) else EXIT_MALFORMED
         return (EXIT_OK if code == 0 else EXIT_MALFORMED), Report("argparse", {})
     try:
+        for option in ("max_order", "form", "degree_bound"):
+            if getattr(args, option, 0) < 0:
+                raise ProblemFileError(f"--{option.replace('_', '-')} must be "
+                                       f"non-negative, got {getattr(args, option)}")
         return args.func(args)
     except ExampleFailure as exc:
         return EXIT_PROPERTY_FAILS, Report(args.command, {

@@ -6,7 +6,7 @@ from .factor import (NonLinearFactor, PartialFractions, PoleTerm, linear_poles,
 from .linalg import (LinearSolution, SingularMatrix, identity, linear_solve,
                      mat_add, mat_commutator, mat_eq, mat_inverse, mat_is_zero,
                      mat_mul, mat_neg, mat_scale, mat_sub, mat_transpose, zeros)
-from .poly import MultiPoly, ZeroPolynomial, exact_div, gcd, lcm, poly_sqrt, prem
+from .poly import MultiPoly, ZeroPolynomial, exact_div, gcd, lcm, prem
 from .printing import format_poly, format_rational
 from .rational import RationalFunction, ZeroDenominator, normalize
 from .registry import (DuplicateVariable, ExactAlgError, UnknownVariable,
@@ -21,6 +21,5 @@ __all__ = [
     "format_rational", "gcd", "identity", "lcm", "linear_poles", "linear_solve",
     "mat_add", "mat_commutator", "mat_eq", "mat_inverse", "mat_is_zero",
     "mat_mul", "mat_neg", "mat_scale", "mat_sub", "mat_transpose", "normalize",
-    "partial_fractions", "poly_sqrt", "prem", "squarefree_factor", "upoly_xgcd",
-    "zeros",
+    "partial_fractions", "prem", "squarefree_factor", "upoly_xgcd", "zeros",
 ]

@@ -1,12 +1,17 @@
 """Squarefree factorization, linear splitting and partial fractions.
 
-Pole finding is complete for denominators whose squarefree parts split into
+Pole finding handles denominators whose squarefree parts split into
 factors linear in the distinguished variable over the remaining fraction
-field, located by content/primitive recursion over the parameter variables,
+field.  Factors that differ in their dependence on some parameter are
+peeled apart by contents; univariate factors over Q take their roots from
 p-adic root finding (Loos: Newton lifting of the simple roots modulo a
-prime, each candidate checked exactly) for univariate factors over Q, and
-an exact discriminant square root for quadratics.  Anything richer raises
-NonLinearFactor rather than approximating.
+prime, each candidate checked exactly); a factor with parameters left is
+evaluated at an integer point of its last parameter, the roots of the image
+are found by recursion, and each root is rebuilt from balanced xi-adic
+digits as in GCDHEU (Char, Geddes and Gonnet, JSC 1989), with the leading
+coefficient multiplied in first (Wang, Math. Comp. 1978).  Every root is
+checked by exact division.  Anything richer raises NonLinearFactor rather
+than approximating.
 """
 
 from __future__ import annotations
@@ -15,16 +20,24 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import (MultiPoly, ZeroPolynomial, content_wrt, exact_div, gcd,
-                   mono_exponent, mono_key_grlex, poly_sqrt, prem,
+from .poly import (FIELD_BITS, FIELD_MASK, MultiPoly, ZeroPolynomial, _int_degree,
+                   _int_div, _int_eval, _int_reconstruct, _normal, content_wrt,
+                   exact_div, gcd, mono_exponent, mono_key_grlex, prem,
                    squarefree_decomposition)
 from .rational import RationalFunction
 from .registry import ExactAlgError, VariableRegistry
 
 
 class NonLinearFactor(ExactAlgError):
-    """An irreducible factor of degree >= 2 in the distinguished variable
-    remains; the base field extension it would need is unsupported."""
+    """A factor of degree >= 2 in the distinguished variable is not split:
+    an irreducible one remains, and the base field extension it would need
+    is unsupported, or ("cannot split") no evaluation point tried was good."""
+
+
+class _DoesNotSplit(NonLinearFactor):
+    """A proof, valid when the factor passed in is squarefree, that it has an
+    irreducible factor of degree >= 2; any other NonLinearFactor from the
+    root finder may come from bad evaluation points."""
 
 
 def squarefree_factor(p: MultiPoly, v: int) -> list[tuple[MultiPoly, int]]:
@@ -120,63 +133,73 @@ def _roots_of_squarefree(q: MultiPoly, v: int,
         roots = rational_roots([u[e].const_value() if e in u else 0
                                 for e in range(d + 1)])
         if len(roots) != d:
-            raise NonLinearFactor(f"univariate factor of degree {d} does not split over Q")
+            raise _DoesNotSplit(f"univariate factor of degree {d} does not split over Q")
         return [RationalFunction.const(r, registry) for r in roots]
-    if d == 2:
-        u = q.as_univariate(v)
-        a = u.get(2, MultiPoly.zero())
-        b = u.get(1, MultiPoly.zero())
-        c = u.get(0, MultiPoly.zero())
-        disc = b * b - MultiPoly.const(4) * a * c
-        s = poly_sqrt(disc)
-        if s is not None:
-            two_a = MultiPoly.const(2) * a
-            return [RationalFunction(-b + s, two_a, registry),
-                    RationalFunction(-b - s, two_a, registry)]
-        if len(q.variables()) > 2:
-            raise NonLinearFactor("irreducible quadratic factor")
-    roots = _roots_by_newton_lifting(q, v, registry)
-    if roots is not None:
-        return roots
+    return _roots_by_evaluation(q, v, registry)
+
+
+def _roots_by_evaluation(q: MultiPoly, v: int,
+                         registry: VariableRegistry) -> list[RationalFunction]:
+    """Roots of q, squarefree of degree d >= 2 in v with parameters left,
+    from the roots of its images at integer points xi of the last parameter u.
+
+    Let L be lc_v of q's integer part.  By Gauss's lemma q splits iff
+    q = L * prod (v - H_j/L) with integer polynomials H_j.  Where L(xi) != 0
+    the image then has the roots H_j(xi)/L(xi), so L(xi) times a root of the
+    image (found by recursion, down to `rational_roots`) is H_j(xi), and its
+    balanced xi-adic digits give H_j once xi exceeds twice every coefficient
+    (the GCDHEU reconstruction, with GCDHEU's points).  A root is kept only
+    when den*v - num divides q exactly, and only d distinct kept roots are
+    returned.  A vanishing lead, a repeated root or a failed reconstruction
+    marks a bad point; a squarefree image that does not split proves that q
+    does not split.
+    """
+    d = q.degree(v)
+    u = max(q.variables() - {v})
+    a = q.ints
+    s = FIELD_BITS * v
+    lead = {m - (d << s): c for m, c in a.items() if (m >> s) & FIELD_MASK == d}
+    lc = _normal(lead, 1, 1)
+    deg = _int_degree(a, u)
+    xi = 2 * max(map(abs, a.values())) * max(map(abs, lead.values())) + 29
+    for _ in range(6):
+        powers = [1]
+        for _ in range(deg):
+            powers.append(powers[-1] * xi)
+        lead_image = _int_eval(lead, u, powers)
+        if lead_image:
+            image = _normal(_int_eval(a, u, powers), 1, 1)
+            try:
+                rhos = _roots_of_squarefree(image, v, registry)
+            except NonLinearFactor as exc:
+                if (isinstance(exc, _DoesNotSplit)
+                        and gcd(image, image.derivative(v)).degree(v) == 0):
+                    params = ", ".join(map(registry.name, sorted(q.variables() - {v})))
+                    raise _DoesNotSplit(f"factor of degree {d} in {registry.name(v)} "
+                                        f"does not split over Q({params})") from None
+                rhos = []
+            scale = _normal(lead_image, 1, 1)
+            roots = []
+            for rho in rhos:
+                try:
+                    image_h = exact_div(scale * rho.num, rho.den)
+                except ArithmeticError:
+                    break
+                c = image_h.content
+                if c.denominator != 1:
+                    break
+                h = _int_reconstruct({m: c.numerator * k for m, k in image_h.ints.items()},
+                                     u, xi, deg)
+                if h is None:
+                    break
+                root = RationalFunction(_normal(h, 1, 1), lc, registry)
+                if _int_div(a, (root.den * MultiPoly.var(v) - root.num).ints) is None:
+                    break
+                roots.append(root)
+            if len(set(roots)) == d:
+                return roots
+        xi = xi * 73794 // 27011 + 1
     raise NonLinearFactor(f"cannot split factor of degree {d} in the distinguished variable")
-
-
-# -- one-parameter splitting by Newton lifting --------------------------------
-#
-# For q(v; u) over Q with a single remaining parameter u: specialize u to a
-# generic rational point, lift each simple rational root to a power series in
-# (u - tau) by Newton iteration, reconstruct a bounded-degree rational
-# function, and verify the division exactly.  Verification makes the lifting
-# choices sound; failure falls through to NonLinearFactor.
-
-_LIFT_POINTS = (0, 1, -1, 2, -2, 3, -3, 5, -5, 7, 11)
-
-
-def _series_mul(a: list[Fraction], b: list[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        if ai == 0 or i >= n:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= n:
-                break
-            if bj != 0:
-                out[i + j] += ai * bj
-    return out
-
-
-def _series_inv(a: list[Fraction], n: int) -> list[Fraction] | None:
-    if not a or a[0] == 0:
-        return None
-    inv = [Fraction(0)] * n
-    inv[0] = 1 / a[0]
-    for k in range(1, n):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            if j < len(a) and a[j] != 0:
-                acc += a[j] * inv[k - j]
-        inv[k] = -acc / a[0]
-    return inv
 
 
 def _poly_to_series(p: MultiPoly, u: int, tau: Fraction, n: int) -> list[Fraction]:
@@ -190,121 +213,13 @@ def _poly_to_series(p: MultiPoly, u: int, tau: Fraction, n: int) -> list[Fractio
     return out
 
 
-def _series_eval_poly(coeffs: dict[int, list[Fraction]], c: list[Fraction],
-                      n: int) -> list[Fraction]:
-    top = max(coeffs)
-    acc = list(coeffs.get(top, [Fraction(0)] * n))
-    for e in range(top - 1, -1, -1):
-        acc = _series_mul(acc, c, n)
-        add = coeffs.get(e)
-        if add:
-            acc = [x + (add[i] if i < len(add) else 0) for i, x in enumerate(acc)]
-    return acc
-
-
-def _newton_lift(coeffs: dict[int, list[Fraction]], rho: Fraction,
-                 n: int) -> list[Fraction] | None:
-    dcoeffs = {e - 1: [Fraction(e) * x for x in s]
-               for e, s in coeffs.items() if e >= 1}
-    c = [Fraction(0)] * n
-    c[0] = rho
-    for _ in range(max(4, n.bit_length() + 2)):
-        val = _series_eval_poly(coeffs, c, n)
-        if all(x == 0 for x in val):
-            return c
-        dval = _series_eval_poly(dcoeffs, c, n)
-        inv = _series_inv(dval, n)
-        if inv is None:
-            return None
-        corr = _series_mul(val, inv, n)
-        c = [c[i] - corr[i] for i in range(n)]
-    val = _series_eval_poly(coeffs, c, n)
-    return c if all(x == 0 for x in val) else None
-
-
-def _reconstruct_rational(series: list[Fraction], bound: int, u: int,
-                          tau: Fraction, registry: VariableRegistry) -> RationalFunction | None:
-    """Find C, D of degree <= bound with C(s) = series * D(s) mod s^len and
-    D(0) = 1; return C(u - tau)/D(u - tau)."""
-    n = len(series)
-    from .linalg import linear_solve as _solve
-
-    # unknowns: C_0..C_bound, D_1..D_bound  (D_0 = 1)
-    n_c = bound + 1
-    n_d = bound
-    rows = []
-    rhs = []
-    for k in range(n):
-        row = {}
-        if k < n_c:
-            row[k] = Fraction(-1)
-        for j in range(1, min(k, n_d) + 1):
-            row[n_c + j - 1] = series[k - j]
-        rows.append(row)
-        rhs.append(-series[k])
-    sol = _solve(rows, rhs, n_c + n_d, Fraction(0), Fraction(1))
-    if sol.inconsistent:
-        return None
-    vec = sol.particular
-    s_poly = MultiPoly.var(u) - MultiPoly.const(tau)
-    C = MultiPoly.zero()
-    D = MultiPoly.one()
-    for k in range(n_c):
-        if vec[k]:
-            C = C + s_poly ** k * MultiPoly.const(vec[k])
-    for j in range(1, n_d + 1):
-        if vec[n_c + j - 1]:
-            D = D + s_poly ** j * MultiPoly.const(vec[n_c + j - 1])
-    if D.is_zero():
-        return None
-    return RationalFunction(C, D, registry)
-
-
-def _roots_by_newton_lifting(q: MultiPoly, v: int,
-                             registry: VariableRegistry) -> list[RationalFunction] | None:
-    rest = sorted(q.variables() - {v})
-    if len(rest) != 1:
-        return None
-    u = rest[0]
-    d = q.degree(v)
-    bound = q.degree(u)
-    n = 2 * bound + 3
-    coeffs_poly = q.as_univariate(v)
-    q_rf = RationalFunction.from_poly(q, registry)
-    for point in _LIFT_POINTS:
-        tau = Fraction(point)
-        coeffs = {e: _poly_to_series(p, u, tau, n) for e, p in coeffs_poly.items()}
-        lead = coeffs.get(d)
-        if lead is None or lead[0] == 0:
-            continue
-        dense = [coeffs.get(e, [Fraction(0)])[0] for e in range(d + 1)]
-        rhos = rational_roots(dense)
-        if len(rhos) != d:
-            continue
-        roots = []
-        for rho in rhos:
-            series = _newton_lift(coeffs, rho, n)
-            if series is None:
-                break
-            c = _reconstruct_rational(series, bound, u, tau, registry)
-            if c is None or not q_rf.substitute(v, c).is_zero():
-                break
-            roots.append(c)
-        if len(roots) == d:
-            return roots
-    return None
-
-
 def linear_poles(den: MultiPoly, v: int,
                  registry: VariableRegistry) -> list[tuple[RationalFunction, int]]:
     """Poles (root, multiplicity) of 1/den in variable v, deterministically
     ordered; raises NonLinearFactor when den does not split v-linearly."""
     out: list[tuple[RationalFunction, int]] = []
     for factor, mult in squarefree_factor(den, v):
-        roots = _roots_of_squarefree(factor, v, registry)
-        if len(roots) != factor.degree(v):
-            raise NonLinearFactor("incomplete splitting")
-        out.extend((r, mult) for r in roots)
+        out.extend((r, mult) for r in _roots_of_squarefree(factor, v, registry))
     out.sort(key=lambda pair: _rf_sort_key(pair[0]))
     return out
 

@@ -94,7 +94,9 @@ def linear_solve(rows: Sequence[SparseRow], rhs: Sequence, ncols: int,
             continue
         pid = min(candidates, key=lambda i: (len(work[i]), i))
         inv = one / work[pid][col]
-        work[pid] = pivot = {j: inv * e for j, e in work[pid].items()}
+        # The pivot entry is never read again, so it costs no product.
+        work[pid] = pivot = {j: one if j == col else inv * e
+                             for j, e in work[pid].items()}
         for rid in candidates - {pid}:
             _eliminate(work, rid, pivot, col, index, zero, is_zero)
             if len(work[rid]) == 1 and ncols in work[rid]:

@@ -33,13 +33,14 @@ a graded order keeps the early exit on a leading term that does not divide
 bounded.
 
 Also provides the polynomial toolbox the rest of the package is built on:
-exact division, pseudo-remainders, gcd, content/primitive splitting, Yun
-squarefree decomposition and exact polynomial square roots.  Exact division
-and the gcd both work on the integer parts: one heap division over Z
-(Monagan and Pearce, JSC 2011), and the heuristic GCDHEU (Char, Geddes and
-Gonnet, JSC 1989) variable by variable, checking every candidate by that
-division; the rare heuristic failure falls back to the subresultant PRS on
-the top common variable.
+exact division, pseudo-remainders, gcd, content/primitive splitting and Yun
+squarefree decomposition.  Exact division and the gcd both work on the
+integer parts: one heap division over Z (Monagan and Pearce, JSC 2011), and
+the heuristic GCDHEU (Char, Geddes and Gonnet, JSC 1989) variable by
+variable, checking every candidate by that division; the rare heuristic
+failure falls back to the subresultant PRS on the top common variable.  The
+parametric root finder in `factor` reuses GCDHEU's evaluation and
+reconstruction kernels.
 """
 
 from __future__ import annotations
@@ -827,40 +828,3 @@ def squarefree_decomposition(p: MultiPoly, var: int) -> tuple[MultiPoly, list[tu
     unit = exact_div(p, prod)
     return unit, factors
 
-
-def poly_sqrt(p: MultiPoly) -> MultiPoly | None:
-    """Exact square root of p, or None when p is not a perfect square."""
-    if p.is_zero():
-        return _ZERO
-    if p.is_const():
-        c = p.const_value()
-        if c < 0:
-            return None
-        num, den = c.numerator, c.denominator
-        rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-        if rn is None or rd is None:
-            return None
-        return MultiPoly.const(Fraction(rn, rd))
-    var = max(p.variables())
-    try:
-        unit, factors = squarefree_decomposition(p, var)
-    except ZeroPolynomial:
-        return None
-    if any(mult % 2 for _, mult in factors):
-        return None
-    root_unit = poly_sqrt(unit)
-    if root_unit is None:
-        return None
-    s = root_unit
-    for q, mult in factors:
-        s = s * q ** (mult // 2)
-    if s * s == p:
-        return s
-    return None
-
-
-def _isqrt_exact(n: int) -> int | None:
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None

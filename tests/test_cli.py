@@ -470,8 +470,8 @@ def test_run_command_reduce_telescope_and_galois_fuzz():
 
 
 def test_bad_variable_names_are_malformed_input():
-    # An invalid name, or a parameter equal to the integration variable,
-    # is refused before any computation.
+    # An invalid name, a parameter equal to the integration variable, or a
+    # curve variable named w is refused before any computation.
     for argv, detail in (
             (["reduce", "--integrand", "x", "--var", "1x"], "invalid variable name: '1x'"),
             (["telescope", "--integrand", "1/(x-t)", "--var", "x", "--param", "2t"],
@@ -481,7 +481,12 @@ def test_bad_variable_names_are_malformed_input():
             (["galois", "--integrand", "1/(x-t)", "--var", "x", "--param", "x"],
              "the parameter 'x' is the integration variable"),
             (["picard-fuchs", "--curve", "x^3-t", "--param", "x"],
-             "the parameter 'x' is the integration variable")):
+             "the parameter 'x' is the integration variable"),
+            # Reports print the square root on the curve as w.
+            (["picard-fuchs", "--curve", "x^3-w", "--param", "w"],
+             "the name 'w' is reserved for the square root on the curve w^2 = f"),
+            (["picard-fuchs", "--curve", "x^3-t*w"],
+             "the name 'w' is reserved for the square root on the curve w^2 = f")):
         code, report = run_command(argv)
         assert code == 4, argv
         assert report.payload == {"status": "malformed-input", "detail": detail}
@@ -490,6 +495,55 @@ def test_bad_variable_names_are_malformed_input():
     assert done.returncode == 4
     assert json.loads(done.stdout)["status"] == "malformed-input"
     assert "Traceback" not in done.stderr
+
+
+def test_negative_bounds_are_malformed_input():
+    # A negative order bound, form index or degree bound names its flag and
+    # exits 4; 0 is a valid bound.
+    heisenberg = fixture_path("heisenberg-obstruction")
+    for argv, detail in (
+            (["telescope", "--integrand", "1/(x-t)", "--var", "x", "--param", "t",
+              "--max-order", "-1"], "--max-order must be non-negative, got -1"),
+            (["galois", "--integrand", "1/(x-t)", "--var", "x", "--param", "t",
+              "--max-order", "-3"], "--max-order must be non-negative, got -3"),
+            (["picard-fuchs", "--curve", "x^3-t", "--max-order", "-1"],
+             "--max-order must be non-negative, got -1"),
+            (["picard-fuchs", "--curve", "x^3-t", "--form", "-1"],
+             "--form must be non-negative, got -1"),
+            (["flatten", heisenberg, "--degree-bound", "-1"],
+             "--degree-bound must be non-negative, got -1")):
+        code, report = run_command(argv)
+        assert code == 4, argv
+        assert report.payload == {"status": "malformed-input", "detail": detail}
+    code, report = run_command(["telescope", "--integrand", "1/(x-t)", "--var", "x",
+                                "--param", "t", "--max-order", "0"])
+    assert code == 3
+    assert report.payload["detail"] == "no telescoper up to order 0"
+    code, report = run_command(["flatten", heisenberg, "--degree-bound", "0"])
+    assert code == 3
+    assert report.payload["degree_bound"] == 0
+
+
+def test_load_problem_refuses_a_curve_variable_named_w():
+    doc = {"field": {"principal": "x", "parametric": ["w"]},
+           "curve": {"f": "x^3-w"}}
+    with pytest.raises(ProblemFileError, match="reserved for the square root"):
+        load_problem(doc)
+    doc["field"]["parametric"] = ["t"]
+    doc["curve"]["f"] = "x^3-t"
+    assert load_problem(doc).curve is not None
+
+
+def test_reduce_splits_a_two_parameter_cubic():
+    # Roots over Q(s, t) are rebuilt from an image at an integer s.
+    code, report = run_command(["reduce", "--integrand",
+                                "1/((x-t-s)*(x-t+s)*(x-2*t-s))", "--var", "x"])
+    assert code == 0
+    assert set(report.payload["class"]) == {"-s+t", "s+t", "s+2*t"}
+    assert not report.payload["class_is_zero"]
+    code, report = run_command(["reduce", "--integrand", "1/(x^2-t*s)", "--var", "x"])
+    assert code == 2
+    assert report.payload["detail"] == "factor of degree 2 in x does not split over Q(s, t)"
 
 
 def test_run_command_check_gauge_and_flatten_fuzz(tmp_path):

@@ -12,9 +12,9 @@ from isocert.exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
                               RationalFunction, SingularMatrix, VariableRegistry,
                               VarKind, ZeroDenominator, gcd, identity,
                               linear_poles, linear_solve, mat_inverse, mat_mul,
-                              normalize, partial_fractions, poly_sqrt,
+                              normalize, partial_fractions,
                               squarefree_factor)
-from isocert.exactalg import poly
+from isocert.exactalg import factor, poly
 from isocert.exactalg.factor import rational_roots
 from isocert.exactalg.poly import (MAX_DEGREE, MAX_VARIABLES, DegreeTooLarge,
                                    exact_div, mono_degree, mono_div, mono_exponent,
@@ -141,10 +141,118 @@ def test_linear_poles_expanded_products(xt):
     den = (x * (x - one) * (x - t)).num
     got = {(p, m) for p, m in linear_poles(den, ix, xt["reg"])}
     assert got == {(xt["zero"], 1), (one, 1), (t, 1)}
-    # quadratic needing the discriminant square root
+    # quadratic whose roots are rebuilt from an image at an integer point
     den2 = ((x - t) * (x - 2 * t)).num
     got2 = {p for p, _ in linear_poles(den2, ix, xt["reg"])}
     assert got2 == {t, 2 * t}
+
+
+# -- the parametric root finder ---------------------------------------------------
+
+_REG_XTS = VariableRegistry()
+for _name in ("x", "t", "s"):
+    _REG_XTS.add(_name)
+_PX, _PT, _PS = (MultiPoly.var(i) for i in range(3))
+
+
+def _c(n):
+    return MultiPoly.const(n)
+
+
+# Irreducible over Q(t), resp. Q(t, s).
+_NONLINEAR = {
+    1: (_PX ** 2 - _PT, _PX ** 2 + _PT ** 2 + _c(1), _PX ** 3 - _PT - _c(2),
+        _PX ** 2 - _c(16) * _PX + _PT + _c(3)),
+    2: (_PX ** 2 - _PT, _PT * _PX ** 2 - _PS, _PX ** 3 - _PT * _PS - _c(1)),
+}
+
+
+@st.composite
+def _planted_linear_factors(draw):
+    """(p, nonlinear): an integer times powers of 1-3 planted factors b*x - a
+    with a, b in Z[t] or Z[t, s] (b nonzero, so non-monic in general), times
+    one factor irreducible over the parameter field when nonlinear."""
+    nparams = draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 2)] * nparams)
+
+    def param_poly():
+        return MultiPoly.from_terms(
+            (mono_from_items(enumerate(draw(exps), start=1)), Fraction(draw(st.integers(-4, 4))))
+            for _ in range(draw(st.integers(1, 3))))
+
+    p = _c(draw(st.integers(1, 6)))
+    for _ in range(draw(st.integers(1, 3))):
+        b = param_poly()
+        if b.is_zero():
+            b = MultiPoly.one()
+        p = p * (b * _PX - param_poly()) ** draw(st.integers(1, 2))
+    nonlinear = draw(st.booleans())
+    if nonlinear:
+        p = p * draw(st.sampled_from(_NONLINEAR[nparams]))
+    return p, nonlinear
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None)
+@given(_planted_linear_factors())
+def test_linear_poles_match_sympy_factor_list(case):
+    sympy = pytest.importorskip("sympy")
+    p, nonlinear = case
+    syms = sympy.symbols("x t s")
+    expected = set()
+    for f, mult in _to_sympy(p, syms).factor_list()[1]:
+        if f.degree(syms[0]) == 1:
+            lin = _from_sympy(f).as_univariate(0)
+            expected.add((RationalFunction(-lin.get(0, MultiPoly.zero()), lin[1], _REG_XTS),
+                          mult))
+        elif f.degree(syms[0]) > 1:
+            assert nonlinear
+    if nonlinear:
+        with pytest.raises(NonLinearFactor, match="does not split"):
+            linear_poles(p, 0, _REG_XTS)
+    else:
+        assert set(linear_poles(p, 0, _REG_XTS)) == expected
+
+
+def _evaluation_points(monkeypatch):
+    """The parameter values that the root finder evaluates at, in order."""
+    points = []
+    evaluate = factor._int_eval
+
+    def spy(p, var, powers):
+        if powers[1] not in points:
+            points.append(powers[1])
+        return evaluate(p, var, powers)
+
+    monkeypatch.setattr(factor, "_int_eval", spy)
+    return points
+
+
+def test_parametric_roots_retry_after_a_bad_point(monkeypatch):
+    points = _evaluation_points(monkeypatch)
+    # x^2 - 16x + t + 3 has discriminant 244 - 4t, so it is irreducible over
+    # Q(t), but at the first point t = 2*16 + 29 = 61 its image is (x - 8)^2:
+    # the two roots collide, which proves nothing, and t = 167 decides.
+    q = _PX ** 2 - _c(16) * _PX + _PT + _c(3)
+    with pytest.raises(NonLinearFactor, match="does not split over Q"):
+        linear_poles(q, 0, _REG_XTS)
+    assert points == [61, 167]
+    # At t = 43 the image of x^2 - t + 7 is x^2 - 36: the roots 6 and -6 fail
+    # the exact division, and t = 118 decides.
+    points.clear()
+    with pytest.raises(NonLinearFactor, match="does not split over Q"):
+        linear_poles(_PX ** 2 - _PT + _c(7), 0, _REG_XTS)
+    assert points == [43, 118]
+
+
+def test_parametric_roots_out_of_tries_cannot_split(monkeypatch):
+    # Only a squarefree image that does not split proves a refusal; when every
+    # point fails otherwise, the refusal says so.
+    points = _evaluation_points(monkeypatch)
+    monkeypatch.setattr(factor, "_int_reconstruct", lambda *args: None)
+    with pytest.raises(NonLinearFactor, match="^cannot split factor of degree 2"):
+        linear_poles((_PX - _PT) * (_PX - _c(2) * _PT), 0, _REG_XTS)
+    assert len(points) == 6
 
 
 # -- the p-adic rational-root finder against sympy ------------------------------
@@ -210,18 +318,6 @@ def test_rational_roots_match_sympy(coeffs):
                 a, b = f.all_coeffs()
                 expected.append(_sympy_to_fraction(-b / a))
     assert rational_roots(coeffs) == sorted(expected)
-
-
-def test_poly_sqrt():
-    reg = VariableRegistry()
-    reg.add("a")
-    reg.add("b")
-    a = RationalFunction.var("a", reg)
-    b = RationalFunction.var("b", reg)
-    square = ((a + b) ** 2 * (a - b) ** 2).num
-    s = poly_sqrt(square)
-    assert s is not None and s * s == square
-    assert poly_sqrt((a * a + b).num) is None
 
 
 def test_linear_solve_identity(t1t2):
