@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from ..connection import (FlattenFound, FlattenObstruction, check_integrability,
@@ -311,7 +312,12 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     json_mode = "--json" in argv
     code, report = run_command(argv)
-    print(emit_report(report, "json" if json_mode else "human"))
+    try:
+        print(emit_report(report, "json" if json_mode else "human"), flush=True)
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so that the
+        # flush at exit does not raise again, and keep the command's code.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

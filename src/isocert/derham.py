@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import MultiPoly, NonLinearFactor, RationalFunction, partial_fractions
+from .exactalg import (MultiPoly, NonLinearFactor, RationalFunction, exact_div, gcd,
+                       lcm, partial_fractions)
 from .exactalg.factor import _rf_sort_key
+from .exactalg.rational import _monic_den
 from .fields import RationalFieldContext
 from .operators import (LinearDiffOperator, TelescoperNotFound,  # noqa: F401
                         TelescoperResult, reduction_telescoper)
@@ -68,46 +70,101 @@ class ReductionResult:
     certificate: RationalFunction
 
 
-def integrate_poly(f: RationalFunction, v_name: str) -> RationalFunction:
-    """Antiderivative in v, without constant term, of a polynomial (in v)
-    rational function: the numerator term by term over the v-free
-    denominator.  A factor of the denominator that divided the antiderivative
-    would divide its derivative, the numerator, so the result is reduced."""
-    return RationalFunction(f.num.integral(f.registry.index(v_name)), f.den, f.registry,
-                            _reduced=True)
-
-
 def reduce(f: RationalFunction, x_name: str) -> ReductionResult:
     """Canonical class of f in K/(d_x K) plus certificate.
 
     Poles of order >= 2 and the polynomial part move into the certificate;
     simple-pole residues form the class.  Requires x-linear poles.
+
+    Every denominator is known in advance.  For a pole p = a/b of order
+    e_p + 1 let q_p = b*x - a, so the term -c_m/((m-1)*(x - p)^(m-1)) is
+    -c_m*b^(m-1)/((m-1)*q_p^(m-1)).  The certificate is N/(D*L) with
+    L = prod q_p^e_p and D the lcm of the x-free denominators: each pole adds
+    a Horner sum in q_p times the other poles' factors of L, and the
+    polynomial part its antiderivative times L.  The top term at p is x-free
+    and nonzero and the other factors are prime to q_p, so N is prime to L,
+    and the only gcd left is the one of D with the x-coefficients of N.
     """
     reg = f.registry
-    x_idx = reg.index(x_name)
+    x = reg.index(x_name)
     pfd = partial_fractions(f, x_name)
-    cert = integrate_poly(pfd.poly_part, x_name)
-    x = RationalFunction.from_poly(MultiPoly.var(x_idx), reg)
     residues: dict[RationalFunction, RationalFunction] = {}
+    higher: dict[RationalFunction, dict[int, RationalFunction]] = {}
     for term in pfd.terms:
         if term.order == 1:
-            prev = residues.get(term.pole)
-            residues[term.pole] = term.coeff if prev is None else prev + term.coeff
+            residues[term.pole] = term.coeff
         else:
-            m = term.order
-            cert = cert - term.coeff / (Fraction(m - 1) * (x - term.pole) ** (m - 1))
-    result = ReductionResult(H1Class(residues), cert)
-    _check_reduction(f, result, x_name)
+            higher.setdefault(term.pole, {})[term.order] = term.coeff
+    den = pfd.poly_part.den
+    for coeffs in higher.values():
+        for c in coeffs.values():
+            den = lcm(den, c.den)
+    num = pfd.poly_part.num.integral(x) * exact_div(den, pfd.poly_part.den)
+    l_part = MultiPoly.one()
+    orders: dict[RationalFunction, int] = {}
+    for pole in sorted(higher, key=_rf_sort_key):
+        coeffs = higher[pole]
+        e = orders[pole] = max(coeffs) - 1
+        q = pole.den * MultiPoly.var(x) - pole.num
+        h = MultiPoly.zero()
+        for j in range(1, e + 1):
+            h = h * q
+            if (c := coeffs.get(j + 1)) is not None:
+                h = h + (c.num * exact_div(den, c.den) * pole.den ** j).scale(Fraction(-1, j))
+        power = q ** e
+        num = num * power + h * l_part
+        l_part = l_part * power
+    # N = 0 only when L = 1; then g = D and the certificate is 0/1.
+    g = den
+    for c in num.as_univariate(x).values():
+        if g.is_one():
+            break
+        g = gcd(g, c)
+    num, den = _monic_den(exact_div(num, g), exact_div(den, g) * l_part)
+    result = ReductionResult(H1Class(residues), RationalFunction(num, den, reg, _reduced=True))
+    _check_reduction(f, result, x_name, orders)
     return result
 
 
-def _check_reduction(f: RationalFunction, result: ReductionResult, x_name: str) -> None:
-    reg = f.registry
-    total = result.certificate.derive(x_name)
-    x = RationalFunction.var(x_name, reg)
-    for pole, res in result.h1.residues.items():
-        total = total + res / (x - pole)
-    if total != f:
+def _check_reduction(f: RationalFunction, result: ReductionResult, x_name: str,
+                     orders: dict[RationalFunction, int]) -> None:
+    """f = d_x(N/(D*L)) + sum r_p/(x - p) as one polynomial identity.
+
+    `orders` maps each pole of the certificate N/(D*L) to e_p: L must be
+    prod q_p^e_p and D free of x.  With R = prod q_p over all poles and
+    S = sum e_p*b_p*R/q_p, L_x/L = S/R, so
+    d_x(N/(D*L)) = (N_x*R - N*S)/(D*L*R), and r_p/(x - p) = r_p*b_p/q_p.
+    Both sides are multiplied by M*L*R, M the lcm of D and the residue
+    denominators, which f.den divides if the identity holds; it is divided
+    by f.den exactly rather than f.den multiplied in.  A division that
+    leaves a remainder fails the check.
+    """
+    x = f.registry.index(x_name)
+    residues = result.h1.residues
+    q = {p: p.den * MultiPoly.var(x) - p.num for p in {*orders, *residues}}
+    l_part = r_part = MultiPoly.one()
+    for p, qp in q.items():
+        l_part = l_part * qp ** orders.get(p, 0)
+        r_part = r_part * qp
+    s_part = simple = MultiPoly.zero()
+    n = result.certificate.num
+    try:
+        m_part = d_part = exact_div(result.certificate.den, l_part)
+        if d_part.degree(x) > 0:
+            raise ArithmeticError("x left in the certificate's denominator")
+        for r in residues.values():
+            m_part = lcm(m_part, r.den)
+        for p, qp in q.items():
+            cofactor = exact_div(r_part, qp) * p.den
+            s_part = s_part + cofactor.scale(orders.get(p, 0))
+            if (r := residues.get(p)) is not None:
+                simple = simple + cofactor * (r.num * exact_div(m_part, r.den))
+        lhs = f.num * exact_div(l_part * r_part * m_part, f.den)
+        rhs = ((n.derivative(x) * r_part - n * s_part) * exact_div(m_part, d_part)
+               + l_part * simple)
+    except ArithmeticError:
+        raise AssertionError("reduction identity failed; this is a bug") from None
+    if lhs != rhs:
         raise AssertionError("reduction identity failed; this is a bug")
 
 

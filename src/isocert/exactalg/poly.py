@@ -790,7 +790,7 @@ def _heugcd(a: IntTerms, b: IntTerms) -> IntTerms:
 def lcm(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if a.is_zero() or b.is_zero():
         return _ZERO
-    return exact_div(a * b, gcd(a, b)).monic()
+    return (a * exact_div(b, gcd(a, b))).monic()
 
 
 def squarefree_decomposition(p: MultiPoly, var: int) -> tuple[MultiPoly, list[tuple[MultiPoly, int]]]:

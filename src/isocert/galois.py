@@ -98,7 +98,8 @@ def rational_solutions(op: LinearDiffOperator, registry) -> list[RationalFunctio
         try:
             poles = linear_poles(lead, t_idx, registry)
         except NonLinearFactor as exc:
-            raise UnsupportedOperator(str(exc)) from None
+            raise UnsupportedOperator(f"its leading coefficient does not split over Q "
+                                      f"({exc})") from None
         # The coefficients lie in Q[t], so every pole is a rational constant,
         # and the Taylor coefficients there give each valuation and value.
         for root, _ in poles:
@@ -189,8 +190,11 @@ def galois_descriptor(b: RationalFunction, x_name: str, t_name: str,
                       max_order: int = 8) -> GaloisDescriptor:
     """Descriptor for the integral of a rational integrand: telescoper first,
     then the rational-solution test."""
-    result = telescoper(b, x_name, t_name, max_order)
-    return descriptor_from_operator(result.operator, b.registry)
+    op = telescoper(b, x_name, t_name, max_order).operator
+    try:
+        return descriptor_from_operator(op, b.registry)
+    except UnsupportedOperator as exc:
+        raise UnsupportedOperator(f"telescoper of order {op.order}: {exc}") from None
 
 
 def galois_descriptor_curve(curve: CurveSpec, form_index: int, t_name: str,

@@ -332,14 +332,18 @@ def test_run_command_picard_fuchs_fuzz():
     assert 0 in codes and 2 in codes
 
 
-def _python(args, timeout):
+def _env():
     import isocert
 
     src = os.path.dirname(os.path.dirname(isocert.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _python(args, timeout):
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+                          capture_output=True, text=True, env=_env(), timeout=timeout)
 
 
 def _python_m_main(args, timeout):
@@ -390,6 +394,19 @@ def test_python_m_runs_main_once():
     assert done.stderr == ""
 
 
+def test_closed_stdout_ends_with_the_command_code():
+    # A reader that stops early, like `| head`, closes the pipe before the
+    # report is written.  The process still ends with the command's own code
+    # (0 here), not with a traceback and exit 1, which means "property fails".
+    proc = subprocess.Popen([sys.executable, "-m", "isocert.cli.main", "--json",
+                             "examples", "run", "all"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_env())
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert b"Traceback" not in err
+
+
 def test_huge_exponent_is_refused_quickly():
     done = _python_m_main(["--json", "reduce", "--integrand", "x^1000000000",
                            "--var", "x"], timeout=10)
@@ -418,6 +435,17 @@ def test_nested_powers_past_the_degree_cap_are_refused_quickly():
     assert report.payload["class"] == {"0": f"t^{MAX_DEGREE}"}
     code, _ = run_command(["reduce", "--integrand", f"{at_cap}*t/x", "--var", "x"])
     assert code == 2
+
+
+def test_reduce_of_two_high_order_poles_is_quick():
+    # The certificate is built over its known denominator
+    # (x-t)^29*(x-1)^29, so building and checking it takes no gcd in x.
+    done = _python_m_main(["--json", "reduce", "--integrand", "1/((x-t)^30*(x-1)^30)",
+                           "--var", "x"], timeout=10)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["class_is_zero"] is False
+    assert set(payload["class"]) == {"1", "t"}
 
 
 def test_reduce_of_a_sparse_high_power_is_quick():
@@ -602,6 +630,22 @@ def test_traced_functions_exist():
             "import isocert.cli.main, spans; spans.install(spans.Tracer())")
     done = _python(["-c", code, os.path.join(root, "perfbench")], timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_galois_refusal_names_the_telescopers_leading_coefficient():
+    # The order-3 telescoper exists, but its leading coefficient has a
+    # squarefree factor of degree 12 that does not split over Q, so the
+    # rational-solution test refuses.
+    argv = ["--integrand", "1/((x-t^2)*(x+t)*(x-1)*(x-t+1))", "--var", "x",
+            "--param", "t", "--max-order", "3"]
+    code, report = run_command(["--json", "galois", *argv])
+    assert code == 2
+    assert report.payload["status"] == "unsupported-input"
+    assert report.payload["detail"].startswith(
+        "telescoper of order 3: its leading coefficient does not split over Q")
+    code, report = run_command(["--json", "telescope", *argv])
+    assert code == 0
+    assert report.payload["order"] == 3
 
 
 def test_huge_constant_poles_finish_quickly():

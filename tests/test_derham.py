@@ -3,14 +3,17 @@ telescopers and the bivariate exactness decision."""
 
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
+from isocert import derham
 from isocert.derham import (Exact2FormSolvable, Exact2FormUnsolvable,
-                            Exact2FormUnsupported, H1Class, TelescoperNotFound,
-                            exact2form_solvable, gm_derivative, integrate_poly,
+                            Exact2FormUnsupported, H1Class, ReductionResult,
+                            TelescoperNotFound, exact2form_solvable, gm_derivative,
                             reduce, telescoper)
-from isocert.exactalg import NonLinearFactor, RationalFunction, linear_solve
+from isocert.exactalg import (NonLinearFactor, RationalFunction, gcd, linear_solve,
+                              partial_fractions)
 
 from conftest import random_rational
 
@@ -226,7 +229,93 @@ def test_exact2form_unsupported(xt1t2):
 
 
 def test_integrate_poly(xt):
+    # A polynomial in x reduces to the zero class, and its certificate is the
+    # antiderivative without constant term, over the x-free denominator.
     x, t = xt["x"], xt["t"]
     f = 3 * x ** 2 + t * x + t
-    F = integrate_poly(f, "x")
-    assert F.derive("x") == f
+    r = reduce(f, "x")
+    assert r.h1.is_zero()
+    assert r.certificate == x ** 3 + t * x ** 2 / 2 + t * x
+    r = reduce(f / (t + 1) + 1 / (x - t) ** 2, "x")
+    assert r.certificate == (x ** 3 + t * x ** 2 / 2 + t * x) / (t + 1) - 1 / (x - t)
+
+
+def _reference_reduce(f, x_name):
+    """The reduction as a sum of normalized rational functions, one Hermite
+    term -c/((m-1)*(x-p)^(m-1)) at a time: slow, but independent of the
+    known-denominator construction."""
+    pfd = partial_fractions(f, x_name)
+    x = RationalFunction.var(x_name, f.registry)
+    poly = pfd.poly_part
+    cert = RationalFunction(poly.num.integral(f.registry.index(x_name)), poly.den, f.registry)
+    residues = {}
+    for term in pfd.terms:
+        if term.order == 1:
+            residues[term.pole] = residues.get(term.pole, 0) + term.coeff
+        else:
+            m = term.order
+            cert = cert - term.coeff / (Fraction(m - 1) * (x - term.pole) ** (m - 1))
+    return H1Class(residues), cert
+
+
+def test_reduce_matches_the_term_by_term_reference(xt):
+    """Up to three x-linear poles b*x - a of order 1-6, some depending on t,
+    some not monic in x, with or without a polynomial part: the one-pass
+    certificate equals the term-by-term sum, and both are canonical."""
+    from hypothesis import given, seed, settings, strategies as st
+
+    x, t, one = xt["x"], xt["t"], xt["one"]
+    tops = [-2 * one, -one, 0 * one, one, 3 * one, t, -t, t ** 2, t + 1, 2 * t - 1]
+    bottoms = [one, one, 2 * one, 3 * one, t, t + 1]
+    pole = st.tuples(st.sampled_from(tops), st.sampled_from(bottoms), st.integers(1, 6))
+    term = st.tuples(st.integers(-3, 3), st.integers(0, 8), st.integers(0, 2))
+
+    @seed(20261019)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.lists(pole, min_size=1, max_size=3), st.lists(term, min_size=1, max_size=4))
+    def inner(poles, terms):
+        num = sum((c * x ** i * t ** j for c, i, j in terms), 0 * one)
+        if num.is_zero():
+            return
+        den = one
+        for a, b, k in poles:
+            den = den * (b * x - a) ** k
+        f = num / den
+        h1, cert = _reference_reduce(f, "x")
+        got = reduce(f, "x")
+        assert got.h1 == h1
+        assert got.certificate == cert
+        assert got.certificate.den == got.certificate.den.monic()
+        assert gcd(got.certificate.num, got.certificate.den).is_one()
+
+    inner()
+
+
+def test_check_reduction_rejects_a_wrong_certificate_or_class(xt, monkeypatch):
+    x, t = xt["x"], xt["t"]
+    f = (x ** 3 + t) / ((x - t) ** 3 * (2 * x + 1) * (t * x - 1) ** 2)
+    original = derham._check_reduction
+    seen = []
+    monkeypatch.setattr(derham, "_check_reduction",
+                        lambda *args: seen.append(args) or original(*args))
+    reduce(f, "x")
+    [(g, result, x_name, orders)] = seen
+    assert orders == {t: 2, 1 / t: 1}
+    cert, h1 = result.certificate, result.h1
+    pole = h1.poles()[0]
+    wrong = [
+        ReductionResult(h1, RationalFunction(cert.num + x.num, cert.den, xt["reg"],
+                                             _reduced=True)),
+        ReductionResult(H1Class({**h1.residues, pole: h1.residue(pole) + t}), cert),
+    ]
+    for bad in wrong:
+        with pytest.raises(AssertionError):
+            original(g, bad, x_name, orders)
+    # A division that leaves a remainder fails the same way: a claimed
+    # denominator power the certificate does not have, or an integrand with a
+    # pole the identity does not produce.
+    for args in ((g, result, x_name, {p: e + 1 for p, e in orders.items()}),
+                 (g / (x + 5), result, x_name, orders)):
+        with pytest.raises(AssertionError) as err:
+            original(*args)
+        assert isinstance(err.value.__context__, ArithmeticError)
