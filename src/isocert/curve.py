@@ -22,7 +22,7 @@ from .derham import reduce as derham_reduce
 from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
                        RationalFunction, UPoly, VariableRegistry, exact_div,
                        partial_fractions, prem, upoly_xgcd)
-from .exactalg.factor import _rf_sort_key
+from .exactalg.factor import _q_adic, _rf_sort_key
 from .exactalg.poly import gcd as poly_gcd
 from .fields import FieldContext
 from .operators import LinearDiffOperator, TelescoperResult, reduction_telescoper
@@ -316,7 +316,8 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
         if j == 1:
             raise UnsupportedPoles(
                 "simple pole off the branch locus (third-kind form)")
-        f_at_c = curve.f_rf.substitute(x_idx, c)
+        f_at_c = RationalFunction(_q_adic(curve.f, x_idx, c.num, c.den, 1)[0],
+                                  c.den ** curve.f.degree(x_idx), reg)
         kappa = b / (Fraction(-(j - 1)) * f_at_c)
         u = CurveElement(zero, kappa / (curve.f_rf ** m * (x - c) ** (j - 1)), curve)
         cert = cert + u

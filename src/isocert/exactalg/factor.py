@@ -1,17 +1,25 @@
 """Squarefree factorization, linear splitting and partial fractions.
 
-Pole finding handles denominators whose squarefree parts split into
-factors linear in the distinguished variable over the remaining fraction
-field.  Factors that differ in their dependence on some parameter are
-peeled apart by contents; univariate factors over Q take their roots from
-p-adic root finding (Loos: Newton lifting of the simple roots modulo a
-prime, each candidate checked exactly); a factor with parameters left is
-evaluated at an integer point of its last parameter, the roots of the image
-are found by recursion, and each root is rebuilt from balanced xi-adic
-digits as in GCDHEU (Char, Geddes and Gonnet, JSC 1989), with the leading
-coefficient multiplied in first (Wang, Math. Comp. 1978).  Every root is
-checked by exact division.  Anything richer raises NonLinearFactor rather
-than approximating.
+Yun's algorithm gives the squarefree factors.  Pole finding handles
+denominators whose squarefree parts split into factors linear in the
+distinguished variable over the remaining fraction field.  Factors that
+differ in their dependence on some parameter are peeled apart by contents;
+univariate factors over Q take their roots from p-adic root finding (Loos:
+Newton lifting of the simple roots modulo a prime, each candidate checked
+exactly); a factor with parameters left is evaluated at an integer point of
+its last parameter, the roots of the image are found by recursion, and each
+root is rebuilt from balanced xi-adic digits as in GCDHEU (Char, Geddes and
+Gonnet, JSC 1989), with the leading coefficient multiplied in first (Wang,
+Math. Comp. 1978).  Every root is checked by exact division.  Anything
+richer raises NonLinearFactor rather than approximating.
+
+At a pole a/b, `_q_adic` expands a polynomial in powers of q = b*x - a by
+one truncated Horner pass over Q[params] (a Taylor shift, as in von zur
+Gathen and Gerhard, ISSAC 1997).  Partial fractions read each principal part
+from the expansions of the proper numerator and of the cofactor and one
+series division (Bronstein, Symbolic Integration I); the curve reduction
+takes f(a/b) and the rational solutions their Taylor coefficients from the
+same expansion.
 """
 
 from __future__ import annotations
@@ -22,8 +30,7 @@ from fractions import Fraction
 
 from .poly import (FIELD_BITS, FIELD_MASK, MultiPoly, ZeroPolynomial, _int_degree,
                    _int_div, _int_eval, _int_reconstruct, _normal, content_wrt,
-                   exact_div, gcd, mono_exponent, mono_key_grlex, prem,
-                   squarefree_decomposition)
+                   exact_div, gcd, mono_key_grlex, prem)
 from .rational import RationalFunction
 from .registry import ExactAlgError, VariableRegistry
 
@@ -41,11 +48,29 @@ class _DoesNotSplit(NonLinearFactor):
 
 
 def squarefree_factor(p: MultiPoly, v: int) -> list[tuple[MultiPoly, int]]:
-    """Squarefree decomposition of p in variable v over the fraction field of
-    the remaining variables; factors primitive, monic, pairwise coprime."""
+    """Yun's squarefree decomposition of p in variable v over the fraction
+    field of the remaining variables: the [(q_i, i)] with p / prod q_i^i of
+    degree zero in v, the q_i primitive in v, squarefree, pairwise coprime
+    and monic under graded-lex."""
     if p.is_zero():
         raise ZeroPolynomial("zero polynomial")
-    _, factors = squarefree_decomposition(p, v)
+    if p.degree(v) == 0:
+        return []
+    cont = content_wrt(p, v)
+    w = p if cont.is_one() else exact_div(p, cont)
+    factors: list[tuple[MultiPoly, int]] = []
+    dw = w.derivative(v)
+    a0 = gcd(w, dw)
+    b = exact_div(w, a0)
+    d = exact_div(dw, a0) - b.derivative(v)
+    i = 1
+    while b.degree(v) > 0:
+        ai = gcd(b, d)
+        if ai.degree(v) > 0:
+            factors.append((ai.monic(), i))
+        b = exact_div(b, ai)
+        d = exact_div(d, ai) - b.derivative(v)
+        i += 1
     return factors
 
 
@@ -202,14 +227,24 @@ def _roots_by_evaluation(q: MultiPoly, v: int,
     raise NonLinearFactor(f"cannot split factor of degree {d} in the distinguished variable")
 
 
-def _poly_to_series(p: MultiPoly, u: int, tau: Fraction, n: int) -> list[Fraction]:
-    """Expand p(u) around u = tau + s, truncated to order n:
-    (tau + s)^e = sum_k C(e,k) tau^(e-k) s^k."""
-    out = [Fraction(0)] * n
-    for mono, c in p.rational_terms().items():
-        e = mono_exponent(mono, u)
-        for k in range(min(e, n - 1) + 1):
-            out[k] += c * Fraction(math.comb(e, k)) * tau ** (e - k)
+def _q_adic(p: MultiPoly, v: int, a: MultiPoly, b: MultiPoly, n: int) -> list[MultiPoly]:
+    """The first n coefficients c_k of b^d * p = sum_k c_k * (b*x_v - a)^k,
+    d = deg_v p, for a and b free of x_v: one Horner pass in x_v = (a + s)/b
+    over Q[params], truncated at s^n and free of gcds."""
+    out = [MultiPoly.zero()] * n
+    if p.is_zero():
+        return out
+    coeffs = p.as_univariate(v)
+    d = max(coeffs)
+    b_pow = MultiPoly.one()
+    for e in range(d, -1, -1):
+        # out <- out * (a + s) + p_e * b^(d - e); out has s-degree d - e - 1.
+        for k in range(min(d - e, n - 1), 0, -1):
+            out[k] = out[k] * a + out[k - 1]
+        out[0] = out[0] * a
+        if e in coeffs:
+            out[0] = out[0] + coeffs[e] * b_pow
+        b_pow = b_pow * b
     return out
 
 
@@ -256,28 +291,40 @@ class PartialFractions:
 
 
 def partial_fractions(f: RationalFunction, v_name: str) -> PartialFractions:
+    """The polynomial part, then at each pole p = a/b of order m the
+    coefficients of the principal part from the q-adic expansions in
+    q = b*x - a of the proper numerator and of the cofactor den / q^m, and
+    one truncated series division."""
     registry = f.registry
     v = registry.index(v_name)
-    if f.den.degree(v) <= 0:
+    den = f.den
+    if den.degree(v) <= 0:
         return PartialFractions(f, ())
-    # Pseudo-division: lc^e * num = q * den + prem(num, den) with lc the
-    # v-free leading coefficient of den, so the polynomial part is q / lc^e.
-    lc_e = f.den.coefficient(v, f.den.degree(v)) ** max(
-        f.num.degree(v) - f.den.degree(v) + 1, 0)
-    q = exact_div(f.num * lc_e - prem(f.num, f.den, v), f.den)
-    poly_part = RationalFunction(q, lc_e, registry)
-    proper = f - poly_part
-    poles = linear_poles(f.den, v, registry)
-    x = RationalFunction.from_poly(MultiPoly.var(v), registry)
+    # Pseudo-division: lc^e * num = quo * den + r with lc the v-free leading
+    # coefficient of den, so the polynomial part is quo / lc^e and the proper
+    # part r / (lc^e * den).
+    lc_e = den.coefficient(v, den.degree(v)) ** max(f.num.degree(v) - den.degree(v) + 1, 0)
+    r = prem(f.num, den, v)
+    quo = exact_div(f.num * lc_e - r, den)
     terms: list[PoleTerm] = []
-    for pole, mult in poles:
-        g = proper * (x - pole) ** mult
-        h = g
-        for s in range(mult):
-            value = h.substitute(v, pole) / Fraction(math.factorial(s))
-            if not value.is_zero():
-                terms.append(PoleTerm(pole=pole, order=mult - s, coeff=value))
-            if s + 1 < mult:
-                h = h.derive_index(v)
+    for pole, m in linear_poles(den, v, registry):
+        a, b = pole.num, pole.den
+        cof = exact_div(den, (b * MultiPoly.var(v) - a) ** m)
+        rs = _q_adic(r, v, a, b, m)
+        ds = _q_adic(cof, v, a, b, m)
+        # With b^deg(r) * r = sum r_k q^k and b^deg(cof) * cof = sum d_k q^k,
+        # r / cof = b^(deg cof - deg r) * sum e_k q^k / d_0 for
+        # e_k = r_k - sum_j (d_j / d_0) e_(k-j), and q^(k-m) = b^(k-m) (x - p)^(k-m).
+        ratios = [RationalFunction(d, ds[0], registry) for d in ds[1:]]
+        es: list[RationalFunction] = []
+        for k in range(m):
+            e = RationalFunction.from_poly(rs[k], registry)
+            for j in range(1, k + 1):
+                e = e - ratios[j - 1] * es[k - j]
+            es.append(e)
+            if not e.is_zero():
+                shift = cof.degree(v) - r.degree(v) - (m - k)
+                coeff = e * RationalFunction.from_poly(b, registry) ** shift / (lc_e * ds[0])
+                terms.append(PoleTerm(pole=pole, order=m - k, coeff=coeff))
     terms.sort(key=lambda t: (_rf_sort_key(t.pole), t.order))
-    return PartialFractions(poly_part, tuple(terms))
+    return PartialFractions(RationalFunction(quo, lc_e, registry), tuple(terms))

@@ -33,8 +33,7 @@ a graded order keeps the early exit on a leading term that does not divide
 bounded.
 
 Also provides the polynomial toolbox the rest of the package is built on:
-exact division, pseudo-remainders, gcd, content/primitive splitting and Yun
-squarefree decomposition.  Exact division and the gcd both work on the
+exact division, pseudo-remainders, gcd and content/primitive splitting.  Exact division and the gcd both work on the
 integer parts: one heap division over Z (Monagan and Pearce, JSC 2011), and
 the heuristic GCDHEU (Char, Geddes and Gonnet, JSC 1989) variable by
 variable, checking every candidate by that division; the rare heuristic
@@ -791,40 +790,3 @@ def lcm(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     if a.is_zero() or b.is_zero():
         return _ZERO
     return (a * exact_div(b, gcd(a, b))).monic()
-
-
-def squarefree_decomposition(p: MultiPoly, var: int) -> tuple[MultiPoly, list[tuple[MultiPoly, int]]]:
-    """Yun decomposition of p in `var` over the fraction field of the rest.
-
-    Returns (unit, [(q_i, i)]) with unit * prod q_i^i == p, the q_i primitive
-    in `var`, squarefree, pairwise coprime, monic under graded-lex, and the
-    unit of degree zero in `var`.
-    """
-    if p.is_zero():
-        raise ZeroPolynomial("cannot decompose the zero polynomial")
-    if p.degree(var) == 0:
-        return p, []
-    cont = content_wrt(p, var)
-    w = p if cont.is_one() else exact_div(p, cont)
-    lead = w.coefficient(var, w.degree(var))
-    factors: list[tuple[MultiPoly, int]] = []
-    dw = w.derivative(var)
-    a0 = gcd(w, dw)
-    b = exact_div(w, a0)
-    c = exact_div(dw, a0)
-    d = c - b.derivative(var)
-    i = 1
-    while b.degree(var) > 0:
-        ai = gcd(b, d)
-        if ai.degree(var) > 0:
-            factors.append((ai.monic(), i))
-        b = exact_div(b, ai)
-        c = exact_div(d, ai)
-        d = c - b.derivative(var)
-        i += 1
-    prod = _ONE
-    for q, mult in factors:
-        prod = prod * q ** mult
-    unit = exact_div(p, prod)
-    return unit, factors
-

@@ -223,28 +223,6 @@ class RationalFunction:
         return RationalFunction(exact_div(t, h), self.den * exact_div(self.den, h),
                                 self.registry)
 
-    def substitute(self, v: int, value: "RationalFunction") -> "RationalFunction":
-        """Substitute a rational value for variable index v (denominator must
-        not vanish after substitution)."""
-        num = _poly_substitute(self.num, v, value, self.registry)
-        den = _poly_substitute(self.den, v, value, self.registry)
-        return num / den
-
-
-def _poly_substitute(p: MultiPoly, v: int, value: RationalFunction,
-                     registry: VariableRegistry) -> RationalFunction:
-    coeffs = p.as_univariate(v)
-    if not coeffs:
-        return RationalFunction.const(0, registry)
-    top = max(coeffs)
-    result = RationalFunction.from_poly(coeffs[top], registry)
-    for e in range(top - 1, -1, -1):
-        c = coeffs.get(e)
-        term = RationalFunction.from_poly(c, registry) if c is not None \
-            else RationalFunction.const(0, registry)
-        result = result * value + term
-    return result
-
 
 def _reduce(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     if num.is_zero():

@@ -21,7 +21,7 @@ from .difftower import Tower
 from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
                        RationalFunction, SingularMatrix, VarKind, linear_poles,
                        linear_solve, lcm, mat_add, mat_inverse, mat_scale, zeros)
-from .exactalg.factor import _poly_to_series, rational_roots
+from .exactalg.factor import _q_adic, rational_roots
 from .exactalg.linalg import Matrix
 from .exactalg.poly import EMPTY_MONO, exact_div
 from .fields import FieldContext, RationalFieldContext, RebasedFieldContext
@@ -101,14 +101,14 @@ def rational_solutions(op: LinearDiffOperator, registry) -> list[RationalFunctio
             raise UnsupportedOperator(f"its leading coefficient does not split over Q "
                                       f"({exc})") from None
         # The coefficients lie in Q[t], so every pole is a rational constant,
-        # and the Taylor coefficients there give each valuation and value.
+        # whose canonical denominator is 1, and the Taylor coefficients there
+        # give each valuation and value.
         for root, _ in poles:
-            tau = root.const_value()
             data = []
             for i, p in poly_coeffs:
-                series = _poly_to_series(p, t_idx, tau, p.degree(t_idx) + 1)
-                v = next(k for k, c in enumerate(series) if c)
-                data.append((i, v, series[v]))
+                series = _q_adic(p, t_idx, root.num, root.den, p.degree(t_idx) + 1)
+                v = next(k for k, c in enumerate(series) if not c.is_zero())
+                data.append((i, v, series[v].const_value()))
             neg = [r for r in _integer_roots(_indicial(data, min)) if r < 0]
             if neg:
                 den = den * (t - root) ** (-min(neg))

@@ -446,6 +446,15 @@ def test_reduce_of_two_high_order_poles_is_quick():
     payload = json.loads(done.stdout)
     assert payload["class_is_zero"] is False
     assert set(payload["class"]) == {"1", "t"}
+    # Three poles of order 20, two of them at a/b with b != 1: each principal
+    # part comes from one q-adic expansion and one series division.
+    done = _python_m_main(["--json", "reduce", "--integrand",
+                           "x^3/((x-t^2)^20*(2*x+t)^20*(t*x-1)^20)", "--var", "x"],
+                          timeout=10)
+    assert done.returncode == 0, done.stderr
+    payload = json.loads(done.stdout)
+    assert payload["class_is_zero"] is False
+    assert set(payload["class"]) == {"-1/2*t", "1/t", "t^2"}
 
 
 def test_reduce_of_a_sparse_high_power_is_quick():

@@ -89,12 +89,14 @@ def test_curve_reduce_w_cubed(xt, legendre):
 def test_curve_reduce_pole_off_branch_locus(xt, legendre):
     x, t, one, zero = xt["x"], xt["one"], xt["one"], xt["zero"]
     t = xt["t"]
-    # d(w/(x+1)) + x dx/w has poles at x = -1 yet reduces exactly
-    u = CurveElement(zero, one / (x + one), legendre)
-    omega = curve_derive(u, "x") + legendre.basis_form(1)
-    r = curve_reduce(omega)
-    assert r.h1.coords[0].is_zero()
-    assert r.h1.coords[1] == one
+    # d(w/q) + x dx/w has poles at the root of q yet reduces exactly; a pole
+    # a/b with b != 1 takes f(a/b) as c_0 / b^3 from the expansion in b*x - a
+    for q in (x + one, 2 * x + one, t * x - one):
+        u = CurveElement(zero, one / q, legendre)
+        omega = curve_derive(u, "x") + legendre.basis_form(1)
+        r = curve_reduce(omega)
+        assert r.h1.coords[0].is_zero()
+        assert r.h1.coords[1] == one
     # a bare double pole off the branch locus carries a residue: third kind
     with pytest.raises(UnsupportedPoles):
         curve_reduce(CurveElement(zero, one / ((x + one) ** 2 * legendre.f_rf),

@@ -726,7 +726,8 @@ def test_squarefree_decomposition_matches_sympy(xt):
     # Seeded products of powers (exponents up to 8) of 1-3 factors in x and t
     # times an integer content.  The decomposition is over Q(t), so sympy's
     # squarefree factors over Z[x, t] are compared after their content in x
-    # is dropped; a factor that is left of x-degree 0 belongs to the unit.
+    # is dropped, and p divided exactly by prod q_i^i leaves a quotient free
+    # of x.
     sympy = pytest.importorskip("sympy")
     syms = sympy.symbols("x t")
     rnd = random.Random(14)
@@ -739,18 +740,89 @@ def test_squarefree_decomposition_matches_sympy(xt):
         p = MultiPoly.const(rnd.choice([-1, 1]) * rnd.randint(1, 30))
         for q in parts:
             p = p * q ** rnd.randint(1, 8)
-        unit, factors = poly.squarefree_decomposition(p, 0)
-        assert unit.degree(0) == 0
-        prod = unit
+        factors = squarefree_factor(p, 0)
+        prod = MultiPoly.one()
         for q, mult in factors:
             prod = prod * q ** mult
-        assert prod == p
+        assert exact_div(p, prod).degree(0) == 0
         expected = set()
         for f, mult in sympy.sqf_list(_to_sympy(p, syms))[1]:
             _, prim = sympy.Poly(f.as_expr(), syms[0]).primitive()
             if prim.degree() > 0:
                 expected.add((_from_sympy(sympy.Poly(prim.as_expr(), *syms)).monic(), mult))
         assert set(factors) == expected
+
+
+def test_q_adic_expansion_at_a_pole(xt):
+    # Seeded p in Q[x, t] and a, b free of x: with n = deg + 1 the c_k of
+    # _q_adic give b^deg * p = sum c_k * (b*x - a)^k, a smaller n gives
+    # their prefix, and the zero polynomial gives n zeros.
+    rnd = random.Random(19)
+    x, t, one = _X, _T1, MultiPoly.one()
+    for b in (one, MultiPoly.const(3), t, t * t + one):
+        for _ in range(6):
+            p = random_poly(rnd, xt["reg"], max_terms=5, max_deg=4)
+            if p.is_zero():
+                continue
+            p = p.scale(Fraction(rnd.randint(1, 5), 3))
+            a = MultiPoly.from_terms((mono_from_items([(1, e)]), Fraction(rnd.randint(-3, 3), 2))
+                                     for e in range(3))
+            deg = p.degree(0)
+            cs = factor._q_adic(p, 0, a, b, deg + 1)
+            total = MultiPoly.zero()
+            for k, c in enumerate(cs):
+                assert 0 not in c.variables()
+                total = total + c * (b * x - a) ** k
+            assert total == b ** deg * p
+            n = rnd.randint(1, deg + 1)
+            assert factor._q_adic(p, 0, a, b, n) == cs[:n]
+        assert factor._q_adic(MultiPoly.zero(), 0, t, b, 3) == [MultiPoly.zero()] * 3
+
+
+def test_partial_fractions_match_sympy_apart(xt):
+    # Seeded num / prod (b*x - a)^k over Q(t) with b in {1, 2, t, t + 1},
+    # pole orders 1-4 and deg num from deg den to deg den + 2.  Each term
+    # c/(b*x - a)^k of sympy's apart is rewritten as (c/b^k)/(x - a/b)^k and
+    # compared with the program's terms; the polynomial parts agree too.
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("x t")
+    sx, st_ = syms
+
+    def rational(n, d):
+        return RationalFunction(_from_sympy(sympy.Poly(n, *syms)),
+                                _from_sympy(sympy.Poly(d, *syms)), xt["reg"])
+
+    rnd = random.Random(19)
+    for _ in range(8):
+        den, poles = sympy.Integer(1), []
+        for _ in range(rnd.randint(1, 3)):
+            b = rnd.choice([1, 2, st_, st_ + 1])
+            a = rnd.randint(-3, 3) + rnd.randint(-2, 2) * st_ + rnd.randint(0, 1) * st_ ** 2
+            if any(sympy.cancel(a / b - q) == 0 for q in poles):
+                continue
+            poles.append(a / b)
+            den *= (b * sx - a) ** rnd.randint(1, 4)
+        deg = sympy.degree(den, sx) + rnd.randint(0, 2)
+        num = (rnd.choice([1, -1, 2]) + rnd.randint(-2, 2) * st_) * sx ** deg + sum(
+            (rnd.randint(-3, 3) + rnd.randint(-2, 2) * st_) * sx ** e for e in range(deg))
+        pfd = partial_fractions(rational(num, den), "x")
+        poly_part, expected = xt["zero"], set()
+        for term in sympy.Add.make_args(sympy.apart(num / den, sx)):
+            n, d = sympy.fraction(sympy.together(term))
+            if not d.has(sx):
+                poly_part = poly_part + rational(n, d)
+                continue
+            c, factors = sympy.factor_list(d)
+            [(lin, k)] = [(q, k) for q, k in factors if q.has(sx)]
+            l1, l0 = sympy.Poly(lin, sx).all_coeffs()
+            for q, e in factors:
+                if not q.has(sx):
+                    c *= q ** e
+            expected.add((rational(-l0, l1), k, rational(n, c * l1 ** k)))
+        assert not pfd.poly_part.is_zero()
+        assert pfd.poly_part == poly_part
+        assert {(t.pole, t.order, t.coeff) for t in pfd.terms} == expected
+        assert len(pfd.terms) == len(expected)
 
 
 def test_gcd_prs_fallback_agrees(monkeypatch):
