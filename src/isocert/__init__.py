@@ -22,8 +22,8 @@ from .difftower import (CommutativityWitness, DerivationSymbol,
                         gamma_tower)
 from .exactalg import (MultiPoly, NonLinearFactor, RationalFunction,
                        VariableRegistry, VarKind, ZeroDenominator,
-                       ZeroPolynomial, linear_solve, normalize,
-                       partial_fractions, squarefree_factor)
+                       ZeroPolynomial, linear_solve, partial_fractions,
+                       squarefree_factor)
 from .fields import FieldContext, RationalFieldContext, RebasedFieldContext
 from .galois import (DerivationRebase, GaloisDescriptor, SingularRebase,
                      UnsupportedOperator, companion_system,
@@ -53,7 +53,7 @@ __all__ = [
     "descriptor_from_operator", "equivalence_move", "exact2form_solvable",
     "flatten", "galois_descriptor", "galois_descriptor_curve",
     "galois_descriptor_tower", "gamma_tower", "gauge", "gm_derivative",
-    "horizontal_sections", "linear_solve", "moved_defect", "normalize",
-    "partial_fractions", "picard_fuchs", "rational_solutions",
-    "rebase_derivations", "reduce", "squarefree_factor", "telescoper",
+    "horizontal_sections", "linear_solve", "moved_defect", "partial_fractions",
+    "picard_fuchs", "rational_solutions", "rebase_derivations", "reduce",
+    "squarefree_factor", "telescoper",
 ]

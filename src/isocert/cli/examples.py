@@ -40,9 +40,7 @@ def _expect(condition: bool, message: str) -> None:
 def load_fixture(name: str) -> LoadedProblem:
     if name not in EXAMPLE_NAMES:
         raise ProblemFileError(f"unknown example {name!r}")
-    path = resources.files("isocert.cli").joinpath(f"fixtures/{name}.json")
-    with path.open("r", encoding="utf-8") as handle:
-        return load_problem(handle)
+    return load_problem(fixture_path(name))
 
 
 def fixture_path(name: str) -> str:

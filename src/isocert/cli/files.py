@@ -13,7 +13,7 @@ from typing import Optional
 
 from ..connection import ConnectionSystem
 from ..curve import CurveSpec
-from ..difftower import DerivationSymbol, Tower
+from ..difftower import DerivationSymbol, Tower, TowerError
 from ..exactalg import RationalFunction, VariableRegistry, VarKind
 from ..exactalg.linalg import Matrix, mat_neg, mat_transpose
 from ..fields import FieldContext, RationalFieldContext
@@ -146,7 +146,7 @@ def _make_resolver(tower: Optional[Tower], registry: VariableRegistry):
                         counts[p] = counts.get(p, 0) + 1
                     try:
                         return tower.extend_jets(gen, counts)
-                    except Exception:
+                    except TowerError:
                         return None
         return None
 
@@ -212,17 +212,12 @@ def schema_violation(instance, schema: dict = PROBLEM_SCHEMA) -> Optional[str]:
 
 
 def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
-    """Load and validate a problem from a path, file object or dict.
+    """Load and validate a problem from a path or dict.
 
     Towers are checked for commuting derivations (depth 2) before use;
-    tower_consistency may be "error" (refuse), "warn" or "skip"."""
+    tower_consistency may be "error" (refuse) or "skip"."""
     if isinstance(source, dict):
         data = source
-    elif hasattr(source, "read"):
-        try:
-            data = json.load(source)
-        except json.JSONDecodeError as exc:
-            raise ProblemFileError(f"invalid JSON: {exc}") from None
     else:
         try:
             with open(source, "r", encoding="utf-8") as handle:
@@ -262,13 +257,9 @@ def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
         if tower_consistency != "skip":
             witnesses = tower.check_commutativity(depth=2)
             if witnesses:
-                message = (f"tower derivations do not commute on "
-                           f"{witnesses[0].element} for pair {witnesses[0].pair}")
-                if tower_consistency == "error":
-                    raise ProblemFileError(message)
-                import warnings
-
-                warnings.warn(message, stacklevel=2)
+                raise ProblemFileError(
+                    f"tower derivations do not commute on "
+                    f"{witnesses[0].element} for pair {witnesses[0].pair}")
         field_ctx: FieldContext = tower
     else:
         registry = VariableRegistry()
@@ -302,14 +293,9 @@ def check_curve_names(registry: VariableRegistry) -> None:
                                "on the curve w^2 = f")
 
 
-def parse_matrix(problem: LoadedProblem, rows: list[list[str]],
-                 size: Optional[int] = None) -> Matrix:
-    if size is not None:
-        if len(rows) != size or any(len(r) != size for r in rows):
-            raise ProblemFileError(f"matrix is not {size}x{size}")
-    else:
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ProblemFileError("matrix rows have inconsistent lengths")
+def parse_matrix(problem: LoadedProblem, rows: list[list[str]], size: int) -> Matrix:
+    if len(rows) != size or any(len(r) != size for r in rows):
+        raise ProblemFileError(f"matrix is not {size}x{size}")
     return [[problem.parse(entry) for entry in row] for row in rows]
 
 

@@ -132,9 +132,7 @@ def _cmd_reduce(args) -> tuple[int, Report]:
     f = parse_to_rational(args.integrand, registry)
     result = derham_reduce(f, args.var)
     payload = {
-        "class": {value_text(p): value_text(r)
-                  for p, r in sorted(result.h1.residues.items(),
-                                     key=lambda it: value_text(it[0]))},
+        "class": {value_text(p): value_text(r) for p, r in result.h1.residues.items()},
         "certificate": value_text(result.certificate),
         "class_is_zero": result.h1.is_zero(),
     }

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .poly import (FIELD_BITS, FIELD_MASK, MultiPoly, ZeroPolynomial, _int_degree,
                    _int_div, _int_eval, _int_reconstruct, _normal, content_wrt,
-                   exact_div, gcd, mono_key_grlex, prem)
+                   exact_div, gcd, mono_from_items, mono_key_grlex, prem)
 from .rational import RationalFunction
 from .registry import ExactAlgError, VariableRegistry
 
@@ -51,18 +51,20 @@ def squarefree_factor(p: MultiPoly, v: int) -> list[tuple[MultiPoly, int]]:
     """Yun's squarefree decomposition of p in variable v over the fraction
     field of the remaining variables: the [(q_i, i)] with p / prod q_i^i of
     degree zero in v, the q_i primitive in v, squarefree, pairwise coprime
-    and monic under graded-lex."""
+    and monic under graded-lex.
+
+    Yun runs on p itself, with no content pass first: for p = c*w with c
+    free of v, gcd(p, p') = c*gcd(w, w'), so the content cancels from b and
+    d at the first step and every factor is the same."""
     if p.is_zero():
         raise ZeroPolynomial("zero polynomial")
     if p.degree(v) == 0:
         return []
-    cont = content_wrt(p, v)
-    w = p if cont.is_one() else exact_div(p, cont)
     factors: list[tuple[MultiPoly, int]] = []
-    dw = w.derivative(v)
-    a0 = gcd(w, dw)
-    b = exact_div(w, a0)
-    d = exact_div(dw, a0) - b.derivative(v)
+    dp = p.derivative(v)
+    a0 = gcd(p, dp)
+    b = exact_div(p, a0)
+    d = exact_div(dp, a0) - b.derivative(v)
     i = 1
     while b.degree(v) > 0:
         ai = gcd(b, d)
@@ -91,8 +93,8 @@ def rational_roots(coeffs) -> list[Fraction]:
         return []
     low = min(terms)
     roots = [Fraction(0)] if low else []
-    f = MultiPoly.from_univariate(0, {i - low: MultiPoly.const(c)
-                                      for i, c in terms.items()})
+    f = MultiPoly.from_terms((mono_from_items(((0, i - low),)), c)
+                             for i, c in terms.items())
     sqf = exact_div(f, gcd(f, f.derivative(0))).monic().as_univariate(0)
     d = max(sqf)
     if d == 0:

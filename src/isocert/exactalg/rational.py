@@ -244,10 +244,3 @@ def _monic_den(num: MultiPoly, den: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     if monic is den:
         return num, den
     return num.scale(monic.content / den.content), monic
-
-
-def normalize(num: MultiPoly, den: MultiPoly, registry: VariableRegistry) -> RationalFunction:
-    """Canonical reduced rational function num/den."""
-    if den.is_zero():
-        raise ZeroDenominator("zero denominator")
-    return RationalFunction(num, den, registry)

@@ -262,6 +262,10 @@ def test_flatten_heisenberg_obstruction(t1t2):
     assert w.pole == t1t2["zero"]
     assert w.residue == t1t2["one"] / t1t2["t2"]
     assert w.residue_class is not None and not w.residue_class.is_zero()
+    # The identity alone does not span the defect.
+    outcome = flatten(S, order=["t1", "t2"], constraint=[I])
+    assert isinstance(outcome, FlattenObstruction)
+    assert outcome.witness.component == "span"
 
 
 def test_flatten_already_flat(t1t2):

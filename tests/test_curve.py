@@ -77,6 +77,17 @@ def test_curve_reduce_x2_over_w(xt, legendre):
     # x^2/w ~ (2(1+t)x - t)/(3w)
     assert r.h1.coords[0] == -t / 3
     assert r.h1.coords[1] == 2 * (one + t) / 3
+    # lc_x(f) = t is not a constant, so the degree lowering multiplies
+    # through by lc_x instead of dividing by it.
+    curve = CurveSpec(((t * x - one) * x * (x - one)).num, "x", xt["reg"])
+    r = curve_reduce(CurveElement(zero, x * x / curve.f_rf, curve))
+    assert r.h1.coords == (-one / (3 * t), 2 * (t + one) / (3 * t))
+    assert r.certificate == CurveElement(zero, 2 / (3 * t), curve)
+    r = curve_reduce(CurveElement(zero, x ** 4 / curve.f_rf, curve))
+    assert r.h1.coords == (-(24 * t ** 2 + 23 * t + 24) / (105 * t ** 3),
+                           (48 * t ** 3 + 40 * t ** 2 + 40 * t + 48) / (105 * t ** 3))
+    assert r.certificate.odd == (30 * x ** 2 * t ** 2 + 36 * x * t ** 2 + 36 * x * t
+                                 + 48 * t ** 2 + 46 * t + 48) / (105 * t ** 3)
 
 
 def test_curve_reduce_w_cubed(xt, legendre):

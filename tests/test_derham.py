@@ -206,6 +206,15 @@ def test_exact2form_examples(t1t2):
     assert isinstance(out, Exact2FormSolvable)
     assert out.f1.is_zero() and out.f2.is_zero()
 
+    # The pole t1 = t2 moves with t2; its motion term cancels the Hermite
+    # part t2/(t1 - t2) of f2.
+    g = (t2 / (t1 - t2)).derive("t2")
+    out = exact2form_solvable(g, "t1", "t2")
+    assert isinstance(out, Exact2FormSolvable)
+    assert out.f1 == t2 / (t1 - t2)
+    assert out.f2.is_zero()
+    assert out.f1.derive("t2") - out.f2.derive("t1") == g
+
 
 def test_exact2form_solvable_random(t1t2):
     rnd = random.Random(53)
