@@ -14,7 +14,8 @@ from typing import Optional
 from ..connection import ConnectionSystem
 from ..curve import CurveSpec
 from ..difftower import DerivationSymbol, Tower, TowerError
-from ..exactalg import RationalFunction, VariableRegistry, VarKind
+from ..exactalg import (DuplicateVariable, RationalFunction, VariableRegistry,
+                        VarKind)
 from ..exactalg.linalg import Matrix, mat_neg, mat_transpose
 from ..fields import FieldContext, RationalFieldContext
 from .exprio import ExprSyntaxError, UnknownIdentifier, parse_to_rational
@@ -120,37 +121,11 @@ class LoadedProblem:
     curve: Optional[CurveSpec]
     raw: dict = dc_field(repr=False, default_factory=dict)
 
-    def resolver(self):
-        return _make_resolver(self.tower, self.registry)
-
     def parse(self, text: str) -> RationalFunction:
         try:
-            return parse_to_rational(text, self.registry, self.resolver())
+            return parse_to_rational(text, self.registry, self.tower and self.tower.jet)
         except (ExprSyntaxError, UnknownIdentifier) as exc:
             raise ProblemFileError(f"bad expression {text!r}: {exc}") from None
-
-
-def _make_resolver(tower: Optional[Tower], registry: VariableRegistry):
-    def resolve(name: str):
-        if name in registry:
-            return RationalFunction.var(name, registry)
-        if tower is None:
-            return None
-        for gen in sorted(tower.generators(), key=len, reverse=True):
-            if name.startswith(gen + "_"):
-                parts = name[len(gen) + 1:].split("_")
-                symbol_names = {s.name for s in tower.symbols}
-                if parts and all(p in symbol_names for p in parts):
-                    counts: dict[str, int] = {}
-                    for p in parts:
-                        counts[p] = counts.get(p, 0) + 1
-                    try:
-                        return tower.extend_jets(gen, counts)
-                    except TowerError:
-                        return None
-        return None
-
-    return resolve
 
 
 _TYPES = {
@@ -239,36 +214,36 @@ def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
     symbols.extend(DerivationSymbol(p, "parametric") for p in parametric)
 
     tower: Optional[Tower] = None
-    if "tower" in field_spec:
-        tower = Tower(symbols)
-        registry = tower.registry
-        gens = field_spec["tower"].get("generators", [])
-        for gen in gens:
-            tower.add_generator(gen["name"])
-        resolver = _make_resolver(tower, registry)
-        for gen in gens:
-            for sym, rule_text in gen.get("rules", {}).items():
-                try:
-                    value = parse_to_rational(rule_text, registry, resolver)
-                except (ExprSyntaxError, UnknownIdentifier) as exc:
-                    raise ProblemFileError(
-                        f"bad rule for {gen['name']}/{sym}: {exc}") from None
-                tower.set_rule(gen["name"], sym, value)
-        if tower_consistency != "skip":
-            witnesses = tower.check_commutativity(depth=2)
-            if witnesses:
-                raise ProblemFileError(
-                    f"tower derivations do not commute on "
-                    f"{witnesses[0].element} for pair {witnesses[0].pair}")
-        field_ctx: FieldContext = tower
-    else:
-        registry = VariableRegistry()
-        if principal:
-            registry.add(principal, VarKind.PRINCIPAL)
-        for p in parametric:
-            registry.add(p, VarKind.PARAMETRIC)
-        field_ctx = RationalFieldContext(
-            registry, {s.name: s.name for s in symbols})
+    # A name the tower or the registry refuses is malformed input.  Rule
+    # errors are ProblemFileErrors, so they pass through with their text.
+    try:
+        if "tower" in field_spec:
+            tower = Tower(symbols)
+            registry = tower.registry
+            gens = field_spec["tower"].get("generators", [])
+            for gen in gens:
+                tower.add_generator(gen["name"])
+            for gen in gens:
+                for sym, rule_text in gen.get("rules", {}).items():
+                    try:
+                        value = parse_to_rational(rule_text, registry, tower.jet)
+                    except (ExprSyntaxError, UnknownIdentifier) as exc:
+                        raise ProblemFileError(
+                            f"bad rule for {gen['name']}/{sym}: {exc}") from None
+                    tower.set_rule(gen["name"], sym, value)
+            if tower_consistency != "skip":
+                tower.validate(depth=2)
+            field_ctx: FieldContext = tower
+        else:
+            registry = VariableRegistry()
+            if principal:
+                registry.add(principal, VarKind.PRINCIPAL)
+            for p in parametric:
+                registry.add(p, VarKind.PARAMETRIC)
+            field_ctx = RationalFieldContext(
+                registry, {s.name: s.name for s in symbols})
+    except (TowerError, DuplicateVariable, ValueError) as exc:
+        raise ProblemFileError(str(exc)) from None
 
     problem = LoadedProblem(registry=registry, field=field_ctx, tower=tower,
                             principal=principal, parametric=parametric,
@@ -277,11 +252,13 @@ def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
     if "system" in data:
         problem.system = _build_system(problem, data["system"])
     if "curve" in data:
+        if not principal:
+            raise ProblemFileError("a curve section needs a principal variable")
         check_curve_names(registry)
         f_expr = problem.parse(data["curve"]["f"])
         if not f_expr.is_poly():
             raise ProblemFileError("curve polynomial must have denominator 1")
-        problem.curve = CurveSpec(f_expr.num, principal or "x", registry)
+        problem.curve = CurveSpec(f_expr.num, principal, registry)
     return problem
 
 

@@ -14,7 +14,7 @@ import sys
 
 from ..connection import (FlattenFound, FlattenObstruction, check_integrability,
                           flatten, gauge)
-from ..curve import picard_fuchs
+from ..curve import CurveSpec, picard_fuchs
 from ..derham import reduce as derham_reduce, telescoper
 from ..exactalg import ExactAlgError, VariableRegistry, VarKind, ZeroDenominator
 from ..galois import galois_descriptor
@@ -39,19 +39,14 @@ def _registry_for(expr_text: str, var: str, param: str | None) -> VariableRegist
     variable name, or a parameter equal to the principal variable, is
     malformed input."""
     tree = parse_expression(expr_text)
-    names: list[str] = []
+    names: set[str] = set()
 
     def walk(node):
         if node[0] == "var":
-            if node[1] not in names:
-                names.append(node[1])
-        elif node[0] in ("add", "sub", "mul", "div"):
-            walk(node[1])
-            walk(node[2])
-        elif node[0] in ("neg",):
-            walk(node[1])
-        elif node[0] == "pow":
-            walk(node[1])
+            names.add(node[1])
+        for child in node[1:]:
+            if isinstance(child, tuple):
+                walk(child)
 
     walk(tree)
     if param == var:
@@ -152,8 +147,6 @@ def _cmd_picard_fuchs(args) -> tuple[int, Report]:
     f = parse_to_rational(args.curve, registry)
     if not f.is_poly():
         raise ProblemFileError("curve polynomial must have denominator 1")
-    from ..curve import CurveSpec
-
     curve = CurveSpec(f.num, "x", registry)
     result = picard_fuchs(curve, args.form, args.param, max_order=args.max_order)
     return EXIT_OK, Report("picard-fuchs", _operator_payload(result))

@@ -53,15 +53,12 @@ class CurveSpec:
         self.degree = d
         self.fx = self.f.derivative(self.x_index)
         self.lc_x = self.f.coefficient(self.x_index, d)
-        g = poly_gcd(self.f, self.fx)
-        if g.degree(self.x_index) > 0:
-            raise CurveError("f must be squarefree in x")
         self.f_rf = RationalFunction.from_poly(self.f, self.registry)
         self.fx_rf = RationalFunction.from_poly(self.fx, self.registry)
         gg, _, v = upoly_xgcd(UPoly.from_rational(self.f_rf, self.x_index),
                               UPoly.from_rational(self.fx_rf, self.x_index))
         if gg.degree() != 0:
-            raise CurveError("Bezout identity for (f, f') failed")
+            raise CurveError("f must be squarefree in x")
         # V with u*f + V*f' = 1; its denominator is free of x.
         self.bezout_v = v.to_rational(self.x_index)
 

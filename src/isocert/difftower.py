@@ -13,6 +13,7 @@ only the derivation action distinguishes them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .exactalg import (ExactAlgError, RationalFunction, VariableRegistry, VarKind)
@@ -61,8 +62,11 @@ class Tower(FieldContext):
     def __init__(self, symbols: list[DerivationSymbol],
                  registry: VariableRegistry | None = None):
         names = [s.name for s in symbols]
-        if len(set(names)) != len(names):
-            raise TowerError("duplicate derivation symbols")
+        for name in names:
+            if names.count(name) > 1:
+                raise TowerError(f"duplicate derivation symbol {name!r}")
+            if "_" in name:
+                raise TowerError(f"derivation symbol {name!r} contains '_', the jet separator")
         self.symbols = list(symbols)
         self.registry = registry or VariableRegistry()
         for sym in self.symbols:
@@ -93,6 +97,16 @@ class Tower(FieldContext):
         raise TowerError(f"unknown derivation symbol {name!r}")
 
     def add_generator(self, name: str) -> RationalFunction:
+        """Refuses a name that reads as a jet of an existing generator, and one
+        with a jet name already in the registry: so every name has at most
+        one reading, and no jet created later meets an existing name."""
+        reading = self.parse_jet(name)
+        if reading is not None:
+            raise TowerError(f"generator {name!r} reads as a jet of {reading[0]!r}")
+        for other in self.registry.names():
+            if name in dict(self._readings(other)):
+                raise TowerError(f"generator {name!r} has the jet name {other!r}, "
+                                 f"which is already a variable")
         self.registry.add(name, VarKind.TOWER)
         self._rules[name] = {}
         return self.element(name)
@@ -105,9 +119,6 @@ class Tower(FieldContext):
 
     def element(self, name: str) -> RationalFunction:
         return RationalFunction.var(name, self.registry)
-
-    def generators(self) -> tuple[str, ...]:
-        return tuple(self._rules)
 
     def is_free(self, generator: str, symbol: str) -> bool:
         return symbol not in self._rules[generator]
@@ -132,6 +143,30 @@ class Tower(FieldContext):
     def jet_name(self, generator: str, multiindex: MultiIndex) -> str:
         suffix = "_".join(sym for sym, count in multiindex for _ in range(count))
         return f"{generator}_{suffix}"
+
+    def _readings(self, name: str):
+        """Each (generator, {symbol: count}) whose jet name, directions in any
+        order, is name; the generator need not exist."""
+        parts = name.split("_")
+        symbols = {s.name for s in self.symbols}
+        k = len(parts)
+        while k > 1 and parts[k - 1] in symbols:
+            k -= 1
+            yield "_".join(parts[:k]), dict(Counter(parts[k:]))
+
+    def parse_jet(self, name: str) -> tuple[str, dict[str, int]] | None:
+        """Inverse of jet_name: the generator and directions of a jet name,
+        or None."""
+        return next(((gen, mi) for gen, mi in self._readings(name)
+                     if gen in self._rules), None)
+
+    def jet(self, name: str) -> RationalFunction | None:
+        """The element a jet name stands for, created on first use; None when
+        name is no jet name or takes a direction that has a rule."""
+        reading = self.parse_jet(name)
+        if reading is None or not all(self.is_free(reading[0], s) for s in reading[1]):
+            return None
+        return self.extend_jets(*reading)
 
     def extend_jets(self, generator: str, multiindex: dict[str, int]) -> RationalFunction:
         """Idempotent creation of the canonical jet symbol; returns it as an
@@ -223,7 +258,7 @@ class Tower(FieldContext):
         if witnesses:
             w = witnesses[0]
             raise InconsistentTower(
-                f"derivations do not commute on {w.element} for pair {w.pair}")
+                f"tower derivations do not commute on {w.element} for pair {w.pair}")
         return witnesses
 
 

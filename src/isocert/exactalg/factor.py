@@ -28,8 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import (FIELD_BITS, FIELD_MASK, MultiPoly, ZeroPolynomial, _int_degree,
-                   _int_div, _int_eval, _int_reconstruct, _normal, content_wrt,
+from .poly import (FIELD_BITS, FIELD_MASK, MultiPoly, ZeroPolynomial, _heu_points,
+                   _int_degree, _int_div, _int_eval, _int_reconstruct, _normal, content_wrt,
                    exact_div, gcd, mono_from_items, mono_key_grlex, prem)
 from .rational import RationalFunction
 from .registry import ExactAlgError, VariableRegistry
@@ -188,11 +188,8 @@ def _roots_by_evaluation(q: MultiPoly, v: int,
     lead = {m - (d << s): c for m, c in a.items() if (m >> s) & FIELD_MASK == d}
     lc = _normal(lead, 1, 1)
     deg = _int_degree(a, u)
-    xi = 2 * max(map(abs, a.values())) * max(map(abs, lead.values())) + 29
-    for _ in range(6):
-        powers = [1]
-        for _ in range(deg):
-            powers.append(powers[-1] * xi)
+    bound = max(map(abs, a.values())) * max(map(abs, lead.values()))
+    for xi, powers in _heu_points(bound, deg):
         lead_image = _int_eval(lead, u, powers)
         if lead_image:
             image = _normal(_int_eval(a, u, powers), 1, 1)
@@ -225,7 +222,6 @@ def _roots_by_evaluation(q: MultiPoly, v: int,
                 roots.append(root)
             if len(set(roots)) == d:
                 return roots
-        xi = xi * 73794 // 27011 + 1
     raise NonLinearFactor(f"cannot split factor of degree {d} in the distinguished variable")
 
 

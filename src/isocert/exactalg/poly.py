@@ -750,11 +750,8 @@ def _heugcd(a: IntTerms, b: IntTerms) -> IntTerms:
     deg_a, deg_b = _int_degree(a, var), _int_degree(b, var)
     # The divide-and-check loop is only guaranteed to return the full gcd for
     # evaluation points beyond twice the smaller max-norm.
-    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
-    for _ in range(6):
-        powers = [1]
-        for _ in range(max(deg_a, deg_b)):
-            powers.append(powers[-1] * xi)
+    bound = min(max(map(abs, a.values())), max(map(abs, b.values())))
+    for xi, powers in _heu_points(bound, max(deg_a, deg_b)):
         fa = _int_eval(a, var, powers)
         fb = _int_eval(b, var, powers)
         if fa and fb:
@@ -764,8 +761,19 @@ def _heugcd(a: IntTerms, b: IntTerms) -> IntTerms:
                 h = _int_primitive(h)
                 if _int_div(a, h) is not None and _int_div(b, h) is not None:
                     return scaled(h)
-        xi = xi * 73794 // 27011 + 1
     raise _HeuristicFailure
+
+
+def _heu_points(bound: int, degree: int):
+    """GCDHEU's six evaluation points (xi, [xi^0, ..., xi^degree]): xi starts
+    at 2*bound + 29 and grows as xi*73794//27011 + 1."""
+    xi = 2 * bound + 29
+    for _ in range(6):
+        powers = [1]
+        for _ in range(degree):
+            powers.append(powers[-1] * xi)
+        yield xi, powers
+        xi = xi * 73794 // 27011 + 1
 
 
 def lcm(a: MultiPoly, b: MultiPoly) -> MultiPoly:

@@ -48,7 +48,7 @@ class VariableRegistry:
 
     def add(self, name: str, kind: VarKind = VarKind.PARAMETRIC) -> int:
         if name in self._index:
-            raise DuplicateVariable(name)
+            raise DuplicateVariable(f"variable {name!r} is declared twice")
         if not _valid_name(name):
             raise ValueError(f"invalid variable name: {name!r}")
         idx = len(self._names)

@@ -199,6 +199,98 @@ def test_load_problem_bad_expression(tmp_path):
         load_problem(str(p))
 
 
+def _tower_field(generators, parametric=("t",)):
+    return {"principal": "x", "parametric": list(parametric),
+            "tower": {"generators": generators}}
+
+
+# One problem file per way a name can be refused, with the detail naming the
+# clashing or invalid name.
+_NAMING_REFUSALS = [
+    (_tower_field([{"name": "I", "rules": {}}, {"name": "I_x"}]),
+     "generator 'I_x' reads as a jet of 'I'"),
+    (_tower_field([{"name": "I_x"}, {"name": "I", "rules": {}}]),
+     "generator 'I' has the jet name 'I_x', which is already a variable"),
+    (_tower_field([{"name": "I"}], parametric=["I_x"]),
+     "derivation symbol 'I_x' contains '_', the jet separator"),
+    (_tower_field([{"name": "I"}, {"name": "J", "rules": {"x": "I_t_1"}}],
+                  parametric=["t_1"]),
+     "derivation symbol 't_1' contains '_', the jet separator"),
+    ({"principal": "x", "parametric": ["t-1"]}, "invalid variable name: 't-1'"),
+    (_tower_field([{"name": "a-b"}]), "invalid variable name: 'a-b'"),
+    (_tower_field([{"name": ""}]), "invalid variable name: ''"),
+    (_tower_field([{"name": "I"}, {"name": "I"}]), "variable 'I' is declared twice"),
+    (_tower_field([{"name": "t"}]), "variable 't' is declared twice"),
+]
+
+
+@pytest.mark.parametrize("field, detail", _NAMING_REFUSALS, ids=[
+    "I-then-I_x", "I_x-then-I", "parameter-I_x", "parameter-t_1", "parameter-t-1",
+    "generator-a-b", "generator-empty", "generator-twice", "generator-is-parameter"])
+def test_naming_refusals_are_malformed_input(tmp_path, field, detail):
+    p = tmp_path / "names.json"
+    p.write_text(json.dumps({"field": field,
+                             "system": {"size": 1, "matrices": {"x": [["x"]]}}}))
+    code, report = run_command(["check", str(p)])
+    assert code == 4
+    assert report.payload == {"status": "malformed-input", "detail": detail}
+
+
+def test_curve_without_a_principal_variable_is_malformed_input(tmp_path):
+    p = tmp_path / "curve.json"
+    p.write_text(json.dumps({"field": {"parametric": ["t"]},
+                             "curve": {"f": "x^3-t"},
+                             "system": {"size": 1, "matrices": {"t": [["t"]]}}}))
+    code, report = run_command(["check", str(p)])
+    assert code == 4
+    assert report.payload == {"status": "malformed-input",
+                              "detail": "a curve section needs a principal variable"}
+
+
+def test_run_command_check_and_flatten_tower_fuzz(tmp_path):
+    """Random tower problem files through `check` and `flatten`: generator
+    names drawn from a pool of jet-like names, rules that name jets in
+    defined directions or do not commute.  Every case ends in a documented
+    exit code, without an exception, within a time budget, and a drawn name
+    collision exits 4."""
+    from hypothesis import given, seed, settings, strategies as st
+
+    symbols = ("x", "t")
+    rules = st.dictionaries(st.sampled_from(symbols), st.sampled_from(
+        ["0", "1", "t", "1/x", "x*g", "g_t", "g_x", "h_t", "g*h_x", "t/(x-1)", "g_x_t"]),
+        max_size=2)
+    generators = st.lists(st.tuples(st.sampled_from(["g", "h", "k", "g_x", "g_t", "h_x_t"]),
+                                    rules), min_size=1, max_size=3, unique_by=lambda g: g[0])
+    entries = st.sampled_from(["0", "g", "g_t", "h_x", "g_x_t", "x*t", "1/(x-t)"])
+
+    def reads_as_jet(name, generator):
+        suffix = name[len(generator) + 1:]
+        return name.startswith(generator + "_") and set(suffix.split("_")) <= set(symbols)
+
+    @seed(20261020)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(generators, entries, entries)
+    def inner(gens, a_x, a_t):
+        names = [name for name, _ in gens]
+        collision = any(
+            a == b or reads_as_jet(a, b)
+            for i, a in enumerate(names) for j, b in enumerate(list(symbols) + names)
+            if j != i + len(symbols))
+        p = tmp_path / "tower.json"
+        p.write_text(json.dumps({
+            "field": _tower_field([{"name": n, "rules": r} for n, r in gens]),
+            "system": {"size": 1, "matrices": {"x": [[a_x]], "t": [[a_t]]}}}))
+        for argv in (["check", str(p)], ["flatten", str(p)]):
+            start = time.perf_counter()
+            code, _ = run_command(argv)
+            assert code in (0, 1, 2, 3, 4), (argv, code)
+            assert time.perf_counter() - start < 10.0, argv
+            if collision:
+                assert code == 4, (gens, argv)
+
+    inner()
+
+
 def test_run_command_check_heisenberg():
     code, report = run_command(["check", fixture_path("heisenberg-obstruction"),
                                 "--mode", "full"])

@@ -4,8 +4,12 @@ import random
 
 import pytest
 
-from isocert.difftower import (DerivationSymbol, NotFree, Tower,
+from isocert.cli.examples import EXAMPLE_NAMES, fixture_path
+from isocert.cli.files import load_problem
+from isocert.connection import check_integrability
+from isocert.difftower import (DerivationSymbol, NotFree, Tower, TowerError,
                                gamma_tower, InconsistentTower)
+from isocert.exactalg import VariableRegistry
 
 
 
@@ -127,3 +131,53 @@ def test_order_independence_on_random_elements():
         count += 1
         assert tower.derive(tower.derive(f, "x"), "t") == \
             tower.derive(tower.derive(f, "t"), "x")
+
+
+def test_parse_jet_inverts_jet_name():
+    # Every jet the tower fixtures create (loading, which checks commutativity
+    # at depth 2, and an integrability check) and every jet of gamma_tower up
+    # to depth 3 parses back to its generator and directions, in any order.
+    towers = []
+    for name in EXAMPLE_NAMES:
+        problem = load_problem(fixture_path(name))
+        if problem.tower is None:
+            continue
+        if problem.system is not None:
+            check_integrability(problem.system, "full")
+        towers.append(problem.tower)
+    tower, _ = gamma_tower()
+    tower.validate(depth=3)
+    towers.append(tower)
+    assert len(towers) == 3
+    for tower in towers:
+        assert tower._jets
+        for (generator, mi), name in tower._jets.items():
+            assert tower.jet_name(generator, mi) == name
+            assert tower.parse_jet(name) == (generator, dict(mi))
+            swapped = tower.jet_name(generator, tuple(reversed(mi)))
+            assert tower.parse_jet(swapped) == (generator, dict(mi))
+            assert tower.jet(swapped) == tower.element(name)
+    for name in ("x", "t", "lg", "gm", "gm_", "gm__t", "gm_y", "lgx_t"):
+        assert tower.parse_jet(name) is None
+    # A jet name in a defined direction parses, but names no element.
+    assert tower.parse_jet("lg_x") == ("lg", {"x": 1})
+    assert tower.jet("lg_x") is None
+
+
+def test_tower_refuses_names_that_could_collide():
+    with pytest.raises(TowerError, match="'t_1' contains '_'"):
+        Tower([DerivationSymbol("x", "principal"), DerivationSymbol("t_1")])
+    with pytest.raises(TowerError, match="duplicate derivation symbol 't'"):
+        Tower([DerivationSymbol("t"), DerivationSymbol("t")])
+    tower = Tower([DerivationSymbol("x", "principal"), DerivationSymbol("t")])
+    tower.add_generator("g")
+    tower.set_rule("g", "x", tower.element("t"))
+    # Even in a direction with a rule, a jet-like generator name is refused.
+    with pytest.raises(TowerError, match="'g_x' reads as a jet of 'g'"):
+        tower.add_generator("g_x")
+    # A registry shared with the tower may already hold a jet name.
+    registry = VariableRegistry()
+    registry.add("h_t_x")
+    tower = Tower([DerivationSymbol("x", "principal"), DerivationSymbol("t")], registry)
+    with pytest.raises(TowerError, match="'h' has the jet name 'h_t_x'"):
+        tower.add_generator("h")
