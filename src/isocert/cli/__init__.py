@@ -10,7 +10,7 @@ module.
 
 from .examples import EXAMPLE_NAMES, ExampleFailure, run_all, run_example
 from .exprio import (ExprSyntaxError, UnknownIdentifier, evaluate,
-                     parse_expression, parse_to_rational, print_tree)
+                     parse_expression, parse_to_rational)
 from .files import LoadedProblem, ProblemFileError, load_problem, parse_matrix
 from .reports import Report, emit_report, matrix_text, operator_text, value_text
 
@@ -18,8 +18,8 @@ __all__ = [
     "EXAMPLE_NAMES", "ExampleFailure", "ExprSyntaxError", "LoadedProblem",
     "ProblemFileError", "Report", "UnknownIdentifier", "emit_report",
     "evaluate", "load_problem", "main", "matrix_text", "operator_text",
-    "parse_expression", "parse_matrix", "parse_to_rational", "print_tree",
-    "run_all", "run_command", "run_example", "value_text",
+    "parse_expression", "parse_matrix", "parse_to_rational", "run_all",
+    "run_command", "run_example", "value_text",
 ]
 
 

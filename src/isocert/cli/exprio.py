@@ -1,19 +1,29 @@
 """Expression text I/O.
 
-Grammar: integers, rationals via '/', identifiers [A-Za-z_][A-Za-z0-9_]*,
-operators + - * / ^ (integer exponents, |n| <= MAX_EXPONENT), parentheses,
-standard precedence, left associativity, unary minus.  Trees are plain
-tuples; printing is faithful with minimal parentheses, so
-parse(print(parse(s))) == parse(s).
+Grammar: decimal integers [0-9]+, rationals via '/', identifiers
+[A-Za-z_][A-Za-z0-9_]* (ASCII, the registry's name rule), operators
++ - * / ^, parentheses, standard precedence, left associativity and unary
+minus, which binds looser than '^' and tighter than '*' and '/'.  '^' takes
+one optionally signed integer exponent with |n| <= MAX_EXPONENT and does not
+chain.
+
+`parse_expression` reads the text in one left-to-right pass into postfix
+order with an operator stack (Dijkstra's shunting-yard); `evaluate` runs the
+postfix list on a value stack.  Neither recurses, so no nesting depth or
+length of a sum is limited by the interpreter's stack.  The postfix items
+are ("num", Fraction), ("var", name), ("neg",), ("pow", n), ("add",),
+("sub",), ("mul",) and ("div",); operands appear in text order, so they
+are evaluated left to right.
 """
 
 from __future__ import annotations
 
+import operator
+import re
 from fractions import Fraction
 
 from ..exactalg import ExactAlgError, RationalFunction
-
-Node = tuple
+from ..exactalg.registry import NAME
 
 # Largest |n| accepted in `^n`.  Powers are expanded densely, and the heuristic
 # gcd on a power of degree n works on integers of about n^2 bits, so an
@@ -42,196 +52,128 @@ class UnknownIdentifier(KeyError):
         self.name = name
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, object, int]] = []
-        self._scan()
-        self.index = 0
+# A character outside the grammar's alphabet (whitespace, digits, name
+# characters, operators), refused before any token is read.
+_OUTSIDE = re.compile(r"[^\s0-9A-Za-z_+\-*/^()]")
+# One token after optional whitespace: an integer, an identifier or a symbol.
+_TOKEN = re.compile(rf"\s*(?:([0-9]+)|({NAME})|([-+*/^()]))")
 
-    def _scan(self):
-        text = self.text
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.tokens.append(("int", int(text[i:j]), i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i))
-                i = j
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-        self.tokens.append(("end", None, len(text)))
+# Binary operators: precedence and postfix item.  Unary minus has
+# precedence 3; an open parenthesis on the operator stack has 0, so no
+# operator is popped past it.
+_BINARY = {"+": (1, ("add",)), "-": (1, ("sub",)), "*": (2, ("mul",)), "/": (2, ("div",))}
+_NEG = (3, ("neg",))
+_OPEN = (0, None)
 
-    def peek(self):
-        return self.tokens[self.index]
-
-    def next(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
+# Parser states: an operand is expected; an operand ended and may take '^';
+# an operator, ')' or the end is expected.
+_OPERAND, _ATOM, _OPERATOR = range(3)
 
 
-def parse_expression(text: str) -> Node:
-    lex = _Lexer(text)
-    node = _parse_sum(lex)
-    kind, _, pos = lex.peek()
-    if kind != "end":
-        raise ExprSyntaxError(f"unexpected token {kind!r}", pos)
-    return node
-
-
-def _parse_sum(lex: _Lexer) -> Node:
-    node = _parse_product(lex)
-    while True:
-        kind, _, _ = lex.peek()
-        if kind == "+":
-            lex.next()
-            node = ("add", node, _parse_product(lex))
-        elif kind == "-":
-            lex.next()
-            node = ("sub", node, _parse_product(lex))
-        else:
-            return node
-
-
-def _parse_product(lex: _Lexer) -> Node:
-    node = _parse_unary(lex)
-    while True:
-        kind, _, _ = lex.peek()
-        if kind == "*":
-            lex.next()
-            node = ("mul", node, _parse_unary(lex))
-        elif kind == "/":
-            lex.next()
-            node = ("div", node, _parse_unary(lex))
-        else:
-            return node
-
-
-def _parse_unary(lex: _Lexer) -> Node:
-    kind, _, _ = lex.peek()
-    if kind == "-":
-        lex.next()
-        return ("neg", _parse_unary(lex))
-    if kind == "+":
-        lex.next()
-        return _parse_unary(lex)
-    return _parse_power(lex)
-
-
-def _parse_power(lex: _Lexer) -> Node:
-    base = _parse_atom(lex)
-    kind, _, pos = lex.peek()
-    if kind != "^":
-        return base
-    lex.next()
-    sign = 1
-    kind, _, _ = lex.peek()
-    if kind == "-":
-        lex.next()
-        sign = -1
-    kind, value, pos = lex.peek()
-    if kind != "int":
-        raise ExprSyntaxError("exponent must be an integer", pos)
-    if value > MAX_EXPONENT:
-        raise ExponentTooLarge(f"exponent {sign * value} at offset {pos} is outside "
-                               f"the supported bound |n| <= {MAX_EXPONENT}")
-    lex.next()
-    return ("pow", base, sign * value)
-
-
-def _parse_atom(lex: _Lexer) -> Node:
-    kind, value, pos = lex.next()
-    if kind == "int":
-        return ("num", Fraction(value))
-    if kind == "ident":
-        return ("var", value)
-    if kind == "(":
-        node = _parse_sum(lex)
-        kind, _, pos = lex.next()
-        if kind != ")":
+def parse_expression(text: str) -> list[tuple]:
+    """The postfix list of an expression, or ExprSyntaxError with the
+    offset of the first offending character or token."""
+    bad = _OUTSIDE.search(text)
+    if bad is not None:
+        raise ExprSyntaxError(f"unexpected character {bad.group()!r}", bad.start())
+    out: list[tuple] = []
+    stack: list[tuple] = []
+    depth = 0
+    state = _OPERAND
+    tokens = _TOKEN.finditer(text)
+    for match in tokens:
+        number, name, symbol = match.groups()
+        pos = match.start(match.lastindex)
+        if state == _OPERAND:
+            if number is not None:
+                out.append(("num", Fraction(int(number))))
+                state = _ATOM
+            elif name is not None:
+                out.append(("var", name))
+                state = _ATOM
+            elif symbol == "-":
+                stack.append(_NEG)
+            elif symbol == "(":
+                stack.append(_OPEN)
+                depth += 1
+            elif symbol != "+":
+                raise ExprSyntaxError(f"unexpected token {symbol!r}", pos)
+            continue
+        if state == _ATOM and symbol == "^":
+            out.append(("pow", _exponent(text, tokens)))
+            state = _OPERATOR
+            continue
+        if symbol in _BINARY:
+            entry = _BINARY[symbol]
+            while stack and stack[-1][0] >= entry[0]:
+                out.append(stack.pop()[1])
+            stack.append(entry)
+            state = _OPERAND
+        elif symbol == ")" and depth:
+            while stack[-1] is not _OPEN:
+                out.append(stack.pop()[1])
+            stack.pop()
+            depth -= 1
+            state = _ATOM
+        elif depth:
             raise ExprSyntaxError("expected ')'", pos)
-        return node
-    raise ExprSyntaxError(f"unexpected token {kind!r}", pos)
+        else:
+            kind = "int" if number is not None else "ident" if name is not None else symbol
+            raise ExprSyntaxError(f"unexpected token {kind!r}", pos)
+    if state == _OPERAND:
+        raise ExprSyntaxError("unexpected token 'end'", len(text))
+    if depth:
+        raise ExprSyntaxError("expected ')'", len(text))
+    while stack:
+        out.append(stack.pop()[1])
+    return out
 
 
-def evaluate(node: Node, env, const):
-    """Evaluate against env(name) -> element and const(Fraction) -> element."""
-    op = node[0]
-    if op == "num":
-        return const(node[1])
-    if op == "var":
-        return env(node[1])
-    if op == "neg":
-        return -evaluate(node[1], env, const)
-    if op == "pow":
-        return evaluate(node[1], env, const) ** node[2]
-    a = evaluate(node[1], env, const)
-    b = evaluate(node[2], env, const)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown node {op!r}")
+def _exponent(text: str, tokens) -> int:
+    """The optionally signed integer after '^', read from the token stream."""
+    match = next(tokens, None)
+    sign = 1
+    if match is not None and match.group(3) == "-":
+        sign = -1
+        match = next(tokens, None)
+    if match is None or match.group(1) is None:
+        raise ExprSyntaxError("exponent must be an integer",
+                              len(text) if match is None else match.start(match.lastindex))
+    value = int(match.group(1))
+    if value > MAX_EXPONENT:
+        raise ExponentTooLarge(f"exponent {sign * value} at offset {match.start(1)} is "
+                               f"outside the supported bound |n| <= {MAX_EXPONENT}")
+    return sign * value
 
 
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4,
-         "num": 5, "var": 5}
+_APPLY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "div": operator.truediv}
 
 
-def print_tree(node: Node) -> str:
-    op = node[0]
-    if op == "num":
-        return str(node[1])
-    if op == "var":
-        return node[1]
-    if op == "neg":
-        inner = _wrap(node[1], _PREC["neg"], strict=False)
-        return f"-{inner}"
-    if op == "pow":
-        base = _wrap(node[1], _PREC["pow"], strict=True)
-        exp = node[2]
-        return f"{base}^{exp}" if exp >= 0 else f"{base}^-{-exp}"
-    a_strict = {"add": False, "sub": False, "mul": False, "div": False}[op]
-    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[op]
-    left = _wrap(node[1], _PREC[op], strict=a_strict)
-    right = _wrap(node[2], _PREC[op], strict=(op in ("sub", "div", "mul", "add")))
-    return f"{left}{sym}{right}"
-
-
-def _wrap(node: Node, parent_prec: int, strict: bool) -> str:
-    text = print_tree(node)
-    prec = _PREC[node[0]]
-    if prec < parent_prec or (strict and prec == parent_prec):
-        return f"({text})"
-    return text
+def evaluate(postfix: list[tuple], env, const):
+    """Evaluate a postfix list against env(name) -> element and
+    const(Fraction) -> element."""
+    stack = []
+    for item in postfix:
+        kind = item[0]
+        if kind == "num":
+            stack.append(const(item[1]))
+        elif kind == "var":
+            stack.append(env(item[1]))
+        elif kind == "neg":
+            stack[-1] = -stack[-1]
+        elif kind == "pow":
+            stack[-1] = stack[-1] ** item[1]
+        else:
+            right = stack.pop()
+            stack[-1] = _APPLY[kind](stack[-1], right)
+    return stack.pop()
 
 
 def parse_to_rational(text: str, registry, resolver=None) -> RationalFunction:
     """Parse and evaluate into a RationalFunction over the registry; a
     resolver may map identifiers (e.g. lazy jets) to elements."""
-    tree = parse_expression(text)
+    postfix = parse_expression(text)
 
     def env(name: str):
         if resolver is not None:
@@ -242,4 +184,4 @@ def parse_to_rational(text: str, registry, resolver=None) -> RationalFunction:
             return RationalFunction.var(name, registry)
         raise UnknownIdentifier(name)
 
-    return evaluate(tree, env, lambda c: RationalFunction.const(c, registry))
+    return evaluate(postfix, env, lambda c: RationalFunction.const(c, registry))

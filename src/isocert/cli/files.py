@@ -26,6 +26,7 @@ class ProblemFileError(ValueError):
 
 
 _MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "string"}}}
+_MATRICES = {"type": "array", "items": _MATRIX}
 
 PROBLEM_SCHEMA: dict = {
     "type": "object",
@@ -103,11 +104,16 @@ PROBLEM_SCHEMA: dict = {
         },
         "gauge_matrix": _MATRIX,
         "constant_system": {"type": "object"},
-        "commutant_generators": {"type": "array", "items": _MATRIX},
+        "commutant_generators": _MATRICES,
         "expect": {"type": "object"},
     },
     "required": ["field"],
 }
+
+
+# Gauge and commutant files, by the key of their payload.
+_MATRIX_FILES = {key: {"type": "object", "properties": {key: schema}, "required": [key]}
+                 for key, schema in (("matrix", _MATRIX), ("matrices", _MATRICES))}
 
 
 @dataclass
@@ -186,21 +192,37 @@ def schema_violation(instance, schema: dict = PROBLEM_SCHEMA) -> Optional[str]:
     return None if best is None else best[2]
 
 
+def read_json(path: str):
+    """The decoded contents of a JSON input file.  A file that cannot be read
+    or decoded, or that nests too deeply for the decoder, is malformed input."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise ProblemFileError(str(exc)) from None
+    except (ValueError, RecursionError) as exc:
+        raise ProblemFileError(f"invalid JSON in {path}: {exc}") from None
+
+
+def read_matrices(path: str, key: str) -> list:
+    """The payload of a gauge file (key "matrix": one matrix) or a commutant
+    file (key "matrices": a list of matrices), stored as {key: payload} or
+    as the bare payload, after checking its shape."""
+    data = read_json(path)
+    if not isinstance(data, dict):
+        data = {key: data}
+    message = schema_violation(data, _MATRIX_FILES[key])
+    if message is not None:
+        raise ProblemFileError(f"schema violation in {path}: {message}")
+    return data[key]
+
+
 def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
     """Load and validate a problem from a path or dict.
 
     Towers are checked for commuting derivations (depth 2) before use;
     tower_consistency may be "error" (refuse) or "skip"."""
-    if isinstance(source, dict):
-        data = source
-    else:
-        try:
-            with open(source, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise ProblemFileError(str(exc)) from None
-        except json.JSONDecodeError as exc:
-            raise ProblemFileError(f"invalid JSON: {exc}") from None
+    data = source if isinstance(source, dict) else read_json(source)
     message = schema_violation(data)
     if message is not None:
         raise ProblemFileError(f"schema violation: {message}")

@@ -8,7 +8,6 @@ obstruction proven, example expectation failed); 2 unsupported input;
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -23,7 +22,7 @@ from .examples import (EXAMPLE_NAMES, ExampleFailure, run_all, run_example)
 from .exprio import (ExprSyntaxError, UnknownIdentifier, parse_expression,
                      parse_to_rational)
 from .files import (ProblemFileError, check_curve_names, load_problem,
-                    parse_matrix)
+                    parse_matrix, read_matrices)
 from .reports import Report, emit_report, matrix_text, operator_text, value_text
 
 EXIT_OK = 0
@@ -38,17 +37,7 @@ def _registry_for(expr_text: str, var: str, param: str | None) -> VariableRegist
     then the declared parameter, then any remaining identifiers.  An invalid
     variable name, or a parameter equal to the principal variable, is
     malformed input."""
-    tree = parse_expression(expr_text)
-    names: set[str] = set()
-
-    def walk(node):
-        if node[0] == "var":
-            names.add(node[1])
-        for child in node[1:]:
-            if isinstance(child, tuple):
-                walk(child)
-
-    walk(tree)
+    names = {item[1] for item in parse_expression(expr_text) if item[0] == "var"}
     if param == var:
         raise ProblemFileError(f"the parameter {param!r} is the integration variable")
     registry = VariableRegistry()
@@ -70,14 +59,6 @@ def _load_system(path: str):
     if problem.system is None:
         raise ProblemFileError("file has no system section")
     return problem
-
-
-def _read_json(path: str, what: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ProblemFileError(f"bad {what} file: {exc}") from None
 
 
 def _operator_payload(result) -> dict:
@@ -111,9 +92,7 @@ def _cmd_check(args) -> tuple[int, Report]:
 
 def _cmd_gauge(args) -> tuple[int, Report]:
     problem = _load_system(args.file)
-    mat_data = _read_json(args.matrix, "gauge matrix")
-    rows = mat_data["matrix"] if isinstance(mat_data, dict) else mat_data
-    g = parse_matrix(problem, rows, problem.system.size)
+    g = parse_matrix(problem, read_matrices(args.matrix, "matrix"), problem.system.size)
     transformed = gauge(problem.system, g)
     payload = {
         "matrices": {name: matrix_text(mat)
@@ -156,10 +135,8 @@ def _cmd_flatten(args) -> tuple[int, Report]:
     problem = _load_system(args.file)
     constraint = None
     if args.commutant:
-        data = _read_json(args.commutant, "commutant")
-        rows_list = data["matrices"] if isinstance(data, dict) else data
         constraint = [parse_matrix(problem, rows, problem.system.size)
-                      for rows in rows_list]
+                      for rows in read_matrices(args.commutant, "matrices")]
     outcome = flatten(problem.system, degree_bound=args.degree_bound,
                       constraint=constraint)
     if isinstance(outcome, FlattenFound):

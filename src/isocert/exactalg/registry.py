@@ -9,6 +9,7 @@ appended at the end, so values built earlier remain valid.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 
 
@@ -31,11 +32,11 @@ class VarKind(enum.Enum):
     JET = "jet"
 
 
-def _valid_name(name: str) -> bool:
-    if not name:
-        return False
-    head, tail = name[0], name[1:]
-    return (head.isalpha() or head == "_") and all(c.isalnum() or c == "_" for c in tail)
+# A variable name, ASCII only; the expression tokenizer reads identifiers
+# with the same pattern.
+NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+
+_valid_name = re.compile(NAME).fullmatch
 
 
 @dataclass

@@ -225,14 +225,6 @@ class DerivationRebase:
     old_symbols: tuple[str, ...]
     matrix: tuple[tuple[RationalFunction, ...], ...]
 
-    def inverse(self, field: FieldContext) -> "DerivationRebase":
-        try:
-            inv = mat_inverse([list(row) for row in self.matrix], field.zero, field.one)
-        except SingularMatrix:
-            raise SingularRebase("rebase matrix is singular") from None
-        return DerivationRebase(self.old_symbols, self.new_symbols,
-                                tuple(tuple(row) for row in inv))
-
 
 def rebase_derivations(system: ConnectionSystem, rebase: DerivationRebase) -> ConnectionSystem:
     """Connection matrices transform linearly: A_{new_i} = sum_j R_ij A_{old_j};

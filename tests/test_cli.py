@@ -12,11 +12,12 @@ import pytest
 
 from isocert.cli.examples import EXAMPLE_NAMES, fixture_path
 from isocert.cli.exprio import (MAX_EXPONENT, ExprSyntaxError, UnknownIdentifier,
-                                parse_expression, parse_to_rational, print_tree)
+                                parse_expression, parse_to_rational)
 from isocert.cli.files import ProblemFileError, apply_dual, load_problem
 from isocert.cli.main import run_command
 from isocert.cli.reports import Report, emit_report, operator_text
-from isocert.exactalg import RationalFunction, VarKind, VariableRegistry, format_rational
+from isocert.exactalg import (RationalFunction, VarKind, VariableRegistry, ZeroDenominator,
+                              format_rational)
 from isocert.exactalg.poly import MAX_DEGREE
 from isocert.operators import LinearDiffOperator
 
@@ -44,6 +45,13 @@ def test_parse_syntax_error_position():
         parse_expression("(x")
     with pytest.raises(ExprSyntaxError):
         parse_expression("x^t")
+    for text, message, position in (("x)", "unexpected token ')'", 1),
+                                    ("x y", "unexpected token 'ident'", 2),
+                                    ("x^2^3", "unexpected token '^'", 3)):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expression(text)
+        assert str(err.value) == f"{message} at offset {position}"
+        assert err.value.position == position
 
 
 def test_unknown_identifier(xt):
@@ -60,11 +68,61 @@ def test_unknown_identifier(xt):
     "x-(t-1)",
 ])
 def test_round_trip_stability(text):
-    t1 = parse_expression(text)
-    t2 = parse_expression(print_tree(t1))
+    t1 = _tree(parse_expression(text))
+    t2 = _tree(parse_expression(print_tree(t1)))
     assert t1 == t2
     # and printing is a fixed point from then on
-    assert print_tree(t2) == print_tree(parse_expression(print_tree(t2)))
+    assert print_tree(t2) == print_tree(_tree(parse_expression(print_tree(t2))))
+
+
+_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4,
+         "num": 5, "var": 5}
+
+
+def print_tree(node) -> str:
+    op = node[0]
+    if op == "num":
+        return str(node[1])
+    if op == "var":
+        return node[1]
+    if op == "neg":
+        inner = _wrap(node[1], _PREC["neg"], strict=False)
+        return f"-{inner}"
+    if op == "pow":
+        base = _wrap(node[1], _PREC["pow"], strict=True)
+        exp = node[2]
+        return f"{base}^{exp}" if exp >= 0 else f"{base}^-{-exp}"
+    a_strict = {"add": False, "sub": False, "mul": False, "div": False}[op]
+    sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[op]
+    left = _wrap(node[1], _PREC[op], strict=a_strict)
+    right = _wrap(node[2], _PREC[op], strict=(op in ("sub", "div", "mul", "add")))
+    return f"{left}{sym}{right}"
+
+
+def _wrap(node, parent_prec: int, strict: bool) -> str:
+    text = print_tree(node)
+    prec = _PREC[node[0]]
+    if prec < parent_prec or (strict and prec == parent_prec):
+        return f"({text})"
+    return text
+
+
+def _tree(postfix):
+    """The tuple tree of a postfix list: ("add", a, b), ("neg", a),
+    ("pow", a, n) and the leaves ("num", q) and ("var", name)."""
+    stack = []
+    for item in postfix:
+        if item[0] in ("num", "var"):
+            stack.append(item)
+        elif item[0] == "neg":
+            stack.append(("neg", stack.pop()))
+        elif item[0] == "pow":
+            stack.append(("pow", stack.pop(), item[1]))
+        else:
+            right = stack.pop()
+            stack.append((item[0], stack.pop(), right))
+    (tree,) = stack
+    return tree
 
 
 def _tree_strategy(max_exponent=3, names=("x", "t", "u1")):
@@ -94,7 +152,54 @@ def test_print_parse_is_identity_on_trees():
     @settings(max_examples=150, deadline=None)
     @given(_tree_strategy())
     def inner(tree):
-        assert parse_expression(print_tree(tree)) == tree
+        assert _tree(parse_expression(print_tree(tree))) == tree
+
+    inner()
+
+
+def _tree_value(node, registry):
+    """A tree evaluated directly with RationalFunction arithmetic."""
+    op = node[0]
+    if op == "num":
+        return RationalFunction.const(node[1], registry)
+    if op == "var":
+        return RationalFunction.var(node[1], registry)
+    if op == "neg":
+        return -_tree_value(node[1], registry)
+    if op == "pow":
+        return _tree_value(node[1], registry) ** node[2]
+    a, b = _tree_value(node[1], registry), _tree_value(node[2], registry)
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    return a / b
+
+
+def test_printed_trees_parse_to_their_values(xt):
+    """Parsing a printed tree gives the tree's value, and a division by zero
+    is refused by both or by neither."""
+    from hypothesis import example, given, seed, settings
+
+    registry = xt["reg"]
+    registry.add("u1", VarKind.PARAMETRIC)
+
+    def value(thunk):
+        try:
+            return thunk()
+        except ZeroDenominator:
+            return ZeroDenominator
+
+    @seed(20261020)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(_tree_strategy())
+    @example(("div", ("var", "x"), ("num", Fraction(0))))
+    @example(("pow", ("sub", ("var", "t"), ("var", "t")), -2))
+    def inner(tree):
+        expected = value(lambda: _tree_value(tree, registry))
+        assert value(lambda: parse_to_rational(print_tree(tree), registry)) == expected
 
     inner()
 
@@ -490,6 +595,73 @@ def test_file_commands_run_without_jsonschema(tmp_path):
     assert refusal == {
         "status": "malformed-input",
         "detail": "schema violation: 'oops' is not of type 'array'"}
+
+
+_HEISENBERG = fixture_path("heisenberg-obstruction")
+_REPLACE_BI = fixture_path("replace-bi")  # a 2x2 system
+
+# Inputs whose depth or length once overflowed the stack, or whose characters
+# or file shapes once escaped as a traceback: (id, argv with {file} standing
+# for the written input file, its text, exit code, report check).
+_DEEP_AND_MALFORMED = [
+    ("sum-1200", ["reduce", "--integrand=" + "+".join(["x"] * 1200), "--var", "x"], None,
+     0, {"certificate": "600*x^2"}),
+    ("parentheses-1200", ["reduce", "--integrand=" + "(" * 1200 + "x" + ")" * 1200,
+                          "--var", "x"], None, 0, {"certificate": "1/2*x^2"}),
+    ("unary-minus-1200", ["reduce", "--integrand=" + "-" * 1200 + "x", "--var", "x"], None,
+     0, {"certificate": "1/2*x^2"}),
+    ("matrix-entry-sum-3000", ["check", "{file}"], json.dumps(
+        {"field": {"parametric": ["t"]},
+         "system": {"size": 1, "matrices": {"t": [["+".join(["t"] * 3000)]]}}}),
+     0, {"flat": True}),
+    ("superscript-after-plus", ["reduce", "--integrand=x+\u00b2", "--var", "x"], None,
+     4, "unexpected character '\u00b2' at offset 2"),
+    ("superscript-in-name", ["reduce", "--integrand=x\u00b2", "--var", "x"], None,
+     4, "unexpected character '\u00b2' at offset 1"),
+    ("json-nested-100000", ["check", "{file}"], "[" * 100000 + "]" * 100000,
+     4, "invalid JSON in {file}: maximum recursion depth exceeded"),
+    ("gauge-empty-object", ["gauge", _REPLACE_BI, "--matrix", "{file}"], "{}",
+     4, "schema violation in {file}: 'matrix' is a required property"),
+    ("gauge-vector", ["gauge", _REPLACE_BI, "--matrix", "{file}"], "[1, 2]",
+     4, "schema violation in {file}: 2 is not of type 'array'"),
+    ("gauge-number-entries", ["gauge", _REPLACE_BI, "--matrix", "{file}"],
+     "[[1, 0], [0, 1]]", 4, "schema violation in {file}: 1 is not of type 'string'"),
+    ("gauge-number-matrix", ["gauge", _REPLACE_BI, "--matrix", "{file}"],
+     '{"matrix": 5}', 4, "schema violation in {file}: 5 is not of type 'array'"),
+    ("commutant-empty-object", ["flatten", _HEISENBERG, "--commutant", "{file}"], "{}",
+     4, "schema violation in {file}: 'matrices' is a required property"),
+    ("commutant-number-list", ["flatten", _HEISENBERG, "--commutant", "{file}"], "[5]",
+     4, "schema violation in {file}: 5 is not of type 'array'"),
+    ("commutant-number", ["flatten", _HEISENBERG, "--commutant", "{file}"],
+     '{"matrices": 3}', 4, "schema violation in {file}: 3 is not of type 'array'"),
+]
+
+
+@pytest.mark.parametrize("argv, text, code, expected",
+                         [case[1:] for case in _DEEP_AND_MALFORMED],
+                         ids=[case[0] for case in _DEEP_AND_MALFORMED])
+def test_deep_and_malformed_inputs_end_in_a_report(tmp_path, argv, text, code, expected):
+    path = str(tmp_path / "input.json")
+    if text is not None:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    argv = [arg.replace("{file}", path) for arg in argv]
+    start = time.perf_counter()
+    got, report = run_command(argv)
+    assert time.perf_counter() - start < 10.0
+    assert got == code
+    if code == 0:
+        assert report.payload.items() >= expected.items()
+    else:
+        assert report.payload["status"] == "malformed-input"
+        assert report.payload["detail"].startswith(expected.replace("{file}", path))
+
+
+def test_a_long_sum_runs_through_python_m():
+    done = _python_m_main(["--json", *_DEEP_AND_MALFORMED[0][1]], timeout=10)
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert json.loads(done.stdout)["certificate"] == "600*x^2"
 
 
 def test_python_m_runs_main_once():

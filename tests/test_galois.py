@@ -9,7 +9,8 @@ import pytest
 from isocert.connection import ConnectionSystem, check_integrability
 from isocert.derham import telescoper
 from isocert.difftower import gamma_tower
-from isocert.exactalg import RationalFunction, UPoly, mat_eq, partial_fractions
+from isocert.exactalg import (RationalFunction, UPoly, mat_eq, mat_inverse,
+                              partial_fractions)
 from isocert.fields import RationalFieldContext
 from isocert.galois import (DerivationRebase, SingularRebase,
                             UnsupportedOperator, companion_system,
@@ -283,7 +284,9 @@ def test_rebase_example_and_roundtrip(t1t2):
     S2 = rebase_derivations(S, R)
     assert S2.matrices["d1"][0][0].is_zero()
     assert S2.matrices["d2"][0][0] == one
-    back = rebase_derivations(S2, R.inverse(f))
+    inverse = mat_inverse([list(row) for row in R.matrix], zero, one)
+    back = rebase_derivations(S2, DerivationRebase(("t1", "t2"), ("d1", "d2"),
+                                                   tuple(map(tuple, inverse))))
     assert back.matrices["t1"][0][0] == S.matrices["t1"][0][0]
     assert back.matrices["t2"][0][0] == S.matrices["t2"][0][0]
 
