@@ -23,6 +23,7 @@ import re
 from fractions import Fraction
 
 from ..exactalg import ExactAlgError, RationalFunction
+from ..exactalg.printing import _CHUNK, int_text
 from ..exactalg.registry import NAME
 
 # Largest |n| accepted in `^n`.  Powers are expanded densely, and the heuristic
@@ -86,7 +87,7 @@ def parse_expression(text: str) -> list[tuple]:
         pos = match.start(match.lastindex)
         if state == _OPERAND:
             if number is not None:
-                out.append(("num", Fraction(int(number))))
+                out.append(("num", Fraction(_int(number))))
                 state = _ATOM
             elif name is not None:
                 out.append(("var", name))
@@ -139,11 +140,21 @@ def _exponent(text: str, tokens) -> int:
     if match is None or match.group(1) is None:
         raise ExprSyntaxError("exponent must be an integer",
                               len(text) if match is None else match.start(match.lastindex))
-    value = int(match.group(1))
+    value = _int(match.group(1))
     if value > MAX_EXPONENT:
-        raise ExponentTooLarge(f"exponent {sign * value} at offset {match.start(1)} is "
-                               f"outside the supported bound |n| <= {MAX_EXPONENT}")
+        raise ExponentTooLarge(f"exponent {int_text(sign * value)} at offset {match.start(1)} "
+                               f"is outside the supported bound |n| <= {MAX_EXPONENT}")
     return sign * value
+
+
+def _int(digits: str) -> int:
+    """The value of a literal of any length, read in chunks short enough for
+    Python's limit on decimal text (see `printing.int_text`)."""
+    value = 0
+    for start in range(0, len(digits), _CHUNK):
+        chunk = digits[start:start + _CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 _APPLY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
@@ -170,10 +181,11 @@ def evaluate(postfix: list[tuple], env, const):
     return stack.pop()
 
 
-def parse_to_rational(text: str, registry, resolver=None) -> RationalFunction:
+def parse_to_rational(expr: str | list[tuple], registry, resolver=None) -> RationalFunction:
     """Parse and evaluate into a RationalFunction over the registry; a
-    resolver may map identifiers (e.g. lazy jets) to elements."""
-    postfix = parse_expression(text)
+    resolver may map identifiers (e.g. lazy jets) to elements.  `expr` is
+    the text or the postfix list `parse_expression` already made of it."""
+    postfix = parse_expression(expr) if isinstance(expr, str) else expr
 
     def env(name: str):
         if resolver is not None:

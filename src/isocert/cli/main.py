@@ -32,12 +32,14 @@ EXIT_NOT_FOUND = 3
 EXIT_MALFORMED = 4
 
 
-def _registry_for(expr_text: str, var: str, param: str | None) -> VariableRegistry:
-    """Registry inferred from an expression: the principal variable first,
-    then the declared parameter, then any remaining identifiers.  An invalid
-    variable name, or a parameter equal to the principal variable, is
-    malformed input."""
-    names = {item[1] for item in parse_expression(expr_text) if item[0] == "var"}
+def _registry_for(expr_text: str, var: str, param: str | None
+                  ) -> tuple[VariableRegistry, list[tuple]]:
+    """Registry inferred from an expression, and the expression's postfix
+    list: the principal variable first, then the declared parameter, then
+    any remaining identifiers.  An invalid variable name, or a parameter
+    equal to the principal variable, is malformed input."""
+    postfix = parse_expression(expr_text)
+    names = {item[1] for item in postfix if item[0] == "var"}
     if param == var:
         raise ProblemFileError(f"the parameter {param!r} is the integration variable")
     registry = VariableRegistry()
@@ -50,7 +52,7 @@ def _registry_for(expr_text: str, var: str, param: str | None) -> VariableRegist
     for name in sorted(names):
         if name not in registry:
             registry.add(name, VarKind.PARAMETRIC)
-    return registry
+    return registry, postfix
 
 
 def _load_system(path: str):
@@ -102,8 +104,8 @@ def _cmd_gauge(args) -> tuple[int, Report]:
 
 
 def _cmd_reduce(args) -> tuple[int, Report]:
-    registry = _registry_for(args.integrand, args.var, None)
-    f = parse_to_rational(args.integrand, registry)
+    registry, postfix = _registry_for(args.integrand, args.var, None)
+    f = parse_to_rational(postfix, registry)
     result = derham_reduce(f, args.var)
     payload = {
         "class": {value_text(p): value_text(r) for p, r in result.h1.residues.items()},
@@ -114,16 +116,16 @@ def _cmd_reduce(args) -> tuple[int, Report]:
 
 
 def _cmd_telescope(args) -> tuple[int, Report]:
-    registry = _registry_for(args.integrand, args.var, args.param)
-    b = parse_to_rational(args.integrand, registry)
+    registry, postfix = _registry_for(args.integrand, args.var, args.param)
+    b = parse_to_rational(postfix, registry)
     result = telescoper(b, args.var, args.param, max_order=args.max_order)
     return EXIT_OK, Report("telescope", _operator_payload(result))
 
 
 def _cmd_picard_fuchs(args) -> tuple[int, Report]:
-    registry = _registry_for(args.curve, "x", args.param)
+    registry, postfix = _registry_for(args.curve, "x", args.param)
     check_curve_names(registry)
-    f = parse_to_rational(args.curve, registry)
+    f = parse_to_rational(postfix, registry)
     if not f.is_poly():
         raise ProblemFileError("curve polynomial must have denominator 1")
     curve = CurveSpec(f.num, "x", registry)
@@ -165,8 +167,8 @@ def _cmd_flatten(args) -> tuple[int, Report]:
 
 
 def _cmd_galois(args) -> tuple[int, Report]:
-    registry = _registry_for(args.integrand, args.var, args.param)
-    b = parse_to_rational(args.integrand, registry)
+    registry, postfix = _registry_for(args.integrand, args.var, args.param)
+    b = parse_to_rational(postfix, registry)
     descriptor = galois_descriptor(b, args.var, args.param, max_order=args.max_order)
     payload = {
         "operator": operator_text(descriptor.operator),

@@ -11,6 +11,16 @@ and D alone: odd w-powers drop through the Bezout identity u*f + V*f' = 1
 drop through the exact forms d(x^j w).  D absorbs the denominator of V and
 the powers of lc_x(f) the pseudo-division brings in, so these steps take no
 gcd; each coordinate and the certificate are normalized once at the end.
+
+Identities are verified as polynomial identities over known products, with
+no gcd that involves x.  Writing w = f^(1/2), an odd part N/(D*f^a)*w is N
+over D*f^(a - 1/2), so the quotient rule over a product of powers
+(`operators._derive_over`) differentiates odd parts as well, with
+dw = f_x*w/(2f) built in.  The even part of a reduction is the de Rham
+identity with zero class (`derham._check_reduction`).  The odd part's
+common multiple is f^a times the Hermite poles off the branch locus, each to
+its order in the form, times an x-free lcm; a Picard-Fuchs identity D(b) =
+d(certificate) is checked over f^(n + 1/2), n the order of D.
 """
 
 from __future__ import annotations
@@ -18,14 +28,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .derham import H1Class, ReductionResult, _check_reduction
 from .derham import reduce as derham_reduce
 from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
-                       RationalFunction, UPoly, VariableRegistry, exact_div,
+                       RationalFunction, UPoly, VariableRegistry, exact_div, lcm,
                        partial_fractions, prem, upoly_xgcd)
 from .exactalg.factor import _q_adic, _rf_sort_key
 from .exactalg.poly import gcd as poly_gcd
 from .fields import FieldContext
-from .operators import LinearDiffOperator, TelescoperResult, reduction_telescoper
+from .operators import (LinearDiffOperator, TelescoperResult, _apply_over, _derive_over,
+                        _over, _product, reduction_telescoper)
 
 
 class CurveError(ExactAlgError):
@@ -281,6 +293,7 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
     cert = curve.zero_element()
 
     # Even part: an exact differential on the x-line, or unsupported.
+    even_orders = {}
     if not omega.even.is_zero():
         try:
             rr = derham_reduce(omega.even, x_name)
@@ -289,16 +302,23 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
         if not rr.h1.is_zero():
             raise UnsupportedPoles("even part has simple poles (third-kind form)")
         cert = cert + CurveElement(rr.certificate, zero, curve)
+        even_orders = rr.orders
 
+    # The odd part's denominator divides an x-free factor times
+    # f^level * prod q_c^j_c over its poles c off the branch locus, j_c the
+    # order at c; each step below keeps to that product.
     remainder = omega.odd
     coords = (zero,) * curve.basis_size()
     x = RationalFunction.var(x_name, reg)
+    level, poles = 1, {}
     guard = 0
     while not remainder.is_zero():
         guard += 1
         if guard > 200:
             raise CurveError("reduction did not terminate; this is a bug")
         m, Q = _split_f_level(remainder, curve)
+        if guard == 1:
+            level = m + 1
         if Q.den.degree(x_idx) == 0:
             odd, coords = _reduce_numerator(curve, m, Q.num, Q.den)
             cert = cert + CurveElement(zero, odd, curve)
@@ -308,6 +328,9 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
             pfd = partial_fractions(Q, x_name)
         except NonLinearFactor as exc:
             raise UnsupportedPoles(str(exc)) from None
+        if not poles:
+            for term in pfd.terms:
+                poles[term.pole] = max(poles.get(term.pole, 0), term.order)
         top = max(pfd.terms, key=lambda t: (t.order, _rf_sort_key(t.pole)))
         c, j, b = top.pole, top.order, top.coeff
         if j == 1:
@@ -320,35 +343,83 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
         cert = cert + u
         remainder = remainder - curve_derive(u, x_name).odd
     result = CurveReduction(CurveClass(coords), cert)
-    _check_curve_reduction(omega, result)
+    _check_curve_reduction(omega, result, even_orders, level, poles)
     return result
 
 
-def _check_curve_reduction(omega: CurveElement, result: CurveReduction) -> None:
+def _check_curve_reduction(omega: CurveElement, result: CurveReduction,
+                           even_orders: dict[RationalFunction, int], level: int,
+                           poles: dict[RationalFunction, int]) -> None:
+    """omega dx = d(certificate) + sum coords_i x^i dx/w, part by part, as
+    polynomial identities.
+
+    Even part: omega.even = d_x(certificate.even), the de Rham identity with
+    zero class; `even_orders` is the pole structure `derham.reduce` gave its
+    certificate.  Odd part: omega.odd*w = d_x(certificate.odd*w) +
+    sum c_i x^i/w, where `level` = a and `poles` = {c: j_c} say that
+    omega.odd.den divides an x-free factor times f^a * H, H = prod q_c^j_c.
+    The certificate's odd part then lies over X' * f^(a-1) * H', with
+    H' = prod q_c^(j_c - 1), so its product with w lies over
+    X' * f^(a - 3/2) * H', and `_derive_over` puts d_x of that over
+    X' * f^(a - 1/2) * H.  Both sides are multiplied by M * f^(a - 1/2) * H, M
+    the lcm of X' and the coordinate denominators; omega.odd.den is divided
+    into M * f^a * H exactly.  A division that leaves a remainder fails the
+    check.
+    """
     curve = omega.curve
-    total = curve_derive(result.certificate, curve.x_name)
-    for i, c in enumerate(result.h1.coords):
-        if not c.is_zero():
-            total = total + curve.basis_form(i) * c
-    if not (omega - total).is_zero():
+    cert = result.certificate
+    if not (omega.even.is_zero() and cert.even.is_zero()):
+        _check_reduction(omega.even, ReductionResult(H1Class(), cert.even, even_orders),
+                         curve.x_name, even_orders)
+    x, f = curve.x_index, curve.f
+    q = [(c.den * MultiPoly.var(x) - c.num, j - 1) for c, j in poles.items()]
+    known = _product([(f, level - 1)] + q)
+    cls = MultiPoly.zero()
+    try:
+        num, lead = _over(cert.odd, known, x)
+        derivative, _, r_part = _derive_over(num, [(f, level - Fraction(3, 2))] + q, x)
+        m_part = lead
+        for c in result.h1.coords:
+            m_part = lcm(m_part, c.den)
+        for i, c in enumerate(result.h1.coords):
+            if not c.is_zero():
+                cls = cls + c.num * exact_div(m_part, c.den) * MultiPoly.var(x, i)
+        lhs = omega.odd.num * exact_div(m_part * known * r_part, omega.odd.den)
+        rhs = (derivative * exact_div(m_part, lead)
+               + known * exact_div(r_part, f) * cls)
+    except ArithmeticError:
+        raise AssertionError("curve reduction identity failed; this is a bug") from None
+    if lhs != rhs:
         raise AssertionError("curve reduction identity failed; this is a bug")
 
 
 def derive_curve_reduction(r: CurveReduction, t_name: str) -> CurveReduction:
     """The reduction of d_t omega from the reduction r of omega: if
     omega = d(C) + sum coords_k x^k/w, reduce d_t of the small representative
-    sum coords_k x^k/w and add d_t(C) to its certificate.  For forms without
-    even part this is the certificate `curve_reduce(d_t omega)` gives: it has
-    no even part and its odd part is unique."""
+    sum coords_k x^k/w and add d_t(C) to its certificate.
+
+    With the representative written R/(D*f) * w, R a polynomial and D the
+    x-free lcm of the coordinate denominators,
+    d_t(R/(D*f) * w) = (2f*(R_t*D - R*D_t) - R*D*f_t)/(2*D^2*f^2) * w, and
+    that numerator goes to `_reduce_numerator` at level 1 as it stands.
+    For forms without even part this is the certificate `curve_reduce`
+    gives for d_t omega: it has no even part and its odd part is unique."""
     curve = r.certificate.curve
-    x = RationalFunction.var(curve.x_name, curve.registry)
-    zero = RationalFunction.const(0, curve.registry)
-    rep = zero
+    x, t = curve.x_index, curve.registry.index(t_name)
+    den = MultiPoly.one()
+    for c in r.h1.coords:
+        den = lcm(den, c.den)
+    rep = MultiPoly.zero()
     for k, c in enumerate(r.h1.coords):
         if not c.is_zero():
-            rep = rep + c * x ** k
-    nxt = curve_reduce(curve_derive(CurveElement(zero, rep / curve.f_rf, curve), t_name))
-    return CurveReduction(nxt.h1, nxt.certificate + curve_derive(r.certificate, t_name))
+            rep = rep + c.num * exact_div(den, c.den) * MultiPoly.var(x, k)
+    f = curve.f
+    num = ((rep.derivative(t) * den - rep * den.derivative(t)) * f.scale(2)
+           - rep * den * f.derivative(t))
+    odd, coords = _reduce_numerator(curve, 1, num, (den * den).scale(2))
+    zero = RationalFunction.const(0, curve.registry)
+    return CurveReduction(CurveClass(coords), CurveElement(zero, odd, curve)
+                          + curve_derive(r.certificate, t_name))
 
 
 def picard_fuchs(curve: CurveSpec, form_index: int, t_name: str,
@@ -373,6 +444,34 @@ def picard_fuchs(curve: CurveSpec, form_index: int, t_name: str,
 
 def _check_picard_fuchs(operator: LinearDiffOperator, b: CurveElement,
                         cert: CurveElement) -> None:
+    """D(b) dx = d(cert) for the basis form b = x^i/w, as one polynomial
+    identity.
+
+    b has no even part, so d_x(cert.even) must vanish: cert.even is free of
+    x.  b.odd * w is N over X * f^(1/2) (`_over`), and `_apply_over` puts
+    D(b) over M * X^E * f^(e + 1/2), where e = n (the order of D) if d_t
+    moves f and e = 0 if it does not.  The certificate combines those of
+    d_t^j b, j <= n, so cert.odd lies over X' * f^e and d_x(cert.odd * w)
+    over X' * f^(e + 1/2).  The f-parts agree, and with L the lcm of
+    M * X^E and X' the identity is the equality of two polynomials.  A
+    division that leaves a remainder fails the check.
+    """
     curve = b.curve
-    if operator.apply(CurveContext(curve), b) != curve_derive(cert, curve.x_name):
+    x, t, f = curve.x_index, curve.registry.index(operator.symbol), curve.f
+    even = cert.even
+    try:
+        if even.num.degree(x) > 0 or even.den.degree(x) > 0 or not b.even.is_zero():
+            raise ArithmeticError("the even parts do not match")
+        num, lead = _over(b.odd, f, x)
+        lhs, m_part, factors = _apply_over(operator, num, [(lead, 1), (f, Fraction(1, 2))], t)
+        (lead, e_lead), (_, e_f) = factors
+        num, cert_lead = _over(cert.odd, f ** int(e_f - Fraction(1, 2)), x)
+        rhs, _, _ = _derive_over(num, [(f, e_f - 1)], x)
+        lhs_den = m_part * lead ** e_lead
+        common = lcm(lhs_den, cert_lead)
+        lhs = lhs * exact_div(common, lhs_den)
+        rhs = rhs * exact_div(common, cert_lead)
+    except ArithmeticError:
+        raise AssertionError("Picard-Fuchs identity failed; this is a bug") from None
+    if lhs != rhs:
         raise AssertionError("Picard-Fuchs identity failed; this is a bug")

@@ -7,20 +7,29 @@ representative sum b_i/(x - c_i) with b_i, c_i in k; reduction produces that
 representative together with a certificate g such that
 
     f = d_x(g) + sum b_i/(x - c_i)      (verified on every call).
+
+Every identity is verified as one polynomial identity over a common multiple
+built from the pole structure the reduction knows: each pole p = a/b gives
+q_p = b*x - a, the certificate lies over an x-free D times prod q_p^e_p, and
+the quotient rule over that product (`operators._derive_over`) raises each
+exponent by one.  Each side is divided into the common multiple exactly and
+no input denominator is multiplied in; the only gcds are those of x-free
+lcms.  A telescoper D(b) = d_x(g) is checked the same way, with D applied to
+b over prod q_p^m_p, m_p the order of b at p.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactalg import (MultiPoly, NonLinearFactor, RationalFunction, exact_div, gcd,
                        lcm, partial_fractions)
-from .exactalg.factor import _rf_sort_key
+from .exactalg.factor import _q_adic, _rf_sort_key
 from .exactalg.rational import _monic_den
-from .fields import RationalFieldContext
 from .operators import (LinearDiffOperator, TelescoperNotFound,  # noqa: F401
-                        TelescoperResult, reduction_telescoper)
+                        TelescoperResult, _apply_over, _derive_over, _over, _product,
+                        reduction_telescoper)
 
 
 class H1Class:
@@ -68,6 +77,8 @@ class H1Class:
 class ReductionResult:
     h1: H1Class
     certificate: RationalFunction
+    # Pole -> e_p > 0 with certificate.den = D * prod q_p^e_p, D free of x.
+    orders: dict[RationalFunction, int] = field(compare=False)
 
 
 def reduce(f: RationalFunction, x_name: str) -> ReductionResult:
@@ -121,7 +132,8 @@ def reduce(f: RationalFunction, x_name: str) -> ReductionResult:
             break
         g = gcd(g, c)
     num, den = _monic_den(exact_div(num, g), exact_div(den, g) * l_part)
-    result = ReductionResult(H1Class(residues), RationalFunction(num, den, reg, _reduced=True))
+    result = ReductionResult(H1Class(residues), RationalFunction(num, den, reg, _reduced=True),
+                             orders)
     _check_reduction(f, result, x_name, orders)
     return result
 
@@ -131,37 +143,32 @@ def _check_reduction(f: RationalFunction, result: ReductionResult, x_name: str,
     """f = d_x(N/(D*L)) + sum r_p/(x - p) as one polynomial identity.
 
     `orders` maps each pole of the certificate N/(D*L) to e_p: L must be
-    prod q_p^e_p and D free of x.  With R = prod q_p over all poles and
-    S = sum e_p*b_p*R/q_p, L_x/L = S/R, so
-    d_x(N/(D*L)) = (N_x*R - N*S)/(D*L*R), and r_p/(x - p) = r_p*b_p/q_p.
-    Both sides are multiplied by M*L*R, M the lcm of D and the residue
-    denominators, which f.den divides if the identity holds; it is divided
-    by f.den exactly rather than f.den multiplied in.  A division that
-    leaves a remainder fails the check.
+    prod q_p^e_p and D free of x.  Over the factors q_p^e_p of every pole
+    (e_p = 0 at a simple pole only), `_derive_over` gives
+    d_x(N/(D*L)) = (N_x*R - N*S)/(D*L*R) with R = prod q_p, and
+    r_p/(x - p) = r_p*b_p/q_p.  Both sides are multiplied by M*L*R, M the lcm
+    of D and the residue denominators, which f.den divides if the identity
+    holds; it is divided by f.den exactly rather than f.den multiplied in.  A
+    division that leaves a remainder fails the check.
     """
     x = f.registry.index(x_name)
     residues = result.h1.residues
     q = {p: p.den * MultiPoly.var(x) - p.num for p in {*orders, *residues}}
-    l_part = r_part = MultiPoly.one()
-    for p, qp in q.items():
-        l_part = l_part * qp ** orders.get(p, 0)
-        r_part = r_part * qp
-    s_part = simple = MultiPoly.zero()
-    n = result.certificate.num
+    factors = [(qp, orders.get(p, 0)) for p, qp in q.items()]
+    l_part = _product(factors)
+    simple = MultiPoly.zero()
     try:
         m_part = d_part = exact_div(result.certificate.den, l_part)
         if d_part.degree(x) > 0:
             raise ArithmeticError("x left in the certificate's denominator")
         for r in residues.values():
             m_part = lcm(m_part, r.den)
-        for p, qp in q.items():
-            cofactor = exact_div(r_part, qp) * p.den
-            s_part = s_part + cofactor.scale(orders.get(p, 0))
-            if (r := residues.get(p)) is not None:
-                simple = simple + cofactor * (r.num * exact_div(m_part, r.den))
+        derivative, _, r_part = _derive_over(result.certificate.num, factors, x)
+        for p, r in residues.items():
+            simple = simple + (exact_div(r_part, q[p]) * p.den
+                               * (r.num * exact_div(m_part, r.den)))
         lhs = f.num * exact_div(l_part * r_part * m_part, f.den)
-        rhs = ((n.derivative(x) * r_part - n * s_part) * exact_div(m_part, d_part)
-               + l_part * simple)
+        rhs = derivative * exact_div(m_part, d_part) + l_part * simple
     except ArithmeticError:
         raise AssertionError("reduction identity failed; this is a bug") from None
     if lhs != rhs:
@@ -179,14 +186,56 @@ def derive_reduction(r: ReductionResult, x_name: str, t_name: str) -> ReductionR
     fractions: if f = d_x(c) + sum r_p/(x-p), then
     d_t f = d_x(c' - sum r_p*p'/(x-p)) + sum r_p'/(x-p).  The certificate is
     the one `reduce(d_t f)` gives, since its normal form (a polynomial without
-    constant term plus proper fractions in x) is closed under d_t."""
-    x = RationalFunction.var(x_name, r.certificate.registry)
-    cert = r.certificate.derive(t_name)
-    for pole, res in r.h1.residues.items():
-        dp = pole.derive(t_name)
-        if not dp.is_zero():
-            cert = cert - res * dp / (x - pole)
-    return ReductionResult(gm_derivative(r.h1, t_name), cert)
+    constant term plus proper fractions in x) is closed under d_t.
+
+    It is built over its known denominator, with no gcd in x.  With
+    c = N/(D*L), L = prod q_p^e_p as r.orders says, `_derive_over` puts c'
+    over D' * prod q_p^E_p, where E_p = e_p + 1 for each pole that d_t moves
+    (a pole of the class alone enters with e_p = 0) and E_p = e_p for the
+    others; each r_p*p'/(x-p) = r_p*p'*b_p/q_p goes over the same product.
+    At a moving pole the numerator is nonzero mod q_p (its top term is
+    -e_p*c_p*d_t(q_p), or -r_p*p'*b_p when e_p = 0), so E_p stays; at a
+    pole d_t does not move, each factor q_p that divides the numerator is
+    divided out.  The x-free part is reduced by its gcd with the
+    numerator's coefficients in x.
+    """
+    reg = r.certificate.registry
+    x, t = reg.index(x_name), reg.index(t_name)
+    cert, residues = r.certificate, r.h1.residues
+    poles = list({*r.orders, *residues})
+    q = {p: p.den * MultiPoly.var(x) - p.num for p in poles}
+    d_part = exact_div(cert.den, _product([(q[p], e) for p, e in r.orders.items()]))
+    num, factors, _ = _derive_over(cert.num, [(d_part, 1)] + [
+        (q[p], r.orders.get(p, 0)) for p in poles], t)
+    (_, e_d), *raised = factors
+    exps = {p: e for p, (_, e) in zip(poles, raised)}
+    slopes = {p: res * dp for p, res in residues.items()
+              if not (dp := p.derive(t_name)).is_zero()}
+    den = d_power = d_part ** e_d
+    for c in slopes.values():
+        den = lcm(den, c.den)
+    num = num * exact_div(den, d_power)
+    full = _product([(q[p], e) for p, e in exps.items()])
+    for p, c in slopes.items():
+        num = num - c.num * exact_div(den, c.den) * p.den * exact_div(full, q[p])
+    if num.is_zero():
+        zero = RationalFunction(num, MultiPoly.one(), reg, _reduced=True)
+        return ReductionResult(gm_derivative(r.h1, t_name), zero, {})
+    for p in poles:
+        if q[p].derivative(t).is_zero():
+            while exps[p] and _q_adic(num, x, p.num, p.den, 1)[0].is_zero():
+                num = exact_div(num, q[p])
+                exps[p] -= 1
+    g = den
+    for c in () if den.is_const() else num.as_univariate(x).values():
+        g = gcd(g, c)
+        if g.is_one():
+            break
+    orders = {p: e for p, e in exps.items() if e}
+    num, den = _monic_den(exact_div(num, g), exact_div(den, g) * _product(
+        [(q[p], e) for p, e in orders.items()]))
+    return ReductionResult(gm_derivative(r.h1, t_name),
+                           RationalFunction(num, den, reg, _reduced=True), orders)
 
 
 def telescoper(b: RationalFunction, x_name: str, t_name: str,
@@ -200,17 +249,48 @@ def telescoper(b: RationalFunction, x_name: str, t_name: str,
     """
     if t_name == x_name:
         raise ValueError(f"the parameter {t_name!r} is the integration variable")
+    first = reduce(b, x_name)
+    poles = dict.fromkeys(first.h1.residues, 1)
+    poles.update((p, e + 1) for p, e in first.orders.items())
     return reduction_telescoper(
-        reduce(b, x_name), lambda r: derive_reduction(r, x_name, t_name),
+        first, lambda r: derive_reduction(r, x_name, t_name),
         lambda r: r.h1.residues,
-        lambda op, cert: _check_telescoper(op, b, cert, x_name, t_name),
+        lambda op, cert: _check_telescoper(op, b, cert, x_name, t_name, poles),
         t_name, b.registry, max_order)
 
 
 def _check_telescoper(operator: LinearDiffOperator, b: RationalFunction,
-                      cert: RationalFunction, x_name: str, t_name: str) -> None:
-    field = RationalFieldContext(b.registry, {operator.symbol: t_name})
-    if operator.apply(field, b) != cert.derive(x_name):
+                      cert: RationalFunction, x_name: str, t_name: str,
+                      poles: dict[RationalFunction, int]) -> None:
+    """D(b) = d_x(cert) as one polynomial identity.
+
+    `poles` maps each pole p of b to its order m_p (a larger m_p does as
+    well), so b.den divides an x-free X times prod q_p^m_p.  `_apply_over`
+    puts D(b) over M * X^E * prod q_p^E_p, with E_p = m_p + n where d_t
+    moves q_p and E_p = m_p where it does not (n = order of D).  The certificate is a
+    combination of the certificates of d_t^j b, j <= n, so its denominator
+    divides an x-free X' times prod q_p^(E_p - 1), and d_x of it lies over
+    X' * prod q_p^E_p.  The x-parts agree, so with L the lcm of M*X^E and X'
+    the identity is the equality of two polynomials.  A division that leaves
+    a remainder, here or in `_over`, fails the check.
+    """
+    reg = b.registry
+    x, t = reg.index(x_name), reg.index(t_name)
+    q = [(p.den * MultiPoly.var(x) - p.num, m) for p, m in poles.items()]
+    try:
+        num, lead = _over(b, _product(q), x)
+        lhs, m_part, factors = _apply_over(operator, num, [(lead, 1)] + q, t)
+        (lead, e_lead), *raised = factors
+        cert_factors = [(qp, e - 1) for qp, e in raised]
+        num, cert_lead = _over(cert, _product(cert_factors), x)
+        rhs, _, _ = _derive_over(num, cert_factors, x)
+        lhs_den = m_part * lead ** e_lead
+        common = lcm(lhs_den, cert_lead)
+        lhs = lhs * exact_div(common, lhs_den)
+        rhs = rhs * exact_div(common, cert_lead)
+    except ArithmeticError:
+        raise AssertionError("telescoper identity failed; this is a bug") from None
+    if lhs != rhs:
         raise AssertionError("telescoper identity failed; this is a bug")
 
 

@@ -13,6 +13,29 @@ from .poly import MultiPoly, mono_items, mono_key_grlex
 from .rational import RationalFunction
 from .registry import VariableRegistry
 
+# Python refuses to convert an int of more than sys.get_int_max_str_digits()
+# digits (4300 by default, never set below 640) to decimal text, so larger
+# values are written in chunks of _CHUNK digits.
+_CHUNK = 600
+_CHUNK_BASE = 10 ** _CHUNK
+
+
+def int_text(n: int) -> str:
+    """The decimal text of an integer of any size."""
+    if -_CHUNK_BASE < n < _CHUNK_BASE:
+        return str(n)
+    rest, chunks = abs(n), []
+    while rest >= _CHUNK_BASE:
+        rest, low = divmod(rest, _CHUNK_BASE)
+        chunks.append(str(low).zfill(_CHUNK))
+    return ("-" if n < 0 else "") + str(rest) + "".join(reversed(chunks))
+
+
+def _fraction_text(c: Fraction) -> str:
+    if c.denominator == 1:
+        return int_text(c.numerator)
+    return f"{int_text(c.numerator)}/{int_text(c.denominator)}"
+
 
 def format_monomial(mono, registry: VariableRegistry) -> str:
     parts = []
@@ -25,12 +48,12 @@ def format_monomial(mono, registry: VariableRegistry) -> str:
 def _format_term(coeff: Fraction, mono, registry: VariableRegistry) -> str:
     mono_s = format_monomial(mono, registry)
     if not mono_s:
-        return str(coeff)
+        return _fraction_text(coeff)
     if coeff == 1:
         return mono_s
     if coeff == -1:
         return f"-{mono_s}"
-    return f"{coeff}*{mono_s}"
+    return f"{_fraction_text(coeff)}*{mono_s}"
 
 
 def format_poly(p: MultiPoly, registry: VariableRegistry) -> str:
@@ -71,7 +94,7 @@ def format_rational(f: RationalFunction) -> str:
     if num.is_const():
         c = num.const_value()
         prefix_den = c.denominator
-        num_s = str(c.numerator)
+        num_s = int_text(c.numerator)
     else:
         num_s = format_poly(num, reg)
         if _top_level_ops(num_s) & {"+", "-", "/"} or num_s.startswith("-"):
@@ -80,5 +103,5 @@ def format_rational(f: RationalFunction) -> str:
     if _top_level_ops(den_s):
         den_s = f"({den_s})"
     if prefix_den != 1:
-        den_s = f"({prefix_den}*{den_s})"
+        den_s = f"({int_text(prefix_den)}*{den_s})"
     return f"{num_s}/{den_s}"

@@ -6,13 +6,19 @@ operator acts on rational functions, tower elements and curve elements.
 k(x) and on genus-one curves): the ascending search for the minimal such D,
 the identity check its caller passes in, one `TelescoperResult` and one
 `TelescoperNotFound`.
+
+The identity checks work on numerators over known products of factors:
+`_derive_over` is the quotient rule over such a product, `_apply_over`
+applies D through it, and `_over` puts a reduced rational function over a
+product its denominator is claimed to divide.  None of them takes a gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactalg import ExactAlgError, RationalFunction, VariableRegistry, linear_solve
+from .exactalg import (ExactAlgError, MultiPoly, RationalFunction, VariableRegistry,
+                       exact_div, lcm, linear_solve)
 from .fields import FieldContext
 
 
@@ -104,3 +110,68 @@ def reduction_telescoper(first, step, coords, check, t_name: str,
             check(operator, certificate)
             return TelescoperResult(operator, certificate, minimal_certified=True)
     raise TelescoperNotFound(max_order)
+
+
+def _product(factors: list[tuple]) -> MultiPoly:
+    """prod F^e over the pairs (F, e), each e a non-negative int."""
+    out = MultiPoly.one()
+    for f, e in factors:
+        out = out * f ** e
+    return out
+
+
+def _derive_over(num: MultiPoly, factors: list[tuple], v: int
+                 ) -> tuple[MultiPoly, list[tuple], MultiPoly]:
+    """The quotient rule over a known product, with no gcd.
+
+    `factors` is a list of pairs (F, e), e an int or a Fraction, standing for
+    P = prod F^e.  With R the product of the F that d_v moves and
+    S = sum e*d_v(F)*R/F over them, d_v(num/P) = (d_v(num)*R - num*S)/(P*R).
+    Returns that numerator, the factors with the exponent of each moved F
+    raised by one, and R.
+    """
+    derivs = [f.derivative(v) for f, _ in factors]
+    r = MultiPoly.one()
+    for (f, _), df in zip(factors, derivs):
+        if not df.is_zero():
+            r = r * f
+    s = MultiPoly.zero()
+    for (f, e), df in zip(factors, derivs):
+        if e and not df.is_zero():
+            s = s + (df * exact_div(r, f)).scale(e)
+    return (num.derivative(v) * r - num * s,
+            [(f, e if df.is_zero() else e + 1) for (f, e), df in zip(factors, derivs)], r)
+
+
+def _apply_over(operator: LinearDiffOperator, num: MultiPoly, factors: list[tuple], v: int
+                ) -> tuple[MultiPoly, MultiPoly, list[tuple]]:
+    """D(num/P) for the monic D = d_v^n - sum c_i d_v^i and P = prod F^e as in
+    `_derive_over`.  With N_i/P_i = d_v^i(num/P) and R the product of the
+    moved factors, D(num/P) = sum a_i N_i R^(n-i) / (M*P_n), where M is the
+    lcm of the denominators of the c_i, a_n = M and a_i = -c_i*M.  Returns
+    that numerator (summed by Horner's rule), M and the factors of P_n."""
+    m = MultiPoly.one()
+    for c in operator.coeffs:
+        m = lcm(m, c.den)
+    total = MultiPoly.zero()
+    for i in range(operator.order + 1):
+        if i:
+            num, factors, r = _derive_over(num, factors, v)
+            total = total * r
+        if i == operator.order:
+            total = total + m * num
+        elif not (c := operator.coeffs[i]).is_zero():
+            total = total - c.num * exact_div(m, c.den) * num
+    return total, m, factors
+
+
+def _over(value: RationalFunction, known: MultiPoly, x: int) -> tuple[MultiPoly, MultiPoly]:
+    """(N, X) with value = N/(X*known) and X = lc_x(value.den), free of x.
+
+    If value.den = D*P with D free of x and P primitive in x dividing known,
+    then X*known/value.den = lc_x(P)*known/P is a polynomial; the one exact
+    division that computes it checks that claim and raises ArithmeticError
+    when it fails."""
+    den = value.den
+    lead = den.coefficient(x, den.degree(x))
+    return value.num * exact_div(lead * known, den), lead

@@ -19,6 +19,7 @@ from isocert.cli.reports import Report, emit_report, operator_text
 from isocert.exactalg import (RationalFunction, VarKind, VariableRegistry, ZeroDenominator,
                               format_rational)
 from isocert.exactalg.poly import MAX_DEGREE
+from isocert.exactalg.printing import int_text
 from isocert.operators import LinearDiffOperator
 
 
@@ -695,6 +696,45 @@ def test_huge_exponent_is_refused_quickly():
     assert code == 2
     code, _ = run_command(["reduce", "--integrand", f"x^{MAX_EXPONENT}", "--var", "x"])
     assert code == 0
+
+
+def test_integers_past_the_decimal_text_limit_are_read_and_printed():
+    # Python refuses int <-> decimal text past 4300 digits by default; a
+    # 5000-digit literal and a 10001-digit computed coefficient both go
+    # through, and the printed text reads back as the same value.
+    literal = "9" * 5000
+    runs = [(["reduce", "--integrand", f"{literal}/(x-t)", "--var", "x"], "class"),
+            (["reduce", "--integrand", "x*((10^100)^100)", "--var", "x"], "certificate")]
+    for argv, key in runs:
+        done = _python_m_main(["--json", *argv], timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        payload = json.loads(done.stdout)
+        assert "status" not in payload
+    assert payload["certificate"] == "5" + "0" * 9999 + "*x^2"
+    code, report = run_command(runs[0][0])
+    assert code == 0
+    assert report.payload["class"] == {"t": literal}
+    reg = VariableRegistry()
+    reg.add("x", VarKind.PRINCIPAL)
+    value = parse_to_rational(report.payload["class"]["t"] + "*x/(x+1)", reg)
+    assert format_rational(value) == literal + "*x/(x+1)"
+    assert parse_to_rational(format_rational(value), reg) == value
+    # An exponent literal of 5000 digits is refused with its bound.
+    code, report = run_command(["reduce", "--integrand", "x^" + "1" * 5000, "--var", "x"])
+    assert code == 2
+    assert report.payload["detail"].startswith("exponent " + "1" * 5000 + " at offset 2")
+
+
+def test_int_text_matches_str_across_chunks():
+    for n in (0, 7, -7, 10 ** 599, 10 ** 600 - 1, 10 ** 600, -(10 ** 600) - 3,
+              10 ** 1200 + 7, 3 ** 4000):
+        text = int_text(n)
+        assert parse_to_rational(text.lstrip("-"), VariableRegistry()).num.const_value() == abs(n)
+        if abs(n) < 10 ** 600:
+            assert text == str(n)
+    assert int_text(10 ** 1200 + 7) == "1" + "0" * 1199 + "7"
+    assert int_text(-(10 ** 600) - 3) == "-1" + "0" * 599 + "3"
 
 
 def test_nested_powers_past_the_degree_cap_are_refused_quickly():

@@ -1,16 +1,21 @@
 """Genus-one curve reduction and Picard-Fuchs operators."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from isocert.curve import (CurveContext, CurveElement, CurveError, CurveSpec,
-                           UnsupportedPoles, _split_f_level, curve_derive,
-                           curve_reduce, curve_w, picard_fuchs)
+from isocert import curve, derham
+from isocert.cli.exprio import parse_to_rational
+from isocert.curve import (CurveClass, CurveContext, CurveElement, CurveError,
+                           CurveReduction, CurveSpec, UnsupportedPoles, _split_f_level,
+                           curve_derive, curve_reduce, curve_w, picard_fuchs)
 from isocert.exactalg import RationalFunction, UPoly, linear_solve
 from isocert.exactalg.poly import gcd as poly_gcd
-from isocert.operators import TelescoperNotFound
+from isocert.operators import LinearDiffOperator, TelescoperNotFound
+
+from test_acceptance import _CORPUS
 
 
 @pytest.fixture
@@ -97,9 +102,36 @@ def test_curve_reduce_w_cubed(xt, legendre):
     assert not r.h1.is_zero()
 
 
-def test_curve_reduce_pole_off_branch_locus(xt, legendre):
+def _curve_check_args(monkeypatch):
+    """Record the arguments of every curve reduction check; returns the
+    unpatched check and the list it fills."""
+    original = curve._check_curve_reduction
+    seen = []
+    monkeypatch.setattr(curve, "_check_curve_reduction",
+                        lambda *args: seen.append(args) or original(*args))
+    return original, seen
+
+
+def _assert_curve_check_rejects_corruptions(check, args, x):
+    """The check rejects the certificate with x or x^2 added to its even
+    part, or 1 to its odd part, and each class coordinate with 1 added."""
+    omega, result, *structure = args
+    check(omega, result, *structure)
+    cert, coords = result.certificate, result.h1.coords
+    bad_certs = [cert + x, cert + x * x,
+                 CurveElement(cert.even, cert.odd + 1, cert.curve)]
+    wrong = [CurveReduction(result.h1, c) for c in bad_certs] + [
+        CurveReduction(CurveClass(coords[:i] + (c + 1,) + coords[i + 1:]), cert)
+        for i, c in enumerate(coords)]
+    for bad in wrong:
+        with pytest.raises(AssertionError):
+            check(omega, bad, *structure)
+
+
+def test_curve_reduce_pole_off_branch_locus(xt, legendre, monkeypatch):
     x, t, one, zero = xt["x"], xt["one"], xt["one"], xt["zero"]
     t = xt["t"]
+    check, seen = _curve_check_args(monkeypatch)
     # d(w/q) + x dx/w has poles at the root of q yet reduces exactly; a pole
     # a/b with b != 1 takes f(a/b) as c_0 / b^3 from the expansion in b*x - a
     for q in (x + one, 2 * x + one, t * x - one):
@@ -108,6 +140,18 @@ def test_curve_reduce_pole_off_branch_locus(xt, legendre):
         r = curve_reduce(omega)
         assert r.h1.coords[0].is_zero()
         assert r.h1.coords[1] == one
+        _assert_curve_check_rejects_corruptions(check, seen[-1], x)
+    # a Hermite pole of order 3 next to f^2
+    u = CurveElement(zero, (x + t) / ((t * x - one) ** 2 * legendre.f_rf), legendre)
+    omega = curve_derive(u, "x") + legendre.basis_form(0) * (x - t) / legendre.f_rf
+    r = curve_reduce(omega)
+    omega_, _, even_orders, level, poles = seen[-1]
+    assert (level, poles) == (2, {1 / t: 3})
+    _assert_curve_check_rejects_corruptions(check, seen[-1], x)
+    # the certificate's denominator must divide the claimed product
+    with pytest.raises(AssertionError) as err:
+        check(omega_, r, even_orders, level, {1 / t: 2})
+    assert isinstance(err.value.__context__, ArithmeticError)
     # a bare double pole off the branch locus carries a residue: third kind
     with pytest.raises(UnsupportedPoles):
         curve_reduce(CurveElement(zero, one / ((x + one) ** 2 * legendre.f_rf),
@@ -116,10 +160,20 @@ def test_curve_reduce_pole_off_branch_locus(xt, legendre):
         curve_reduce(CurveElement(zero, one / ((x + one) * legendre.f_rf), legendre))
 
 
-def test_curve_reduce_even_parts(xt, legendre):
-    x, one, zero = xt["x"], xt["one"], xt["zero"]
+def test_curve_reduce_even_parts(xt, legendre, monkeypatch):
+    x, t, one, zero = xt["x"], xt["t"], xt["one"], xt["zero"]
+    check, seen = _curve_check_args(monkeypatch)
     r = curve_reduce(CurveElement(x * x + one, zero, legendre))
     assert r.h1.is_zero()
+    _assert_curve_check_rejects_corruptions(check, seen[-1], x)
+    # an even part with a double pole next to an odd part with a coordinate
+    even = -3 * t / (2 * x - t) ** 2 - one / (x - one) ** 3
+    omega = CurveElement(even, x ** 3 / legendre.f_rf, legendre)
+    r = curve_reduce(omega)
+    assert r.certificate.even.derive("x") == even
+    _, _, even_orders, _, _ = seen[-1]
+    assert even_orders == {t / 2: 1, one: 2}
+    _assert_curve_check_rejects_corruptions(check, seen[-1], x)
     with pytest.raises(UnsupportedPoles):
         curve_reduce(CurveElement(one / (x - one), zero, legendre))
 
@@ -243,3 +297,71 @@ def test_split_f_level_matches_products(xt):
         ]
         for p1 in forms:
             assert _split_f_level(p1, curve) == _split_f_level_by_products(p1, curve), p1
+
+
+def test_check_picard_fuchs_rejects_a_wrong_certificate_or_operator(xt, legendre,
+                                                                    monkeypatch):
+    x, t, one = xt["x"], xt["t"], xt["one"]
+    quartic = CurveSpec((x * (x - one) * (x - t) * (x + one)).num, "x", xt["reg"])
+    original = curve._check_picard_fuchs
+    seen = []
+    monkeypatch.setattr(curve, "_check_picard_fuchs",
+                        lambda *args: seen.append(args) or original(*args))
+    for spec, form in ((legendre, 0), (legendre, 1), (quartic, 2)):
+        res = picard_fuchs(spec, form, "t")
+        op, b, cert = seen[-1]
+        assert (op, cert) == (res.operator, res.certificate)
+        # The corruptions over powers of t change only terms of low total
+        # degree, below the leading terms of both sides.
+        bad_certs = [cert + x, cert + x * x, CurveElement(cert.even, cert.odd + 1, spec),
+                     CurveElement(cert.even, cert.odd + x, spec),
+                     CurveElement(cert.even, cert.odd + one / t ** 6, spec),
+                     CurveElement(cert.even, cert.odd + one / (t ** 2 * spec.f_rf), spec)]
+        bad_ops = [LinearDiffOperator(op.symbol, op.coeffs[:i] + (c + bump,) + op.coeffs[i + 1:])
+                   for bump in (one, one / t ** 6) for i, c in enumerate(op.coeffs)]
+        for bad_op, bad_cert in [(op, c) for c in bad_certs] + [(o, cert) for o in bad_ops]:
+            with pytest.raises(AssertionError):
+                original(bad_op, b, bad_cert)
+
+
+def test_identity_checks_take_no_gcd_with_x(xt, legendre, monkeypatch):
+    """The four identity checks, replayed on the arguments of real runs with
+    every binding of `gcd` refusing an argument of positive degree in x: only
+    the lcms of x-free denominators may take a gcd."""
+    from isocert.exactalg import poly
+
+    x, t, one = xt["x"], xt["t"], xt["one"]
+    calls = []
+    for module, name in ((derham, "_check_reduction"), (derham, "_check_telescoper"),
+                         (curve, "_check_curve_reduction"), (curve, "_check_picard_fuchs")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=original: calls.append(
+            (fn, args)) or fn(*args))
+    reg = xt["reg"]
+    quartic = CurveSpec((x * (x - one) * (x - t) * (x + one)).num, "x", reg)
+    for text in _CORPUS:
+        derham.telescoper(parse_to_rational(text, reg), "x", "t")
+    for spec in (legendre, quartic):
+        for form in range(spec.basis_size()):
+            picard_fuchs(spec, form, "t")
+    assert {fn.__name__ for fn, _ in calls} == {
+        "_check_reduction", "_check_telescoper", "_check_curve_reduction",
+        "_check_picard_fuchs"}
+
+    x_index = reg.index("x")
+    original_gcd = poly.gcd
+
+    def guarded(a, b):
+        if a.degree(x_index) > 0 or b.degree(x_index) > 0:
+            raise RuntimeError("gcd of polynomials in x")
+        return original_gcd(a, b)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("isocert"):
+            for key, value in list(vars(module).items()):
+                if value is original_gcd:
+                    monkeypatch.setattr(module, key, guarded)
+    with pytest.raises(RuntimeError):
+        one / (x + one) + one / (x + 2)
+    for fn, args in calls:
+        fn(*args)

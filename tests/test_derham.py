@@ -14,6 +14,8 @@ from isocert.derham import (Exact2FormSolvable, Exact2FormUnsolvable,
                             reduce, telescoper)
 from isocert.exactalg import (NonLinearFactor, RationalFunction, gcd, linear_solve,
                               partial_fractions)
+from isocert.fields import RationalFieldContext
+from isocert.operators import LinearDiffOperator
 
 from conftest import random_rational
 
@@ -314,8 +316,10 @@ def test_check_reduction_rejects_a_wrong_certificate_or_class(xt, monkeypatch):
     pole = h1.poles()[0]
     wrong = [
         ReductionResult(h1, RationalFunction(cert.num + x.num, cert.den, xt["reg"],
-                                             _reduced=True)),
-        ReductionResult(H1Class({**h1.residues, pole: h1.residue(pole) + t}), cert),
+                                             _reduced=True), orders),
+        ReductionResult(h1, cert + x * x, orders),
+        ReductionResult(H1Class({**h1.residues, pole: h1.residue(pole) + t}), cert, orders),
+        ReductionResult(H1Class({**h1.residues, pole: h1.residue(pole) + 1}), cert, orders),
     ]
     for bad in wrong:
         with pytest.raises(AssertionError):
@@ -328,3 +332,58 @@ def test_check_reduction_rejects_a_wrong_certificate_or_class(xt, monkeypatch):
         with pytest.raises(AssertionError) as err:
             original(*args)
         assert isinstance(err.value.__context__, ArithmeticError)
+
+
+def _bumped_operators(op, bumps):
+    """The operator with each bump added to each of its coefficients in turn."""
+    return [LinearDiffOperator(op.symbol, op.coeffs[:i] + (c + bump,) + op.coeffs[i + 1:])
+            for bump in bumps for i, c in enumerate(op.coeffs)]
+
+
+def _telescoper_check_args(b, monkeypatch):
+    original = derham._check_telescoper
+    seen = []
+    monkeypatch.setattr(derham, "_check_telescoper",
+                        lambda *args: seen.append(args) or original(*args))
+    result = telescoper(b, "x", "t")
+    [args] = seen
+    assert (args[0], args[2]) == (result.operator, result.certificate)
+    return original, args
+
+
+def test_check_telescoper_rejects_a_wrong_certificate_or_operator(xt, monkeypatch):
+    # Poles a/b with b = 1, 2 and t, one of them double and one free of t.
+    x, t, one = xt["x"], xt["t"], xt["one"]
+    b = (x + t) / ((x - t) ** 2 * (2 * x + 1) * (t * x - 1))
+    original, (op, g, cert, x_name, t_name, poles) = _telescoper_check_args(b, monkeypatch)
+    assert op.order == 2
+    assert poles == {t: 2, -one / 2: 1, 1 / t: 1}
+    # The last certificate and bump change only terms of low total degree,
+    # below the leading terms of both sides.
+    wrong = [(op, cert + x), (op, cert + x * x), (op, cert + one / (t ** 6 * (x - t) ** 2))] + [
+        (bad, cert) for bad in _bumped_operators(op, (one, one / t ** 6))]
+    for bad_op, bad_cert in wrong:
+        with pytest.raises(AssertionError):
+            original(bad_op, g, bad_cert, x_name, t_name, poles)
+    # A certificate with a pole the integrand does not have, or a pole order
+    # below the integrand's, fails in an exact division.
+    for args in ((op, g, cert + one / (x + 5), x_name, t_name, poles),
+                 (op, g, cert, x_name, t_name, {**poles, t: 1})):
+        with pytest.raises(AssertionError) as err:
+            original(*args)
+        assert isinstance(err.value.__context__, ArithmeticError)
+
+
+def test_check_telescoper_on_two_poles_of_order_20(xt, monkeypatch):
+    x, t, one = xt["x"], xt["t"], xt["one"]
+    b = one / ((x - t) ** 20 * (x - one) ** 20)
+    original, (op, g, cert, x_name, t_name, poles) = _telescoper_check_args(b, monkeypatch)
+    assert poles == {t: 20, one: 20}
+    # The identity holds as the normalized rational functions compute it.
+    field = RationalFieldContext(xt["reg"], {op.symbol: "t"})
+    assert op.apply(field, b) == cert.derive("x")
+    for bad_op, bad_cert in [(op, cert + x), (op, cert + x * x / (x - t) ** 20),
+                             (op, cert + one / (t ** 6 * (x - t) ** 2))] + [
+            (bad, cert) for bad in _bumped_operators(op, (one, one / t ** 6))]:
+        with pytest.raises(AssertionError):
+            original(bad_op, g, bad_cert, x_name, t_name, poles)
