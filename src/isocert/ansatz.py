@@ -13,9 +13,10 @@ as a shift of the exponent keys of the cleared value.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .exactalg import MultiPoly, RationalFunction, VariableRegistry, lcm
+from .exactalg import ExactAlgError, MultiPoly, RationalFunction, VariableRegistry, lcm
 from .exactalg.poly import (EMPTY_MONO, MAX_DEGREE, DegreeTooLarge, Mono,
                             exact_div, mono_from_items)
 from .fields import FieldContext
@@ -25,12 +26,32 @@ _ZERO = Fraction(0)
 # (unknown index, monomial shift, value): contributes z_k * x^shift * value.
 Term = tuple[int, Mono, RationalFunction]
 
+# The most ansatz unknowns (monomials times shapes) either search takes on.
+# A cold `flatten` of a 3x3 system over Q(t1, t2) with one pole in each
+# matrix, at degree bound 145 (96,579 unknowns, the largest admitted), ran
+# 2.3-2.5 s with a 115 MB peak on one Intel Xeon core; time and memory grow
+# with the count.
+MAX_UNKNOWNS = 100_000
 
-def monomials_up_to(var_indices: list[int], bound: int) -> list[Mono]:
+
+class AnsatzTooLarge(ExactAlgError):
+    """An ansatz with more than MAX_UNKNOWNS unknowns."""
+
+    def __init__(self, bound: int, unknowns: int):
+        super().__init__(f"degree bound {bound} gives {unknowns} ansatz unknowns, outside "
+                         f"the supported size <= {MAX_UNKNOWNS}")
+
+
+def monomials_up_to(var_indices: list[int], bound: int, shapes: int = 1) -> list[Mono]:
     """All monomials in the given variables of total degree <= bound, in
-    breadth-first order (the order fixes the order of ansatz unknowns)."""
+    breadth-first order (the order fixes the order of ansatz unknowns).
+    Raises AnsatzTooLarge, before any monomial is built, when the monomials
+    times `shapes` pass MAX_UNKNOWNS."""
     if bound > MAX_DEGREE:
         raise DegreeTooLarge(bound)
+    unknowns = math.comb(len(var_indices) + bound, bound) * shapes
+    if unknowns > MAX_UNKNOWNS:
+        raise AnsatzTooLarge(bound, unknowns)
     units = [mono_from_items(((idx, 1),)) for idx in var_indices]
     monos = [EMPTY_MONO]
     seen = {EMPTY_MONO}

@@ -42,25 +42,20 @@ def operator_text(op) -> str:
     n = op.order
     if n == 0:
         return "1"
-    parts = [f"{head}^{n}" if n > 1 else head]
+    out = f"{head}^{n}" if n > 1 else head
     for i in range(n - 1, -1, -1):
         c = -op.coeffs[i]
         if c.is_zero():
             continue
+        # The sign is read off the coefficient's own text: a term c*Dt is
+        # never atomic, so its text cannot tell.
         text = format_rational(c)
-        wrapped = text if _atomic(text) else f"({text})"
-        if i == 0:
-            parts.append(wrapped)
-        elif i == 1:
-            parts.append(f"{wrapped}*{head}")
-        else:
-            parts.append(f"{wrapped}*{head}^{i}")
-    out = parts[0]
-    for p in parts[1:]:
-        if p.startswith("-") and _atomic(p):
-            out += " - " + p[1:]
-        else:
-            out += " + " + p
+        sign = " + "
+        if text.startswith("-") and _atomic(text):
+            sign, text = " - ", text[1:]
+        out += sign + (text if _atomic(text) else f"({text})")
+        if i:
+            out += f"*{head}" if i == 1 else f"*{head}^{i}"
     return out
 
 

@@ -467,13 +467,12 @@ def _ansatz_matrices(system: ConnectionSystem, constraint: Optional[list[Matrix]
                   if reg.kind(i) not in (VarKind.TOWER, VarKind.JET)
                   and any(not f.derive(monomial(mono_from_items(((i, 1),)), reg), s).is_zero()
                           for s in params)]
-    monomials = monomials_up_to(param_vars, degree_bound)
-    if constraint is not None:
-        return monomials, constraint
-    shapes = []
-    for i in range(n):
-        for j in range(n):
-            unit = zeros(n, n, f.zero)
-            unit[i][j] = f.one
-            shapes.append(unit)
-    return monomials, shapes
+    shapes = constraint
+    if shapes is None:
+        shapes = []
+        for i in range(n):
+            for j in range(n):
+                unit = zeros(n, n, f.zero)
+                unit[i][j] = f.one
+                shapes.append(unit)
+    return monomials_up_to(param_vars, degree_bound, len(shapes)), shapes

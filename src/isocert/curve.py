@@ -12,32 +12,32 @@ drop through the exact forms d(x^j w).  D absorbs the denominator of V and
 the powers of lc_x(f) the pseudo-division brings in, so these steps take no
 gcd; each coordinate and the certificate are normalized once at the end.
 
-Identities are verified as polynomial identities over known products, with
-no gcd that involves x.  Writing w = f^(1/2), an odd part N/(D*f^a)*w is N
-over D*f^(a - 1/2), so the quotient rule over a product of powers
-(`operators._derive_over`) differentiates odd parts as well, with
-dw = f_x*w/(2f) built in.  The even part of a reduction is the de Rham
-identity with zero class (`derham._check_reduction`).  The odd part's
-common multiple is f^a times the Hermite poles off the branch locus, each to
-its order in the form, times an x-free lcm; a Picard-Fuchs identity D(b) =
-d(certificate) is checked over f^(n + 1/2), n the order of D.
+Derivatives and identities use the factor lists of `operators` with
+s = w: an odd part N/(D*f^a)*w is N over D*f^(a - 1/2), so
+`_derive_over` differentiates it with dw = f_x*w/(2f) built in.  A
+reduction is checked part by part: the even part as the de Rham identity
+with zero class, the odd part omega.odd*w = d(cert.odd*w) + w*sum c_i x^i/f
+by `_check_exact_plus_class`.  A Picard-Fuchs identity
+D(b*w) = d(cert.odd*w) is checked by `_check_operator_identity`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .derham import H1Class, ReductionResult, _check_reduction
 from .derham import reduce as derham_reduce
 from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
-                       RationalFunction, UPoly, VariableRegistry, exact_div, lcm,
+                       RationalFunction, UPoly, VariableRegistry, exact_div,
                        partial_fractions, prem, upoly_xgcd)
 from .exactalg.factor import _q_adic, _rf_sort_key
 from .exactalg.poly import gcd as poly_gcd
 from .fields import FieldContext
-from .operators import (LinearDiffOperator, TelescoperResult, _apply_over, _derive_over,
-                        _over, _product, reduction_telescoper)
+from .operators import (LinearDiffOperator, TelescoperResult, _check_exact_plus_class,
+                        _check_operator_identity, _derive_over, _product,
+                        _sum_over_lcm, reduction_telescoper)
 
 
 class CurveError(ExactAlgError):
@@ -169,14 +169,13 @@ def curve_w(curve: CurveSpec) -> CurveElement:
 
 
 def curve_derive(e: CurveElement, var_name: str) -> CurveElement:
-    """d/dvar with dw = (df/dvar) * w / (2f), extended by Leibniz."""
+    """d/dvar with dw = (df/dvar) * w / (2f), extended by Leibniz: the odd
+    part p*w is p.num over p.den * f^(-1/2)."""
     curve = e.curve
-    df = curve.f_rf.derive(var_name)
-    even = e.even.derive(var_name)
-    odd = e.odd.derive(var_name)
-    if not e.odd.is_zero() and not df.is_zero():
-        odd = odd + e.odd * df / (curve.f_rf + curve.f_rf)
-    return CurveElement(even, odd, curve)
+    num, raised, _ = _derive_over(e.odd.num, [(e.odd.den, 1), (curve.f, Fraction(-1, 2))],
+                                  curve.registry.index(var_name))
+    odd = RationalFunction(num, _product(raised), curve.registry)
+    return CurveElement(e.even.derive(var_name), odd, curve)
 
 
 class CurveContext(FieldContext):
@@ -350,21 +349,13 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
 def _check_curve_reduction(omega: CurveElement, result: CurveReduction,
                            even_orders: dict[RationalFunction, int], level: int,
                            poles: dict[RationalFunction, int]) -> None:
-    """omega dx = d(certificate) + sum coords_i x^i dx/w, part by part, as
-    polynomial identities.
+    """omega dx = d(certificate) + sum coords_i x^i dx/w, part by part.
 
-    Even part: omega.even = d_x(certificate.even), the de Rham identity with
-    zero class; `even_orders` is the pole structure `derham.reduce` gave its
-    certificate.  Odd part: omega.odd*w = d_x(certificate.odd*w) +
-    sum c_i x^i/w, where `level` = a and `poles` = {c: j_c} say that
-    omega.odd.den divides an x-free factor times f^a * H, H = prod q_c^j_c.
-    The certificate's odd part then lies over X' * f^(a-1) * H', with
-    H' = prod q_c^(j_c - 1), so its product with w lies over
-    X' * f^(a - 3/2) * H', and `_derive_over` puts d_x of that over
-    X' * f^(a - 1/2) * H.  Both sides are multiplied by M * f^(a - 1/2) * H, M
-    the lcm of X' and the coordinate denominators; omega.odd.den is divided
-    into M * f^a * H exactly.  A division that leaves a remainder fails the
-    check.
+    `even_orders` is the pole structure `derham.reduce` gave the even
+    certificate.  `level` = a and `poles` = {c: j_c} say that omega.odd.den
+    divides an x-free factor times f^a * prod q_c^j_c, so certificate.odd*w
+    lies over an x-free factor times f^(a - 3/2) * prod q_c^(j_c - 1).  A
+    division that leaves a remainder fails the check.
     """
     curve = omega.curve
     cert = result.certificate
@@ -372,25 +363,14 @@ def _check_curve_reduction(omega: CurveElement, result: CurveReduction,
         _check_reduction(omega.even, ReductionResult(H1Class(), cert.even, even_orders),
                          curve.x_name, even_orders)
     x, f = curve.x_index, curve.f
-    q = [(c.den * MultiPoly.var(x) - c.num, j - 1) for c, j in poles.items()]
-    known = _product([(f, level - 1)] + q)
-    cls = MultiPoly.zero()
+    factors = [(f, level - Fraction(3, 2))] + [
+        (c.den * MultiPoly.var(x) - c.num, j - 1) for c, j in poles.items()]
+    classes = [(c.num * MultiPoly.var(x, i), c.den, f)
+               for i, c in enumerate(result.h1.coords) if not c.is_zero()]
     try:
-        num, lead = _over(cert.odd, known, x)
-        derivative, _, r_part = _derive_over(num, [(f, level - Fraction(3, 2))] + q, x)
-        m_part = lead
-        for c in result.h1.coords:
-            m_part = lcm(m_part, c.den)
-        for i, c in enumerate(result.h1.coords):
-            if not c.is_zero():
-                cls = cls + c.num * exact_div(m_part, c.den) * MultiPoly.var(x, i)
-        lhs = omega.odd.num * exact_div(m_part * known * r_part, omega.odd.den)
-        rhs = (derivative * exact_div(m_part, lead)
-               + known * exact_div(r_part, f) * cls)
+        _check_exact_plus_class(omega.odd, cert.odd, factors, classes, x)
     except ArithmeticError:
         raise AssertionError("curve reduction identity failed; this is a bug") from None
-    if lhs != rhs:
-        raise AssertionError("curve reduction identity failed; this is a bug")
 
 
 def derive_curve_reduction(r: CurveReduction, t_name: str) -> CurveReduction:
@@ -398,25 +378,19 @@ def derive_curve_reduction(r: CurveReduction, t_name: str) -> CurveReduction:
     omega = d(C) + sum coords_k x^k/w, reduce d_t of the small representative
     sum coords_k x^k/w and add d_t(C) to its certificate.
 
-    With the representative written R/(D*f) * w, R a polynomial and D the
-    x-free lcm of the coordinate denominators,
-    d_t(R/(D*f) * w) = (2f*(R_t*D - R*D_t) - R*D*f_t)/(2*D^2*f^2) * w, and
-    that numerator goes to `_reduce_numerator` at level 1 as it stands.
-    For forms without even part this is the certificate `curve_reduce`
-    gives for d_t omega: it has no even part and its odd part is unique."""
+    The representative is R over D * f^(1/2), R a polynomial and D the
+    x-free lcm of the coordinate denominators; `_derive_over` puts d_t of it
+    over D^E * f^(a + 1/2), a = 1 if d_t moves f and 0 if not, and that
+    numerator goes to `_reduce_numerator` at level a as it stands.  For
+    forms without even part this is the certificate `curve_reduce` gives for
+    d_t omega: it has no even part and its odd part is unique."""
     curve = r.certificate.curve
     x, t = curve.x_index, curve.registry.index(t_name)
-    den = MultiPoly.one()
-    for c in r.h1.coords:
-        den = lcm(den, c.den)
-    rep = MultiPoly.zero()
-    for k, c in enumerate(r.h1.coords):
-        if not c.is_zero():
-            rep = rep + c.num * exact_div(den, c.den) * MultiPoly.var(x, k)
-    f = curve.f
-    num = ((rep.derivative(t) * den - rep * den.derivative(t)) * f.scale(2)
-           - rep * den * f.derivative(t))
-    odd, coords = _reduce_numerator(curve, 1, num, (den * den).scale(2))
+    rep, den = _sum_over_lcm([(c.num * MultiPoly.var(x, k), c.den)
+                              for k, c in enumerate(r.h1.coords)], MultiPoly.one())
+    num, [(_, e_den), (_, e_f)], _ = _derive_over(
+        rep, [(den, 1), (curve.f, Fraction(1, 2))], t)
+    odd, coords = _reduce_numerator(curve, math.ceil(e_f) - 1, num, den ** e_den)
     zero = RationalFunction.const(0, curve.registry)
     return CurveReduction(CurveClass(coords), CurveElement(zero, odd, curve)
                           + curve_derive(r.certificate, t_name))
@@ -444,34 +418,15 @@ def picard_fuchs(curve: CurveSpec, form_index: int, t_name: str,
 
 def _check_picard_fuchs(operator: LinearDiffOperator, b: CurveElement,
                         cert: CurveElement) -> None:
-    """D(b) dx = d(cert) for the basis form b = x^i/w, as one polynomial
-    identity.
-
-    b has no even part, so d_x(cert.even) must vanish: cert.even is free of
-    x.  b.odd * w is N over X * f^(1/2) (`_over`), and `_apply_over` puts
-    D(b) over M * X^E * f^(e + 1/2), where e = n (the order of D) if d_t
-    moves f and e = 0 if it does not.  The certificate combines those of
-    d_t^j b, j <= n, so cert.odd lies over X' * f^e and d_x(cert.odd * w)
-    over X' * f^(e + 1/2).  The f-parts agree, and with L the lcm of
-    M * X^E and X' the identity is the equality of two polynomials.  A
-    division that leaves a remainder fails the check.
-    """
+    """D(b) dx = d(cert) for the basis form b = x^i/w, part by part: b has
+    no even part, so cert.even must be free of x, and b.odd*w lies over
+    f^(1/2).  A division that leaves a remainder fails the check."""
     curve = b.curve
-    x, t, f = curve.x_index, curve.registry.index(operator.symbol), curve.f
-    even = cert.even
+    x, even = curve.x_index, cert.even
     try:
         if even.num.degree(x) > 0 or even.den.degree(x) > 0 or not b.even.is_zero():
             raise ArithmeticError("the even parts do not match")
-        num, lead = _over(b.odd, f, x)
-        lhs, m_part, factors = _apply_over(operator, num, [(lead, 1), (f, Fraction(1, 2))], t)
-        (lead, e_lead), (_, e_f) = factors
-        num, cert_lead = _over(cert.odd, f ** int(e_f - Fraction(1, 2)), x)
-        rhs, _, _ = _derive_over(num, [(f, e_f - 1)], x)
-        lhs_den = m_part * lead ** e_lead
-        common = lcm(lhs_den, cert_lead)
-        lhs = lhs * exact_div(common, lhs_den)
-        rhs = rhs * exact_div(common, cert_lead)
+        _check_operator_identity(operator, b.odd, cert.odd, [(curve.f, Fraction(1, 2))], x,
+                                 curve.registry.index(operator.symbol))
     except ArithmeticError:
         raise AssertionError("Picard-Fuchs identity failed; this is a bug") from None
-    if lhs != rhs:
-        raise AssertionError("Picard-Fuchs identity failed; this is a bug")

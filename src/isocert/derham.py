@@ -8,14 +8,12 @@ representative together with a certificate g such that
 
     f = d_x(g) + sum b_i/(x - c_i)      (verified on every call).
 
-Every identity is verified as one polynomial identity over a common multiple
-built from the pole structure the reduction knows: each pole p = a/b gives
-q_p = b*x - a, the certificate lies over an x-free D times prod q_p^e_p, and
-the quotient rule over that product (`operators._derive_over`) raises each
-exponent by one.  Each side is divided into the common multiple exactly and
-no input denominator is multiplied in; the only gcds are those of x-free
-lcms.  A telescoper D(b) = d_x(g) is checked the same way, with D applied to
-b over prod q_p^m_p, m_p the order of b at p.
+Both identities are checked by `operators` (s = 1) over the pole structure
+the reduction knows: each pole p = a/b gives q_p = b*x - a, and the
+certificate lies over an x-free D times prod q_p^e_p.  The reduction
+f = d_x(g) + sum r_p*b_p/q_p is checked by `_check_exact_plus_class`, and a
+telescoper D(b) = d_x(g) by `_check_operator_identity` over prod q_p^m_p,
+m_p the order of b at p.
 """
 
 from __future__ import annotations
@@ -23,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import (MultiPoly, NonLinearFactor, RationalFunction, exact_div, gcd,
-                       lcm, partial_fractions)
+from .exactalg import (MultiPoly, NonLinearFactor, RationalFunction, VariableRegistry,
+                       exact_div, gcd, lcm, partial_fractions)
 from .exactalg.factor import _q_adic, _rf_sort_key
 from .exactalg.rational import _monic_den
 from .operators import (LinearDiffOperator, TelescoperNotFound,  # noqa: F401
-                        TelescoperResult, _apply_over, _derive_over, _over, _product,
-                        reduction_telescoper)
+                        TelescoperResult, _check_exact_plus_class,
+                        _check_operator_identity, _derive_over, _product,
+                        _sum_over_lcm, reduction_telescoper)
 
 
 class H1Class:
@@ -125,54 +124,47 @@ def reduce(f: RationalFunction, x_name: str) -> ReductionResult:
         power = q ** e
         num = num * power + h * l_part
         l_part = l_part * power
-    # N = 0 only when L = 1; then g = D and the certificate is 0/1.
-    g = den
-    for c in num.as_univariate(x).values():
-        if g.is_one():
-            break
-        g = gcd(g, c)
-    num, den = _monic_den(exact_div(num, g), exact_div(den, g) * l_part)
-    result = ReductionResult(H1Class(residues), RationalFunction(num, den, reg, _reduced=True),
+    result = ReductionResult(H1Class(residues), _lowest_terms(num, den, l_part, x, reg),
                              orders)
     _check_reduction(f, result, x_name, orders)
     return result
 
 
+def _lowest_terms(num: MultiPoly, den: MultiPoly, l_part: MultiPoly, x: int,
+                  reg: VariableRegistry) -> RationalFunction:
+    """N/(D*L) in lowest terms with a monic denominator, for D free of x and
+    N prime to L: the only gcd is the one of D with the x-coefficients of N.
+    N = 0 only when L = 1; then the gcd is D and the result is 0/1."""
+    g = den
+    for c in () if den.is_const() else num.as_univariate(x).values():
+        g = gcd(g, c)
+        if g.is_one():
+            break
+    num, den = _monic_den(exact_div(num, g), exact_div(den, g) * l_part)
+    return RationalFunction(num, den, reg, _reduced=True)
+
+
 def _check_reduction(f: RationalFunction, result: ReductionResult, x_name: str,
                      orders: dict[RationalFunction, int]) -> None:
-    """f = d_x(N/(D*L)) + sum r_p/(x - p) as one polynomial identity.
+    """f = d_x(N/(D*L)) + sum r_p/(x - p), by `_check_exact_plus_class` over
+    the factors q_p^e_p of every pole (e_p = 0 at a simple pole only), with
+    each r_p/(x - p) = r_p*b_p/q_p a class term.
 
-    `orders` maps each pole of the certificate N/(D*L) to e_p: L must be
-    prod q_p^e_p and D free of x.  Over the factors q_p^e_p of every pole
-    (e_p = 0 at a simple pole only), `_derive_over` gives
-    d_x(N/(D*L)) = (N_x*R - N*S)/(D*L*R) with R = prod q_p, and
-    r_p/(x - p) = r_p*b_p/q_p.  Both sides are multiplied by M*L*R, M the lcm
-    of D and the residue denominators, which f.den divides if the identity
-    holds; it is divided by f.den exactly rather than f.den multiplied in.  A
-    division that leaves a remainder fails the check.
+    `orders` maps each pole of the certificate N/(D*L) to e_p, and must give
+    L = prod q_p^e_p exactly: the certificate's denominator over L must be a
+    polynomial free of x.  A division that leaves a remainder fails the check.
     """
     x = f.registry.index(x_name)
     residues = result.h1.residues
     q = {p: p.den * MultiPoly.var(x) - p.num for p in {*orders, *residues}}
     factors = [(qp, orders.get(p, 0)) for p, qp in q.items()]
-    l_part = _product(factors)
-    simple = MultiPoly.zero()
     try:
-        m_part = d_part = exact_div(result.certificate.den, l_part)
-        if d_part.degree(x) > 0:
+        if exact_div(result.certificate.den, _product(factors)).degree(x) > 0:
             raise ArithmeticError("x left in the certificate's denominator")
-        for r in residues.values():
-            m_part = lcm(m_part, r.den)
-        derivative, _, r_part = _derive_over(result.certificate.num, factors, x)
-        for p, r in residues.items():
-            simple = simple + (exact_div(r_part, q[p]) * p.den
-                               * (r.num * exact_div(m_part, r.den)))
-        lhs = f.num * exact_div(l_part * r_part * m_part, f.den)
-        rhs = derivative * exact_div(m_part, d_part) + l_part * simple
+        _check_exact_plus_class(f, result.certificate, factors, [
+            (r.num * p.den, r.den, q[p]) for p, r in residues.items()], x)
     except ArithmeticError:
         raise AssertionError("reduction identity failed; this is a bug") from None
-    if lhs != rhs:
-        raise AssertionError("reduction identity failed; this is a bug")
 
 
 def gm_derivative(cls: H1Class, d_name: str) -> H1Class:
@@ -204,38 +196,28 @@ def derive_reduction(r: ReductionResult, x_name: str, t_name: str) -> ReductionR
     cert, residues = r.certificate, r.h1.residues
     poles = list({*r.orders, *residues})
     q = {p: p.den * MultiPoly.var(x) - p.num for p in poles}
-    d_part = exact_div(cert.den, _product([(q[p], e) for p, e in r.orders.items()]))
-    num, factors, _ = _derive_over(cert.num, [(d_part, 1)] + [
-        (q[p], r.orders.get(p, 0)) for p in poles], t)
+    factors = [(q[p], r.orders.get(p, 0)) for p in poles]
+    d_part = exact_div(cert.den, _product(factors))
+    num, factors, _ = _derive_over(cert.num, [(d_part, 1)] + factors, t)
     (_, e_d), *raised = factors
     exps = {p: e for p, (_, e) in zip(poles, raised)}
     slopes = {p: res * dp for p, res in residues.items()
               if not (dp := p.derive(t_name)).is_zero()}
-    den = d_power = d_part ** e_d
-    for c in slopes.values():
-        den = lcm(den, c.den)
-    num = num * exact_div(den, d_power)
+    d_power = d_part ** e_d
     full = _product([(q[p], e) for p, e in exps.items()])
-    for p, c in slopes.items():
-        num = num - c.num * exact_div(den, c.den) * p.den * exact_div(full, q[p])
+    moved, den = _sum_over_lcm([(c.num * p.den * exact_div(full, q[p]), c.den)
+                                for p, c in slopes.items()], d_power)
+    num = num * exact_div(den, d_power) - moved
     if num.is_zero():
-        zero = RationalFunction(num, MultiPoly.one(), reg, _reduced=True)
-        return ReductionResult(gm_derivative(r.h1, t_name), zero, {})
+        return ReductionResult(gm_derivative(r.h1, t_name), RationalFunction.const(0, reg), {})
     for p in poles:
         if q[p].derivative(t).is_zero():
             while exps[p] and _q_adic(num, x, p.num, p.den, 1)[0].is_zero():
                 num = exact_div(num, q[p])
                 exps[p] -= 1
-    g = den
-    for c in () if den.is_const() else num.as_univariate(x).values():
-        g = gcd(g, c)
-        if g.is_one():
-            break
     orders = {p: e for p, e in exps.items() if e}
-    num, den = _monic_den(exact_div(num, g), exact_div(den, g) * _product(
-        [(q[p], e) for p, e in orders.items()]))
-    return ReductionResult(gm_derivative(r.h1, t_name),
-                           RationalFunction(num, den, reg, _reduced=True), orders)
+    cert = _lowest_terms(num, den, _product([(q[p], e) for p, e in orders.items()]), x, reg)
+    return ReductionResult(gm_derivative(r.h1, t_name), cert, orders)
 
 
 def telescoper(b: RationalFunction, x_name: str, t_name: str,
@@ -262,36 +244,15 @@ def telescoper(b: RationalFunction, x_name: str, t_name: str,
 def _check_telescoper(operator: LinearDiffOperator, b: RationalFunction,
                       cert: RationalFunction, x_name: str, t_name: str,
                       poles: dict[RationalFunction, int]) -> None:
-    """D(b) = d_x(cert) as one polynomial identity.
-
-    `poles` maps each pole p of b to its order m_p (a larger m_p does as
-    well), so b.den divides an x-free X times prod q_p^m_p.  `_apply_over`
-    puts D(b) over M * X^E * prod q_p^E_p, with E_p = m_p + n where d_t
-    moves q_p and E_p = m_p where it does not (n = order of D).  The certificate is a
-    combination of the certificates of d_t^j b, j <= n, so its denominator
-    divides an x-free X' times prod q_p^(E_p - 1), and d_x of it lies over
-    X' * prod q_p^E_p.  The x-parts agree, so with L the lcm of M*X^E and X'
-    the identity is the equality of two polynomials.  A division that leaves
-    a remainder, here or in `_over`, fails the check.
-    """
-    reg = b.registry
-    x, t = reg.index(x_name), reg.index(t_name)
+    """D(b) = d_x(cert) over prod q_p^m_p: `poles` maps each pole p of b to
+    its order m_p (a larger m_p does as well).  A division that leaves a
+    remainder fails the check."""
+    x = b.registry.index(x_name)
     q = [(p.den * MultiPoly.var(x) - p.num, m) for p, m in poles.items()]
     try:
-        num, lead = _over(b, _product(q), x)
-        lhs, m_part, factors = _apply_over(operator, num, [(lead, 1)] + q, t)
-        (lead, e_lead), *raised = factors
-        cert_factors = [(qp, e - 1) for qp, e in raised]
-        num, cert_lead = _over(cert, _product(cert_factors), x)
-        rhs, _, _ = _derive_over(num, cert_factors, x)
-        lhs_den = m_part * lead ** e_lead
-        common = lcm(lhs_den, cert_lead)
-        lhs = lhs * exact_div(common, lhs_den)
-        rhs = rhs * exact_div(common, cert_lead)
+        _check_operator_identity(operator, b, cert, q, x, b.registry.index(t_name))
     except ArithmeticError:
         raise AssertionError("telescoper identity failed; this is a bug") from None
-    if lhs != rhs:
-        raise AssertionError("telescoper identity failed; this is a bug")
 
 
 # -- bivariate exactness: d_t2(f1) - d_t1(f2) = g ---------------------------

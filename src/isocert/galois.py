@@ -288,7 +288,7 @@ def horizontal_sections(system: ConnectionSystem, symbols: Optional[list[str]] =
                   for k in range(n)]
         stages.append((s, nablas, [zero] * n))
     monos = monomials_up_to([i for i in range(len(reg)) if reg.kind(i) == VarKind.PARAMETRIC],
-                            degree_bound)
+                            degree_bound, n)
     units = [[f.one if r == k else zero for r in range(n)] for k in range(n)]
     rows, rhs_q = leibniz_rows(f, monos, units, stages)
     sol = linear_solve(rows, rhs_q, len(monos) * n, Fraction(0), Fraction(1))

@@ -7,14 +7,19 @@ k(x) and on genus-one curves): the ascending search for the minimal such D,
 the identity check its caller passes in, one `TelescoperResult` and one
 `TelescoperNotFound`.
 
-The identity checks work on numerators over known products of factors:
-`_derive_over` is the quotient rule over such a product, `_apply_over`
-applies D through it, and `_over` puts a reduced rational function over a
-product its denominator is claimed to divide.  None of them takes a gcd.
+The certificate identities of both telescopers and of the reductions behind
+them are checked here alone, each as one polynomial identity over a known
+product, with no gcd in x.  A factor list [(F, e), ...] stands for
+prod F^e.  With w = f^(1/2) on a curve w^2 = f, p*s for s = w lies over a
+list in which f has a half-integer exponent (s = 1 when every exponent is
+an integer), and p itself over prod F^ceil(e) (`_product`).
+`_check_operator_identity` checks D(b*s) = d_x(g*s), and
+`_check_exact_plus_class` checks v*s = d_x(g*s) + s * sum n_k/(d_k*F_k).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exactalg import (ExactAlgError, MultiPoly, RationalFunction, VariableRegistry,
@@ -113,20 +118,31 @@ def reduction_telescoper(first, step, coords, check, t_name: str,
 
 
 def _product(factors: list[tuple]) -> MultiPoly:
-    """prod F^e over the pairs (F, e), each e a non-negative int."""
+    """prod F^ceil(e) over the pairs (F, e): the product that p lies over
+    when p*s lies over the factor list."""
     out = MultiPoly.one()
     for f, e in factors:
-        out = out * f ** e
+        out = out * f ** math.ceil(e)
     return out
+
+
+def _sum_over_lcm(terms: list[tuple], m: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """(sum n_k*M/d_k, M) over the pairs (n_k, d_k), M the lcm of m and the
+    d_k; every d_k is free of x, so M takes no gcd in x."""
+    for _, d in terms:
+        m = lcm(m, d)
+    total = MultiPoly.zero()
+    for n, d in terms:
+        total = total + n * exact_div(m, d)
+    return total, m
 
 
 def _derive_over(num: MultiPoly, factors: list[tuple], v: int
                  ) -> tuple[MultiPoly, list[tuple], MultiPoly]:
     """The quotient rule over a known product, with no gcd.
 
-    `factors` is a list of pairs (F, e), e an int or a Fraction, standing for
-    P = prod F^e.  With R the product of the F that d_v moves and
-    S = sum e*d_v(F)*R/F over them, d_v(num/P) = (d_v(num)*R - num*S)/(P*R).
+    With P = prod F^e over `factors`, R the product of the F that d_v moves
+    and S = sum e*d_v(F)*R/F over them, d_v(num/P) = (d_v(num)*R - num*S)/(P*R).
     Returns that numerator, the factors with the exponent of each moved F
     raised by one, and R.
     """
@@ -143,28 +159,6 @@ def _derive_over(num: MultiPoly, factors: list[tuple], v: int
             [(f, e if df.is_zero() else e + 1) for (f, e), df in zip(factors, derivs)], r)
 
 
-def _apply_over(operator: LinearDiffOperator, num: MultiPoly, factors: list[tuple], v: int
-                ) -> tuple[MultiPoly, MultiPoly, list[tuple]]:
-    """D(num/P) for the monic D = d_v^n - sum c_i d_v^i and P = prod F^e as in
-    `_derive_over`.  With N_i/P_i = d_v^i(num/P) and R the product of the
-    moved factors, D(num/P) = sum a_i N_i R^(n-i) / (M*P_n), where M is the
-    lcm of the denominators of the c_i, a_n = M and a_i = -c_i*M.  Returns
-    that numerator (summed by Horner's rule), M and the factors of P_n."""
-    m = MultiPoly.one()
-    for c in operator.coeffs:
-        m = lcm(m, c.den)
-    total = MultiPoly.zero()
-    for i in range(operator.order + 1):
-        if i:
-            num, factors, r = _derive_over(num, factors, v)
-            total = total * r
-        if i == operator.order:
-            total = total + m * num
-        elif not (c := operator.coeffs[i]).is_zero():
-            total = total - c.num * exact_div(m, c.den) * num
-    return total, m, factors
-
-
 def _over(value: RationalFunction, known: MultiPoly, x: int) -> tuple[MultiPoly, MultiPoly]:
     """(N, X) with value = N/(X*known) and X = lc_x(value.den), free of x.
 
@@ -175,3 +169,61 @@ def _over(value: RationalFunction, known: MultiPoly, x: int) -> tuple[MultiPoly,
     den = value.den
     lead = den.coefficient(x, den.degree(x))
     return value.num * exact_div(lead * known, den), lead
+
+
+def _check_operator_identity(operator: LinearDiffOperator, b: RationalFunction,
+                             cert: RationalFunction, factors: list[tuple], x: int,
+                             t: int) -> None:
+    """D(b*s) = d_x(cert*s) for D in d_t, b*s over an x-free X times the
+    factors.
+
+    With N_i/P_i = d_t^i(b*s) and R the product of the factors d_t moves,
+    D(b*s) = sum a_i N_i R^(n-i) / (M*P_n) by Horner's rule, M the lcm of
+    the denominators of the c_i, a_n = M and a_i = -c_i*M; P_n is X^E times
+    prod F^E_F, E_F = e_F + n if d_t moves F and e_F if not.  cert*s lies
+    over an x-free X' times prod F^(E_F - 1), so d_x of it lies over the
+    same x-part, and both sides are compared over the lcm of M*X^E and X'.
+    Raises ArithmeticError when the identity fails.
+    """
+    num, lead = _over(b, _product(factors), x)
+    factors = [(lead, 1)] + factors
+    m = MultiPoly.one()
+    for c in operator.coeffs:
+        m = lcm(m, c.den)
+    lhs = MultiPoly.zero()
+    for i in range(operator.order + 1):
+        if i:
+            num, factors, r = _derive_over(num, factors, t)
+            lhs = lhs * r
+        if i == operator.order:
+            lhs = lhs + m * num
+        elif not (c := operator.coeffs[i]).is_zero():
+            lhs = lhs - c.num * exact_div(m, c.den) * num
+    (lead, e_lead), *raised = factors
+    cert_factors = [(f, e - 1) for f, e in raised]
+    num, cert_lead = _over(cert, _product(cert_factors), x)
+    rhs, _, _ = _derive_over(num, cert_factors, x)
+    lhs_den = m * lead ** e_lead
+    common = lcm(lhs_den, cert_lead)
+    if lhs * exact_div(common, lhs_den) != rhs * exact_div(common, cert_lead):
+        raise ArithmeticError("the operator identity does not hold")
+
+
+def _check_exact_plus_class(value: RationalFunction, cert: RationalFunction,
+                            factors: list[tuple], classes: list[tuple], x: int) -> None:
+    """value*s = d_x(cert*s) + s * sum n_k/(d_k*F_k), cert*s over an x-free
+    X times the factors and each class term a triple (n_k, d_k, F_k), d_k
+    free of x and F_k one of the factors.
+
+    Both sides are multiplied by M * prod F^e * R, the denominator of
+    d_x(cert*s) from `_derive_over` with M the lcm of X and the d_k in place
+    of X; value.den is divided into it exactly.  Raises ArithmeticError when
+    the identity fails.
+    """
+    known = _product(factors)
+    num, lead = _over(cert, known, x)
+    derivative, _, r = _derive_over(num, factors, x)
+    total, m = _sum_over_lcm([(n * exact_div(r, f), d) for n, d, f in classes], lead)
+    lhs = value.num * exact_div(m * known * r, value.den)
+    if lhs != derivative * exact_div(m, lead) + known * total:
+        raise ArithmeticError("the identity does not hold")

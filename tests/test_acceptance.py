@@ -270,19 +270,27 @@ def test_stepped_reduction_matches_direct_reduce():
 
 def test_stepped_curve_reduction_matches_direct_reduce():
     reg = _xt_registry()
+    t = RationalFunction.var("t", reg)
+    cases = []
     for text in ("x*(x-1)*(x-t)", "(x^2-1)*(x^2-t)"):
         curve = CurveSpec(parse_to_rational(text, reg).num, "x", reg)
-        for form in range(curve.basis_size()):
-            omega = curve.basis_form(form)
-            stepped = curve_reduce(omega)
-            for j in range(1, 5):
-                stepped = derive_curve_reduction(stepped, "t")
-                omega = curve_derive(omega, "t")
-                direct = curve_reduce(omega)
-                assert stepped.h1.coords == direct.h1.coords, (text, form, j)
-                assert stepped.certificate.odd == direct.certificate.odd, (text, form, j)
-                assert stepped.certificate.even.is_zero(), (text, form, j)
-                assert direct.certificate.even.is_zero(), (text, form, j)
+        cases += [(text, form, curve.basis_form(form)) for form in range(curve.basis_size())]
+    # On a t-free curve d_t does not move f, so each step enters
+    # `_reduce_numerator` at level 0.
+    text = "x*(x-1)*(x-2)"
+    curve = CurveSpec(parse_to_rational(text, reg).num, "x", reg)
+    cases += [(text, (form, k), curve.basis_form(form) * t ** k)
+              for form in range(curve.basis_size()) for k in (1, 2, 5)]
+    for text, form, omega in cases:
+        stepped = curve_reduce(omega)
+        for j in range(1, 5):
+            stepped = derive_curve_reduction(stepped, "t")
+            omega = curve_derive(omega, "t")
+            direct = curve_reduce(omega)
+            assert stepped.h1.coords == direct.h1.coords, (text, form, j)
+            assert stepped.certificate.odd == direct.certificate.odd, (text, form, j)
+            assert stepped.certificate.even.is_zero(), (text, form, j)
+            assert direct.certificate.even.is_zero(), (text, form, j)
 
 
 def test_telescoper_runs_partial_fractions_once(monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -237,6 +238,15 @@ def test_operator_text_round_trip(xt):
     reg2.add("t", VarKind.PARAMETRIC)
     reg2.add("Dt", VarKind.PARAMETRIC)
     parse_to_rational(text, reg2)
+    # A negative coefficient of a derivative term prints as a subtraction,
+    # and the text reads back as the operator it came from.
+    dt, t2 = RationalFunction.var("Dt", reg2), RationalFunction.var("t", reg2)
+    for coeffs, expected, value in (
+            ((2 * one, 3 * one), "Dt^2 - 3*Dt - 2", dt ** 2 - 3 * dt - 2),
+            ((xt["zero"], one / t), "Dt^2 - 1/t*Dt", dt ** 2 - dt / t2)):
+        text = operator_text(LinearDiffOperator("t", coeffs))
+        assert text == expected
+        assert parse_to_rational(text, reg2) == value
 
 
 def test_load_problem_and_dual():
@@ -849,6 +859,31 @@ def test_bad_variable_names_are_malformed_input():
     assert done.returncode == 4
     assert json.loads(done.stdout)["status"] == "malformed-input"
     assert "Traceback" not in done.stderr
+
+
+def test_an_oversized_flatten_ansatz_is_refused_quickly(tmp_path):
+    # At degree bound 1000 the ansatz of this system has 9 * C(1002, 2)
+    # unknowns, far more than a search builds in bounded time and memory.
+    # The size is refused before any monomial is built, naming the bound,
+    # while small bounds still search.
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps({"field": {"parametric": ["t1", "t2"]}, "system": {
+        "size": 3, "dual": False, "matrices": {
+            "t1": [["0", "2/(t1-1)", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+            "t2": [["0", "0", "0"], ["0", "0", "3/(t2+1)^2"], ["0", "0", "0"]]}}}))
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    done = _python_m_main(["--json", "flatten", str(path), "--degree-bound", "1000"],
+                          timeout=10)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime) < 1.0
+    assert done.returncode == 2, done.stderr
+    assert json.loads(done.stdout) == {
+        "status": "unsupported-input",
+        "detail": "degree bound 1000 gives 4513509 ansatz unknowns, outside the "
+                  "supported size <= 100000"}
+    code, report = run_command(["flatten", str(path), "--degree-bound", "6"])
+    assert code == 3
+    assert report.payload["degree_bound"] == 6
 
 
 def test_negative_bounds_are_malformed_input():

@@ -12,6 +12,7 @@ from isocert.curve import (CurveClass, CurveContext, CurveElement, CurveError,
                            CurveReduction, CurveSpec, UnsupportedPoles, _split_f_level,
                            curve_derive, curve_reduce, curve_w, picard_fuchs)
 from isocert.exactalg import RationalFunction, UPoly, linear_solve
+from isocert.exactalg.printing import format_rational
 from isocert.exactalg.poly import gcd as poly_gcd
 from isocert.operators import LinearDiffOperator, TelescoperNotFound
 
@@ -38,6 +39,39 @@ def test_curve_derive_examples(xt, legendre):
     assert dw.odd == legendre.fx_rf / (2 * legendre.f_rf)
     dwt = curve_derive(w, "t")
     assert dwt.odd == -x * (x - one) / (2 * legendre.f_rf)
+
+
+def test_curve_derive_matches_sympy(xt, legendre):
+    """curve_derive against sympy's derivative of p0 + p1*sqrt(f), for random
+    even and odd parts on a cubic and a quartic, in x and in t, compared
+    exactly at random rational points."""
+    sympy = pytest.importorskip("sympy")
+    x, t, one, zero = xt["x"], xt["t"], xt["one"], xt["zero"]
+    quartic = CurveSpec((x * (x - one) * (x - t) * (x + one)).num, "x", xt["reg"])
+    names = {"x": sympy.Symbol("x"), "t": sympy.Symbol("t")}
+
+    def to_sympy(r):
+        return sympy.sympify(format_rational(r), locals=names)
+
+    rnd = random.Random(29)
+    nums = [zero, one, x, t, 3 * x - t, x * x + t, t * x - 2 * one]
+    dens = [one, x - t, x + one, 2 * x - t, t, t * x - one]
+    for spec in (legendre, quartic):
+        root = sympy.sqrt(to_sympy(spec.f_rf))
+        for _ in range(8):
+            p0, p1 = (rnd.choice(nums) * rnd.choice(nums)
+                      / (rnd.choice(dens + [spec.f_rf, spec.f_rf ** 2]) * rnd.choice(dens))
+                      for _ in range(2))
+            e = CurveElement(p0, p1, spec)
+            for v in ("x", "t"):
+                got = curve_derive(e, v)
+                theirs = sympy.diff(to_sympy(p0) + to_sympy(p1) * root, names[v])
+                mine = to_sympy(got.even) + to_sympy(got.odd) * root
+                for _ in range(2):
+                    # x > 1 > 0 > t keeps every pole and branch point away.
+                    at = {names["x"]: sympy.Rational(rnd.randint(3, 60), rnd.randint(1, 2)),
+                          names["t"]: sympy.Rational(-rnd.randint(1, 60), rnd.randint(1, 7))}
+                    assert sympy.expand(mine.xreplace(at) - theirs.xreplace(at)) == 0, (e, v)
 
 
 def test_curve_derive_leibniz_and_commutes(xt, legendre):
