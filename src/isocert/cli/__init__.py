@@ -1,33 +1,36 @@
 """Expression parsing, problem files, reports, the command line and the
 built-in example reproduction suite.
 
-``main`` and ``run_command`` are imported on first access, so that
-``python -m isocert.cli.main`` runs the command-line module once.  Reading
-either name binds both to the functions; until then, an import of the
+The public names are imported on first access (PEP 562), so that
+``python -m isocert.cli.main`` runs the command-line module once and a
+command loads only the modules it runs.  Reading a name imports its module
+and binds every public name of that module; reading ``main`` or
+``run_command`` binds both to the functions.  Until then, an import of the
 submodule ``isocert.cli.main`` binds the package attribute ``main`` to that
 module.
 """
 
-from .examples import EXAMPLE_NAMES, ExampleFailure, run_all, run_example
-from .exprio import (ExprSyntaxError, UnknownIdentifier, evaluate,
-                     parse_expression, parse_to_rational)
-from .files import LoadedProblem, ProblemFileError, load_problem, parse_matrix
-from .reports import Report, emit_report, matrix_text, operator_text, value_text
+import importlib
 
-__all__ = [
-    "EXAMPLE_NAMES", "ExampleFailure", "ExprSyntaxError", "LoadedProblem",
-    "ProblemFileError", "Report", "UnknownIdentifier", "emit_report",
-    "evaluate", "load_problem", "main", "matrix_text", "operator_text",
-    "parse_expression", "parse_matrix", "parse_to_rational", "run_all",
-    "run_command", "run_example", "value_text",
-]
+# Submodule -> the public names it provides.
+_EXPORTS = {
+    ".examples": ("run_all", "run_example"),
+    ".exprio": ("ExprSyntaxError", "UnknownIdentifier", "evaluate",
+                "parse_expression", "parse_to_rational"),
+    ".files": ("LoadedProblem", "load_problem", "parse_matrix"),
+    ".main": ("main", "run_command"),
+    ".reports": ("EXAMPLE_NAMES", "ExampleFailure", "ProblemFileError", "Report",
+                 "emit_report", "matrix_text", "operator_text", "value_text"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):
-    if name in ("main", "run_command"):
-        import importlib
-
-        module = importlib.import_module(".main", __name__)
-        globals().update(main=module.main, run_command=module.run_command)
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(module, __name__)
+    globals().update({n: getattr(loaded, n) for n in _EXPORTS[module]})
+    return globals()[name]

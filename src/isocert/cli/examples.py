@@ -15,11 +15,9 @@ from ..galois import (DerivationRebase, companion_system,
                       descriptor_from_operator, horizontal_sections,
                       rebase_derivations)
 from ..operators import LinearDiffOperator
-from .files import LoadedProblem, ProblemFileError, load_problem, parse_matrix
-from .reports import Report, matrix_text, operator_text, value_text
-
-class ExampleFailure(AssertionError):
-    pass
+from .files import LoadedProblem, load_problem, parse_matrix
+from .reports import (EXAMPLE_NAMES, ExampleFailure, ProblemFileError, Report,
+                      matrix_text, operator_text, value_text)
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -279,13 +277,7 @@ def run_per_derivation_triviality() -> Report:
     })
 
 
-_RUNNERS = {
-    "heisenberg-obstruction": run_heisenberg,
-    "iterated-integrals": run_iterated_integrals,
-    "legendre": run_legendre,
-    "incomplete-gamma": run_incomplete_gamma,
-    "replace-bi": run_replace_bi,
-    "per-derivation-triviality": run_per_derivation_triviality,
-}
-# The order of EXAMPLE_NAMES is the payload order of `examples run all`.
-EXAMPLE_NAMES = tuple(_RUNNERS)
+# In the order of EXAMPLE_NAMES.
+_RUNNERS = dict(zip(EXAMPLE_NAMES, (
+    run_heisenberg, run_iterated_integrals, run_legendre, run_incomplete_gamma,
+    run_replace_bi, run_per_derivation_triviality)))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 from ..connection import ConnectionSystem
@@ -19,10 +18,7 @@ from ..exactalg import (DuplicateVariable, RationalFunction, VariableRegistry,
 from ..exactalg.linalg import Matrix, mat_neg, mat_transpose
 from ..fields import FieldContext, RationalFieldContext
 from .exprio import ExprSyntaxError, UnknownIdentifier, parse_to_rational
-
-
-class ProblemFileError(ValueError):
-    pass
+from .reports import ProblemFileError, check_curve_names
 
 
 _MATRIX = {"type": "array", "items": {"type": "array", "items": {"type": "string"}}}
@@ -116,16 +112,21 @@ _MATRIX_FILES = {key: {"type": "object", "properties": {key: schema}, "required"
                  for key, schema in (("matrix", _MATRIX), ("matrices", _MATRICES))}
 
 
-@dataclass
 class LoadedProblem:
-    registry: VariableRegistry
-    field: FieldContext
-    tower: Optional[Tower]
-    principal: Optional[str]
-    parametric: list[str]
-    system: Optional[ConnectionSystem]
-    curve: Optional[CurveSpec]
-    raw: dict = dc_field(repr=False, default_factory=dict)
+    __slots__ = ("registry", "field", "tower", "principal", "parametric", "system",
+                 "curve", "raw")
+
+    def __init__(self, registry: VariableRegistry, field: FieldContext,
+                 tower: Optional[Tower], principal: Optional[str], parametric: list[str],
+                 system: Optional[ConnectionSystem], curve: Optional[CurveSpec], raw: dict):
+        self.registry = registry
+        self.field = field
+        self.tower = tower
+        self.principal = principal
+        self.parametric = parametric
+        self.system = system
+        self.curve = curve
+        self.raw = raw
 
     def parse(self, text: str) -> RationalFunction:
         try:
@@ -282,14 +283,6 @@ def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
             raise ProblemFileError("curve polynomial must have denominator 1")
         problem.curve = CurveSpec(f_expr.num, principal, registry)
     return problem
-
-
-def check_curve_names(registry: VariableRegistry) -> None:
-    """Reports print the square root on a curve w^2 = f as w, so no variable
-    next to a curve may be named w."""
-    if "w" in registry:
-        raise ProblemFileError("the name 'w' is reserved for the square root "
-                               "on the curve w^2 = f")
 
 
 def parse_matrix(problem: LoadedProblem, rows: list[list[str]], size: int) -> Matrix:

@@ -3,6 +3,10 @@
 Exit codes: 0 success / property holds; 1 property fails (not integrable,
 obstruction proven, example expectation failed); 2 unsupported input;
 3 not found within bounds; 4 malformed input.
+
+Each command imports the modules it runs when it runs, so that a cold
+process loads only those; the light modules every command needs are
+imported here.
 """
 
 from __future__ import annotations
@@ -11,19 +15,13 @@ import argparse
 import os
 import sys
 
-from ..connection import (FlattenFound, FlattenObstruction, check_integrability,
-                          flatten, gauge)
-from ..curve import CurveSpec, picard_fuchs
-from ..derham import reduce as derham_reduce, telescoper
 from ..exactalg import ExactAlgError, VariableRegistry, VarKind, ZeroDenominator
-from ..galois import galois_descriptor
 from ..operators import TelescoperNotFound
-from .examples import (EXAMPLE_NAMES, ExampleFailure, run_all, run_example)
 from .exprio import (ExprSyntaxError, UnknownIdentifier, parse_expression,
                      parse_to_rational)
-from .files import (ProblemFileError, check_curve_names, load_problem,
-                    parse_matrix, read_matrices)
-from .reports import Report, emit_report, matrix_text, operator_text, value_text
+from .reports import (EXAMPLE_NAMES, ExampleFailure, ProblemFileError, Report,
+                      check_curve_names, emit_report, matrix_text, operator_text,
+                      value_text)
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
@@ -57,6 +55,8 @@ def _registry_for(expr_text: str, var: str, param: str | None
 
 def _load_system(path: str):
     """A problem file that must have a system section."""
+    from .files import load_problem
+
     problem = load_problem(path)
     if problem.system is None:
         raise ProblemFileError("file has no system section")
@@ -74,6 +74,8 @@ def _operator_payload(result) -> dict:
 
 
 def _cmd_check(args) -> tuple[int, Report]:
+    from ..connection import check_integrability
+
     problem = _load_system(args.file)
     report_obj = check_integrability(problem.system, args.mode)
     payload = {
@@ -93,6 +95,9 @@ def _cmd_check(args) -> tuple[int, Report]:
 
 
 def _cmd_gauge(args) -> tuple[int, Report]:
+    from ..connection import gauge
+    from .files import parse_matrix, read_matrices
+
     problem = _load_system(args.file)
     g = parse_matrix(problem, read_matrices(args.matrix, "matrix"), problem.system.size)
     transformed = gauge(problem.system, g)
@@ -104,6 +109,8 @@ def _cmd_gauge(args) -> tuple[int, Report]:
 
 
 def _cmd_reduce(args) -> tuple[int, Report]:
+    from ..derham import reduce as derham_reduce
+
     registry, postfix = _registry_for(args.integrand, args.var, None)
     f = parse_to_rational(postfix, registry)
     result = derham_reduce(f, args.var)
@@ -116,6 +123,8 @@ def _cmd_reduce(args) -> tuple[int, Report]:
 
 
 def _cmd_telescope(args) -> tuple[int, Report]:
+    from ..derham import telescoper
+
     registry, postfix = _registry_for(args.integrand, args.var, args.param)
     b = parse_to_rational(postfix, registry)
     result = telescoper(b, args.var, args.param, max_order=args.max_order)
@@ -123,6 +132,8 @@ def _cmd_telescope(args) -> tuple[int, Report]:
 
 
 def _cmd_picard_fuchs(args) -> tuple[int, Report]:
+    from ..curve import CurveSpec, picard_fuchs
+
     registry, postfix = _registry_for(args.curve, "x", args.param)
     check_curve_names(registry)
     f = parse_to_rational(postfix, registry)
@@ -134,6 +145,9 @@ def _cmd_picard_fuchs(args) -> tuple[int, Report]:
 
 
 def _cmd_flatten(args) -> tuple[int, Report]:
+    from ..connection import FlattenFound, FlattenObstruction, flatten
+    from .files import parse_matrix, read_matrices
+
     problem = _load_system(args.file)
     constraint = None
     if args.commutant:
@@ -167,6 +181,8 @@ def _cmd_flatten(args) -> tuple[int, Report]:
 
 
 def _cmd_galois(args) -> tuple[int, Report]:
+    from ..galois import galois_descriptor
+
     registry, postfix = _registry_for(args.integrand, args.var, args.param)
     b = parse_to_rational(postfix, registry)
     descriptor = galois_descriptor(b, args.var, args.param, max_order=args.max_order)
@@ -179,6 +195,8 @@ def _cmd_galois(args) -> tuple[int, Report]:
 
 
 def _cmd_examples(args) -> tuple[int, Report]:
+    from .examples import run_all, run_example
+
     if args.name == "all":
         reports = run_all()
         payload = {"examples": [r.payload for r in reports],
@@ -188,8 +206,17 @@ def _cmd_examples(args) -> tuple[int, Report]:
     return EXIT_OK, report
 
 
+class _Parser(argparse.ArgumentParser):
+    """Prints help and exits as argparse does, but turns a usage error into
+    malformed input, reported like any other."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ProblemFileError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isocert",
         description="Exact isomonodromy toolkit: integrability checks, "
                     "reductions, telescopers and certificates over Q.")
@@ -248,32 +275,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: list[str]) -> tuple[int, Report]:
-    parser = build_parser()
+    """The exit code and report of one command.  A request for help prints
+    it and raises SystemExit(0), as argparse does; a usage error is
+    malformed input of the command "argparse"."""
+    command = "argparse"
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_MALFORMED
-        return (EXIT_OK if code == 0 else EXIT_MALFORMED), Report("argparse", {})
-    try:
+        args = build_parser().parse_args(argv)
+        command = args.command
         for option in ("max_order", "form", "degree_bound"):
             if getattr(args, option, 0) < 0:
                 raise ProblemFileError(f"--{option.replace('_', '-')} must be "
                                        f"non-negative, got {getattr(args, option)}")
         return args.func(args)
     except ExampleFailure as exc:
-        return EXIT_PROPERTY_FAILS, Report(args.command, {
+        return EXIT_PROPERTY_FAILS, Report(command, {
             "status": "expectation-failed", "detail": str(exc)})
     except (ProblemFileError, ExprSyntaxError, UnknownIdentifier,
             ZeroDenominator) as exc:
-        return EXIT_MALFORMED, Report(args.command, {
+        return EXIT_MALFORMED, Report(command, {
             "status": "malformed-input", "detail": str(exc)})
     except TelescoperNotFound as exc:
-        return EXIT_NOT_FOUND, Report(args.command, {
+        return EXIT_NOT_FOUND, Report(command, {
             "status": "not-found-within-bounds", "detail": str(exc)})
     # The remaining exact-algebra errors, curve errors among them, refuse
     # an input the toolkit does not support.
     except ExactAlgError as exc:
-        return EXIT_UNSUPPORTED, Report(args.command, {
+        return EXIT_UNSUPPORTED, Report(command, {
             "status": "unsupported-input", "detail": str(exc)})
 
 

@@ -1,20 +1,45 @@
 """Reports: one structured payload with deterministic dual rendering
-(human-readable text and stable-key JSON)."""
+(human-readable text and stable-key JSON), and the outcomes a report can
+carry besides a result: the errors that become its malformed-input and
+expectation-failed statuses, and the names of the built-in examples.  They
+live here, next to `Report`, so that the command line can name them without
+loading the problem-file and example modules."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dc_field
 
-from ..exactalg import RationalFunction, format_rational
+from ..exactalg import RationalFunction, VariableRegistry, format_rational
 from ..exactalg.linalg import Matrix
 from ..exactalg.printing import _top_level_ops
 
+# The order of EXAMPLE_NAMES is the payload order of `examples run all`.
+EXAMPLE_NAMES = ("heisenberg-obstruction", "iterated-integrals", "legendre",
+                 "incomplete-gamma", "replace-bi", "per-derivation-triviality")
 
-@dataclass
+
+class ProblemFileError(ValueError):
+    pass
+
+
+class ExampleFailure(AssertionError):
+    pass
+
+
 class Report:
-    command: str = ""
-    payload: dict = dc_field(default_factory=dict)
+    __slots__ = ("command", "payload")
+
+    def __init__(self, command: str, payload: dict):
+        self.command = command
+        self.payload = payload
+
+
+def check_curve_names(registry: VariableRegistry) -> None:
+    """Reports print the square root on a curve w^2 = f as w, so no variable
+    next to a curve may be named w."""
+    if "w" in registry:
+        raise ProblemFileError("the name 'w' is reserved for the square root "
+                               "on the curve w^2 = f")
 
 
 def matrix_text(mat: Matrix) -> list[list[str]]:

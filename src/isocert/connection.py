@@ -52,19 +52,20 @@ class SingularGauge(ConnectionSystemError):
     pass
 
 
-@dataclass
 class ConnectionSystem:
-    field: FieldContext
-    size: int
-    matrices: dict[str, Matrix]
-    principal: Optional[str] = None
+    __slots__ = ("field", "size", "matrices", "principal")
 
-    def __post_init__(self):
-        for name, mat in self.matrices.items():
-            if len(mat) != self.size or any(len(row) != self.size for row in mat):
-                raise ValueError(f"matrix for {name!r} is not {self.size}x{self.size}")
-        if self.principal is not None and self.principal not in self.matrices:
-            raise UnknownDerivation(self.principal)
+    def __init__(self, field: FieldContext, size: int, matrices: dict[str, Matrix],
+                 principal: Optional[str] = None):
+        for name, mat in matrices.items():
+            if len(mat) != size or any(len(row) != size for row in mat):
+                raise ValueError(f"matrix for {name!r} is not {size}x{size}")
+        if principal is not None and principal not in matrices:
+            raise UnknownDerivation(principal)
+        self.field = field
+        self.size = size
+        self.matrices = matrices
+        self.principal = principal
 
     def symbols(self) -> list[str]:
         return list(self.matrices)
@@ -92,12 +93,14 @@ def defect(system: ConnectionSystem, u: str, v: str) -> Matrix:
     return mat_sub(mat_sub(d_uAv, d_vAu), mat_commutator(A_u, A_v, f.zero))
 
 
-@dataclass(frozen=True)
 class CurvatureForm:
     """Defect matrices per unordered pair, stored in canonical orientation:
     the later symbol (in system order) differentiates first."""
 
-    entries: dict[tuple[str, str], Matrix]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: dict[tuple[str, str], Matrix]):
+        self.entries = entries
 
     def matrix(self, u: str, v: str) -> Matrix:
         if (u, v) in self.entries:
@@ -261,21 +264,27 @@ class ObstructionWitness:
     detail: str
 
 
-@dataclass(frozen=True)
 class FlattenFound:
-    moves: dict[str, Matrix]
-    system: ConnectionSystem
+    __slots__ = ("moves", "system")
+
+    def __init__(self, moves: dict[str, Matrix], system: ConnectionSystem):
+        self.moves = moves
+        self.system = system
 
 
-@dataclass(frozen=True)
 class FlattenObstruction:
-    witness: ObstructionWitness
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: ObstructionWitness):
+        self.witness = witness
 
 
-@dataclass(frozen=True)
 class FlattenNotFound:
-    degree_bound: int
-    detail: str
+    __slots__ = ("degree_bound", "detail")
+
+    def __init__(self, degree_bound: int, detail: str):
+        self.degree_bound = degree_bound
+        self.detail = detail
 
 
 FlattenResult = FlattenFound | FlattenObstruction | FlattenNotFound

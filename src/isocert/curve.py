@@ -24,7 +24,6 @@ D(b*w) = d(cert.odd*w) is checked by `_check_operator_identity`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .derham import H1Class, ReductionResult, _check_reduction
@@ -49,15 +48,16 @@ class UnsupportedPoles(CurveError):
     (e.g. simple poles off the branch locus: third-kind differentials)."""
 
 
-@dataclass
 class CurveSpec:
     """w^2 = f(x; params) with f squarefree of degree 3 or 4 in x."""
 
-    f: MultiPoly
-    x_name: str
-    registry: VariableRegistry
+    __slots__ = ("f", "x_name", "registry", "x_index", "degree", "fx", "lc_x",
+                 "f_rf", "fx_rf", "bezout_v")
 
-    def __post_init__(self):
+    def __init__(self, f: MultiPoly, x_name: str, registry: VariableRegistry):
+        self.f = f
+        self.x_name = x_name
+        self.registry = registry
         self.x_index = self.registry.index(self.x_name)
         d = self.f.degree(self.x_index)
         if d not in (3, 4):
@@ -193,20 +193,24 @@ class CurveContext(FieldContext):
         return CurveElement(f, zero, self.curve)
 
 
-@dataclass(frozen=True)
 class CurveClass:
     """Coordinates in the basis {x^i dx/w : 0 <= i <= deg(f)-2}."""
 
-    coords: tuple[RationalFunction, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[RationalFunction, ...]):
+        self.coords = coords
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
 
 
-@dataclass(frozen=True)
 class CurveReduction:
-    h1: CurveClass
-    certificate: CurveElement
+    __slots__ = ("h1", "certificate")
+
+    def __init__(self, h1: CurveClass, certificate: CurveElement):
+        self.h1 = h1
+        self.certificate = certificate
 
 
 def _split_f_level(p1: RationalFunction, curve: CurveSpec) -> tuple[int, RationalFunction]:

@@ -18,7 +18,6 @@ m_p the order of b at p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactalg import (MultiPoly, NonLinearFactor, RationalFunction, VariableRegistry,
@@ -72,12 +71,25 @@ class H1Class:
         return f"H1Class({{{bits}}})"
 
 
-@dataclass(frozen=True)
 class ReductionResult:
-    h1: H1Class
-    certificate: RationalFunction
-    # Pole -> e_p > 0 with certificate.den = D * prod q_p^e_p, D free of x.
-    orders: dict[RationalFunction, int] = field(compare=False)
+    """Equal results have equal classes and certificates; `orders`, which
+    describes the certificate's denominator, does not take part."""
+
+    __slots__ = ("h1", "certificate", "orders")
+
+    def __init__(self, h1: H1Class, certificate: RationalFunction,
+                 orders: dict[RationalFunction, int]):
+        self.h1 = h1
+        self.certificate = certificate
+        # Pole -> e_p > 0 with certificate.den = D * prod q_p^e_p, D free of x.
+        self.orders = orders
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, ReductionResult) and self.h1 == other.h1
+                and self.certificate == other.certificate)
+
+    def __hash__(self) -> int:
+        return hash((self.h1, self.certificate))
 
 
 def reduce(f: RationalFunction, x_name: str) -> ReductionResult:
@@ -258,22 +270,29 @@ def _check_telescoper(operator: LinearDiffOperator, b: RationalFunction,
 # -- bivariate exactness: d_t2(f1) - d_t1(f2) = g ---------------------------
 
 
-@dataclass(frozen=True)
 class Exact2FormSolvable:
-    f1: RationalFunction
-    f2: RationalFunction
+    __slots__ = ("f1", "f2")
+
+    def __init__(self, f1: RationalFunction, f2: RationalFunction):
+        self.f1 = f1
+        self.f2 = f2
 
 
-@dataclass(frozen=True)
 class Exact2FormUnsolvable:
-    pole: RationalFunction
-    residue: RationalFunction
-    residue_class: H1Class
+    __slots__ = ("pole", "residue", "residue_class")
+
+    def __init__(self, pole: RationalFunction, residue: RationalFunction,
+                 residue_class: H1Class):
+        self.pole = pole
+        self.residue = residue
+        self.residue_class = residue_class
 
 
-@dataclass(frozen=True)
 class Exact2FormUnsupported:
-    reason: str
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
 Exact2FormOutcome = Exact2FormSolvable | Exact2FormUnsolvable | Exact2FormUnsupported

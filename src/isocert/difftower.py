@@ -14,7 +14,6 @@ only the derivation action distinguishes them.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .exactalg import (ExactAlgError, RationalFunction, VariableRegistry, VarKind)
 from .fields import FieldContext
@@ -38,17 +37,21 @@ class InconsistentTower(TowerError):
     pass
 
 
-@dataclass(frozen=True)
 class DerivationSymbol:
-    name: str
-    kind: str = "parametric"  # "principal" | "parametric"
+    __slots__ = ("name", "kind")
+
+    def __init__(self, name: str, kind: str = "parametric"):
+        self.name = name
+        self.kind = kind  # "principal" | "parametric"
 
 
-@dataclass(frozen=True)
 class CommutativityWitness:
-    element: str
-    pair: tuple[str, str]
-    difference: RationalFunction
+    __slots__ = ("element", "pair", "difference")
+
+    def __init__(self, element: str, pair: tuple[str, str], difference: RationalFunction):
+        self.element = element
+        self.pair = pair
+        self.difference = difference
 
 
 class Tower(FieldContext):

@@ -25,7 +25,6 @@ same expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (FIELD_BITS, FIELD_MASK, MultiPoly, ZeroPolynomial, _heu_points,
@@ -265,19 +264,23 @@ def _rf_sort_key(f: RationalFunction):
     return (poly_key(f.den), poly_key(f.num))
 
 
-@dataclass(frozen=True)
 class PoleTerm:
-    pole: RationalFunction
-    order: int
-    coeff: RationalFunction
+    __slots__ = ("pole", "order", "coeff")
+
+    def __init__(self, pole: RationalFunction, order: int, coeff: RationalFunction):
+        self.pole = pole
+        self.order = order
+        self.coeff = coeff
 
 
-@dataclass(frozen=True)
 class PartialFractions:
     """f = poly_part + sum coeff/(v - pole)^order, exactly."""
 
-    poly_part: RationalFunction
-    terms: tuple[PoleTerm, ...]
+    __slots__ = ("poly_part", "terms")
+
+    def __init__(self, poly_part: RationalFunction, terms: tuple[PoleTerm, ...]):
+        self.poly_part = poly_part
+        self.terms = terms
 
     def recombine(self, v: int) -> RationalFunction:
         reg = self.poly_part.registry

@@ -10,7 +10,6 @@ a linear system are sparse dicts from column index to entry.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Sequence
@@ -19,14 +18,16 @@ Matrix = list[list[Any]]
 SparseRow = dict[int, Any]
 
 
-@dataclass
 class LinearSolution:
     """Solution set of M x = rhs: a particular solution and a kernel basis,
     or inconsistent=True."""
 
-    inconsistent: bool
-    particular: list | None
-    nullspace: list[list]
+    __slots__ = ("inconsistent", "particular", "nullspace")
+
+    def __init__(self, inconsistent: bool, particular: list | None, nullspace: list[list]):
+        self.inconsistent = inconsistent
+        self.particular = particular
+        self.nullspace = nullspace
 
 
 def _zero_test(zero) -> Callable[[Any], bool]:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 
 
 class ExactAlgError(Exception):
@@ -39,13 +38,15 @@ NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _valid_name = re.compile(NAME).fullmatch
 
 
-@dataclass
 class VariableRegistry:
     """Ordered, append-only list of variables with kind tags."""
 
-    _names: list[str] = field(default_factory=list)
-    _kinds: list[VarKind] = field(default_factory=list)
-    _index: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("_names", "_kinds", "_index")
+
+    def __init__(self):
+        self._names: list[str] = []
+        self._kinds: list[VarKind] = []
+        self._index: dict[str, int] = {}
 
     def add(self, name: str, kind: VarKind = VarKind.PARAMETRIC) -> int:
         if name in self._index:

@@ -216,14 +216,17 @@ def galois_descriptor_tower(tower: Tower, b, op: LinearDiffOperator, a,
 # -- derivation rebasing ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class DerivationRebase:
     """New derivations as field-coefficient combinations of old ones:
     new_i = sum_j matrix[i][j] * old_j."""
 
-    new_symbols: tuple[str, ...]
-    old_symbols: tuple[str, ...]
-    matrix: tuple[tuple[RationalFunction, ...], ...]
+    __slots__ = ("new_symbols", "old_symbols", "matrix")
+
+    def __init__(self, new_symbols: tuple[str, ...], old_symbols: tuple[str, ...],
+                 matrix: tuple[tuple[RationalFunction, ...], ...]):
+        self.new_symbols = new_symbols
+        self.old_symbols = old_symbols
+        self.matrix = matrix
 
 
 def rebase_derivations(system: ConnectionSystem, rebase: DerivationRebase) -> ConnectionSystem:

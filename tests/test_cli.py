@@ -981,6 +981,106 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(package)
         for name in module.__all__:
             assert getattr(module, name, None) is not None, (package, name)
+        star: dict = {}
+        exec(f"from {package} import *", star)
+        for name in module.__all__:
+            assert star.get(name) is getattr(module, name), (package, name)
+
+
+# Modules only the file commands, the examples and the Galois and curve
+# computations need.
+_HEAVY = {"isocert.connection", "isocert.galois", "isocert.curve", "isocert.difftower",
+          "isocert.ansatz", "isocert.cli.files", "isocert.cli.examples"}
+
+
+@pytest.mark.parametrize("argv, code, not_loaded", [
+    (["reduce", "--integrand", "1/((x-t)^2*(x-1)) + x", "--var", "x"], 0, _HEAVY),
+    (["telescope", "--integrand", "1/((x-t)*(x-1))", "--var", "x", "--param", "t"], 0,
+     _HEAVY),
+    (["picard-fuchs", "--curve", "x*(x-1)*(x-t)", "--param", "t"], 0,
+     _HEAVY - {"isocert.curve"}),
+    # The usage error a misplaced --json gets loads no computing module at all.
+    (["examples", "run", "all", "--json"], 4, _HEAVY | {"isocert.derham"}),
+], ids=["reduce", "telescope", "picard-fuchs", "usage-error"])
+def test_a_cold_command_loads_only_the_modules_it_runs(argv, code, not_loaded):
+    script = ("import json, sys\n"
+              "from isocert.cli.main import run_command\n"
+              "code, _ = run_command(json.loads(sys.argv[1]))\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules\n"
+              "                               if m.startswith('isocert'))]))\n")
+    done = _python(["-c", script, json.dumps(argv)], timeout=60)
+    assert done.returncode == 0, done.stderr
+    got, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert got == code
+    assert not not_loaded & set(loaded), sorted(not_loaded & set(loaded))
+
+
+def test_importing_the_package_loads_no_submodule():
+    done = _python(["-c", "import sys, isocert; "
+                    "print(sorted(m for m in sys.modules if m.startswith('isocert')))"],
+                   timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['isocert']"
+
+
+def test_help_prints_only_the_help():
+    for argv, usage in ((["--help"], "usage: isocert [-h]"),
+                        (["--json", "reduce", "--help"], "usage: isocert reduce [-h]")):
+        done = _python_m_main(argv, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith(usage), done.stdout
+        assert "argparse" not in done.stdout
+        assert not done.stdout.rstrip().endswith("{}")
+        assert done.stderr == ""
+
+
+def test_a_usage_error_is_reported_as_malformed_input():
+    cases = [(["reduce", "--var", "x"], "the following arguments are required: --integrand"),
+             (["telescope", "--integrand", "x", "--var", "x", "--param", "t",
+               "--max-order", "two"], "argument --max-order: invalid int value: 'two'"),
+             # --json is an option of isocert, not of its commands.
+             (["examples", "run", "all", "--json"], "unrecognized arguments: --json")]
+    for argv, detail in cases:
+        expected = {"status": "malformed-input", "detail": detail}
+        code, report = run_command(argv)
+        assert (code, report.command, report.payload) == (4, "argparse", expected)
+    argv, detail = cases[0]
+    done = _python_m_main(["--json", *argv], timeout=60)
+    assert done.returncode == 4
+    assert json.loads(done.stdout) == {"status": "malformed-input", "detail": detail}
+    assert done.stderr.startswith("usage: isocert reduce")
+    done = _python_m_main(argv, timeout=60)
+    assert done.returncode == 4
+    assert done.stdout == f"== argparse ==\ndetail: {detail}\nstatus: malformed-input\n"
+
+
+def test_the_self_test_types_stay_dataclasses():
+    """perfbench's self-test corrupts outputs with dataclasses.replace on these
+    types and deep-copies the rest."""
+    import copy
+    import dataclasses
+
+    from isocert.cli.files import parse_matrix
+    from isocert.connection import (FlattenFound, IntegrabilityReport, ObstructionWitness,
+                                    PairVerdict, check_integrability, flatten)
+    from isocert.galois import GaloisDescriptor
+    from isocert.operators import LinearDiffOperator, TelescoperResult
+
+    for cls in (LinearDiffOperator, TelescoperResult, PairVerdict, IntegrabilityReport,
+                ObstructionWitness, GaloisDescriptor):
+        assert dataclasses.is_dataclass(cls), cls.__name__
+    problem = load_problem(fixture_path("heisenberg-obstruction"))
+    system = problem.system
+    span = [parse_matrix(problem, m, system.size)
+            for m in problem.raw["expect"]["centralizer_span"]]
+    out = {"system": system, "full": check_integrability(system, "full"),
+           "obstruction": flatten(system, order=system.parametric_symbols(), constraint=span),
+           "found": FlattenFound({}, system)}
+    bad = copy.deepcopy(out)
+    assert bad["system"] is not system and bad["system"].matrices == system.matrices
+    assert bad["full"] == out["full"]
+    assert bad["obstruction"].witness == out["obstruction"].witness
+    assert bad["found"].system.size == system.size
 
 
 def test_traced_functions_exist():
@@ -1107,6 +1207,7 @@ def test_examples_run_all_names():
     code, report = run_command(["examples", "run", "all"])
     assert code == 0
     assert report.payload["all_pass"] is True
+    assert [e["name"] for e in report.payload["examples"]] == list(EXAMPLE_NAMES)
 
 
 def test_system_matrix_serialization_round_trip():

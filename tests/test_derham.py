@@ -302,6 +302,15 @@ def test_reduce_matches_the_term_by_term_reference(xt):
     inner()
 
 
+def test_reduction_results_compare_by_class_and_certificate(xt):
+    x, t = xt["x"], xt["t"]
+    result = reduce(1 / ((x - t) ** 2 * (x - 1)), "x")
+    same = ReductionResult(result.h1, result.certificate, {})
+    assert same == result and hash(same) == hash(result)
+    assert ReductionResult(result.h1, result.certificate + x, result.orders) != result
+    assert ReductionResult(H1Class(), result.certificate, result.orders) != result
+
+
 def test_check_reduction_rejects_a_wrong_certificate_or_class(xt, monkeypatch):
     x, t = xt["x"], xt["t"]
     f = (x ** 3 + t) / ((x - t) ** 3 * (2 * x + 1) * (t * x - 1) ** 2)
