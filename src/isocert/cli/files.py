@@ -263,8 +263,7 @@ def load_problem(source, tower_consistency: str = "error") -> LoadedProblem:
                 registry.add(principal, VarKind.PRINCIPAL)
             for p in parametric:
                 registry.add(p, VarKind.PARAMETRIC)
-            field_ctx = RationalFieldContext(
-                registry, {s.name: s.name for s in symbols})
+            field_ctx = RationalFieldContext(registry)
     except (TowerError, DuplicateVariable, ValueError) as exc:
         raise ProblemFileError(str(exc)) from None
 

@@ -3,14 +3,16 @@ and Picard-Fuchs operators with certificates.
 
 Elements of the function field are p0 + p1*w with rational p0, p1 and w^2
 eliminated eagerly.  Differential forms (q dx) reduce against the basis
-{x^i dx/w : 0 <= i <= deg(f)-2}.  Poles away from the branch locus drop
-through Hermite-style steps.  What is left is N/(D f^(m+1)) w dx with a
-polynomial numerator N and an x-free denominator D, and the rest runs on N
-and D alone: odd w-powers drop through the Bezout identity u*f + V*f' = 1
-(a pseudo-remainder by f and one exact division per step), and x-degrees
-drop through the exact forms d(x^j w).  D absorbs the denominator of V and
-the powers of lc_x(f) the pseudo-division brings in, so these steps take no
-gcd; each coordinate and the certificate are normalized once at the end.
+{x^i dx/w : 0 <= i <= deg(f)-2}.  Poles away from the branch locus move
+into the certificate in one pass: one partial-fraction call gives every
+principal part, and a triangular recurrence at each pole gives its share of
+the certificate.  What is left is N/(D f^(m+1)) w dx with a polynomial
+numerator N and an x-free denominator D, and the rest runs on N and D
+alone: odd w-powers drop through the Bezout identity u*f + V*f' = 1 (a
+pseudo-remainder by f and one exact division per step), and x-degrees drop
+through the exact forms d(x^j w).  D absorbs the denominator of V and the
+powers of lc_x(f) these steps bring in, so they take no gcd; each
+coordinate and the certificate are normalized once at the end.
 
 Derivatives and identities use the factor lists of `operators` with
 s = w: an odd part N/(D*f^a)*w is N over D*f^(a - 1/2), so
@@ -26,12 +28,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .derham import H1Class, ReductionResult, _check_reduction
+from .derham import H1Class, ReductionResult, _check_reduction, _lowest_terms
 from .derham import reduce as derham_reduce
 from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
                        RationalFunction, UPoly, VariableRegistry, exact_div,
                        partial_fractions, prem, upoly_xgcd)
-from .exactalg.factor import _q_adic, _rf_sort_key
+from .exactalg.factor import _q_adic
 from .exactalg.poly import gcd as poly_gcd
 from .fields import FieldContext
 from .operators import (LinearDiffOperator, TelescoperResult, _check_exact_plus_class,
@@ -223,10 +225,7 @@ def _split_f_level(p1: RationalFunction, curve: CurveSpec) -> tuple[int, Rationa
     g = poly_gcd(den, f)
     m = 0
     while True:
-        if g.is_one():
-            num = num * f
-        else:
-            num, den = num * exact_div(f, g), exact_div(den, g)
+        num, den = num * exact_div(f, g), exact_div(den, g)
         if g.degree(x) <= 0 or (g := poly_gcd(den, f)).degree(x) <= 0:
             break
         m += 1
@@ -239,9 +238,9 @@ def _reduce_numerator(curve: CurveSpec, m: int, num: MultiPoly, den: MultiPoly
                       ) -> tuple[RationalFunction, tuple[RationalFunction, ...]]:
     """Reduce num/(den*f^(m+1)) * w dx with den free of x.  Every step
     works on the polynomial numerator; den absorbs the denominator of V and
-    the powers of lc_x(f) that pseudo-division brings in, and nothing is
-    normalized until the end.  Returns the odd certificate and the class
-    coordinates."""
+    the powers of lc_x(f) that pseudo-division and degree lowering bring
+    in, and nothing is normalized until the end.  Returns the odd
+    certificate and the class coordinates."""
     x = curve.x_index
     f, fx, lc = curve.f, curve.fx, curve.lc_x
     v_num, v_den = curve.bezout_v.num, curve.bezout_v.den
@@ -266,15 +265,10 @@ def _reduce_numerator(curve: CurveSpec, m: int, num: MultiPoly, den: MultiPoly
         den = den * fold
         num = a - b.derivative(x).scale(s)
     # Degree lowering with d(x^j w) = (j x^(j-1) f + x^j f'/2) dx / w.
-    lc_inv = Fraction(1) / lc.const_value() if lc.is_const() else None
     while (n := num.degree(x)) >= d - 1:
         j = n - d + 1
-        top = num.coefficient(x, n)
-        if lc_inv is None:
-            num, cert, den = num * lc, cert * lc, den * lc
-        else:
-            top = top.scale(lc_inv)
-        lam = top.scale(Fraction(2, 2 * j + d))
+        lam = num.coefficient(x, n).scale(Fraction(2, 2 * j + d))
+        num, cert, den = num * lc, cert * lc, den * lc
         xj = MultiPoly.var(x, j)
         num = num - lam * (xj.derivative(x) * f + xj * fx.scale(Fraction(1, 2)))
         cert = cert + lam * xj * f_pow[m]
@@ -287,16 +281,26 @@ def _reduce_numerator(curve: CurveSpec, m: int, num: MultiPoly, den: MultiPoly
 
 def curve_reduce(omega: CurveElement) -> CurveReduction:
     """Reduce the form omega*dx to the de Rham basis with an exact
-    certificate: omega*dx = d(certificate) + sum coords_i * x^i dx/w."""
+    certificate: omega*dx = d(certificate) + sum coords_i * x^i dx/w.
+
+    The odd part is Q w dx / f^(m+1) with Q's denominator prime to f, and
+    d(U w / f^m) = L(U) w dx / f^(m+1) with L(U) = U' f + (1/2 - m) U f'.
+    At each pole c = a/b of Q, of order j, U_c = sum_{i<j} u_i / s^i with
+    s = x - c matches Q's principal part down to order 2.  With
+    f = sum phi_k s^k (phi_k = c_k b^(k-d) from the expansion of f in b*x - a)
+    the s^(-n) coefficient of L(U_c) is -(n-1) phi_0 u_(n-1) plus
+    sum_{i>=n} u_i phi_(i+1-n) ((1/2 - m)(i-n+1) - i), so the u_i follow
+    from n = j down to 2 with pivot -(n-1) f(c), nonzero off the branch
+    locus; what is left at n = 1 is a residue, a third-kind form.  Then
+    Q - L(U) is a polynomial over an x-free denominator for
+    `_reduce_numerator`."""
     curve = omega.curve
     reg = curve.registry
-    x_name = curve.x_name
-    x_idx = curve.x_index
+    x_name, x = curve.x_name, curve.x_index
     zero = RationalFunction.const(0, reg)
-    cert = curve.zero_element()
 
     # Even part: an exact differential on the x-line, or unsupported.
-    even_orders = {}
+    even, even_orders = zero, {}
     if not omega.even.is_zero():
         try:
             rr = derham_reduce(omega.even, x_name)
@@ -304,49 +308,42 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
             raise UnsupportedPoles(str(exc)) from None
         if not rr.h1.is_zero():
             raise UnsupportedPoles("even part has simple poles (third-kind form)")
-        cert = cert + CurveElement(rr.certificate, zero, curve)
-        even_orders = rr.orders
+        even, even_orders = rr.certificate, rr.orders
 
-    # The odd part's denominator divides an x-free factor times
-    # f^level * prod q_c^j_c over its poles c off the branch locus, j_c the
-    # order at c; each step below keeps to that product.
-    remainder = omega.odd
-    coords = (zero,) * curve.basis_size()
-    x = RationalFunction.var(x_name, reg)
-    level, poles = 1, {}
-    guard = 0
-    while not remainder.is_zero():
-        guard += 1
-        if guard > 200:
-            raise CurveError("reduction did not terminate; this is a bug")
-        m, Q = _split_f_level(remainder, curve)
-        if guard == 1:
-            level = m + 1
-        if Q.den.degree(x_idx) == 0:
-            odd, coords = _reduce_numerator(curve, m, Q.num, Q.den)
-            cert = cert + CurveElement(zero, odd, curve)
-            break
-        # Hermite step at a pole off the branch locus.
-        try:
-            pfd = partial_fractions(Q, x_name)
-        except NonLinearFactor as exc:
-            raise UnsupportedPoles(str(exc)) from None
-        if not poles:
-            for term in pfd.terms:
-                poles[term.pole] = max(poles.get(term.pole, 0), term.order)
-        top = max(pfd.terms, key=lambda t: (t.order, _rf_sort_key(t.pole)))
-        c, j, b = top.pole, top.order, top.coeff
-        if j == 1:
-            raise UnsupportedPoles(
-                "simple pole off the branch locus (third-kind form)")
-        f_at_c = RationalFunction(_q_adic(curve.f, x_idx, c.num, c.den, 1)[0],
-                                  c.den ** curve.f.degree(x_idx), reg)
-        kappa = b / (Fraction(-(j - 1)) * f_at_c)
-        u = CurveElement(zero, kappa / (curve.f_rf ** m * (x - c) ** (j - 1)), curve)
-        cert = cert + u
-        remainder = remainder - curve_derive(u, x_name).odd
-    result = CurveReduction(CurveClass(coords), cert)
-    _check_curve_reduction(omega, result, even_orders, level, poles)
+    m, Q = _split_f_level(omega.odd, curve)
+    try:
+        pfd = partial_fractions(Q, x_name)
+    except NonLinearFactor as exc:
+        raise UnsupportedPoles(str(exc)) from None
+    principal: dict[RationalFunction, dict[int, RationalFunction]] = {}
+    for term in pfd.terms:
+        principal.setdefault(term.pole, {})[term.order] = term.coeff
+    d, half = curve.degree, Fraction(1, 2) - m
+    poles, U = {}, zero
+    for c, q in principal.items():
+        j = poles[c] = max(q)
+        phi = [RationalFunction(ck, c.den ** max(d - k, 0), reg)
+               for k, ck in enumerate(_q_adic(curve.f, x, c.num, c.den, j))]
+        u: dict[int, RationalFunction] = {}
+        for n in range(j, 0, -1):
+            rest = q.get(n, zero)
+            for i in range(n, j):
+                rest = rest - u[i] * phi[i + 1 - n] * (half * (i - n + 1) - i)
+            if n > 1:
+                u[n - 1] = rest / (phi[0] * (1 - n))
+            elif not rest.is_zero():
+                raise UnsupportedPoles("simple pole off the branch locus (third-kind form)")
+        # U_c = sum u_i b^i q^(j-1-i) / q^(j-1) with q = b*x - a; its
+        # numerator is u_(j-1) b^(j-1) != 0 mod q, as `_lowest_terms` needs.
+        qc = c.den * MultiPoly.var(x) - c.num
+        num, den = _sum_over_lcm([(ui.num * c.den ** i * qc ** (j - 1 - i), ui.den)
+                                  for i, ui in u.items()], MultiPoly.one())
+        U = U + _lowest_terms(num, den, qc ** (j - 1), x, reg)
+    left = Q - (U.derive(x_name) * curve.f_rf + U * curve.fx_rf * half)
+    odd, coords = _reduce_numerator(curve, m, left.num, left.den)
+    result = CurveReduction(CurveClass(coords),
+                            CurveElement(even, U / curve.f_rf ** m + odd, curve))
+    _check_curve_reduction(omega, result, even_orders, m + 1, poles)
     return result
 
 
@@ -365,7 +362,7 @@ def _check_curve_reduction(omega: CurveElement, result: CurveReduction,
     cert = result.certificate
     if not (omega.even.is_zero() and cert.even.is_zero()):
         _check_reduction(omega.even, ReductionResult(H1Class(), cert.even, even_orders),
-                         curve.x_name, even_orders)
+                         curve.x_name)
     x, f = curve.x_index, curve.f
     factors = [(f, level - Fraction(3, 2))] + [
         (c.den * MultiPoly.var(x) - c.num, j - 1) for c, j in poles.items()]

@@ -138,7 +138,7 @@ def reduce(f: RationalFunction, x_name: str) -> ReductionResult:
         l_part = l_part * power
     result = ReductionResult(H1Class(residues), _lowest_terms(num, den, l_part, x, reg),
                              orders)
-    _check_reduction(f, result, x_name, orders)
+    _check_reduction(f, result, x_name)
     return result
 
 
@@ -156,18 +156,18 @@ def _lowest_terms(num: MultiPoly, den: MultiPoly, l_part: MultiPoly, x: int,
     return RationalFunction(num, den, reg, _reduced=True)
 
 
-def _check_reduction(f: RationalFunction, result: ReductionResult, x_name: str,
-                     orders: dict[RationalFunction, int]) -> None:
+def _check_reduction(f: RationalFunction, result: ReductionResult, x_name: str) -> None:
     """f = d_x(N/(D*L)) + sum r_p/(x - p), by `_check_exact_plus_class` over
     the factors q_p^e_p of every pole (e_p = 0 at a simple pole only), with
     each r_p/(x - p) = r_p*b_p/q_p a class term.
 
-    `orders` maps each pole of the certificate N/(D*L) to e_p, and must give
-    L = prod q_p^e_p exactly: the certificate's denominator over L must be a
-    polynomial free of x.  A division that leaves a remainder fails the check.
+    `result.orders` maps each pole of the certificate N/(D*L) to e_p, and
+    must give L = prod q_p^e_p exactly: the certificate's denominator over L
+    must be a polynomial free of x.  A division that leaves a remainder fails
+    the check.
     """
     x = f.registry.index(x_name)
-    residues = result.h1.residues
+    residues, orders = result.h1.residues, result.orders
     q = {p: p.den * MultiPoly.var(x) - p.num for p in {*orders, *residues}}
     factors = [(qp, orders.get(p, 0)) for p, qp in q.items()]
     try:

@@ -29,17 +29,15 @@ class FieldContext:
 
 
 class RationalFieldContext(FieldContext):
-    """Q(variables) with one partial derivative per derivation symbol."""
+    """Q(variables) with one partial derivative per variable, named by it."""
 
-    def __init__(self, registry: VariableRegistry, derivations: dict[str, str] | None = None):
+    def __init__(self, registry: VariableRegistry):
         self.registry = registry
         self.zero = RationalFunction.const(0, registry)
         self.one = RationalFunction.const(1, registry)
-        names = derivations if derivations is not None else {n: n for n in registry.names()}
-        self._vars = {sym: registry.index(var) for sym, var in names.items()}
 
     def derive(self, element: RationalFunction, symbol: str) -> RationalFunction:
-        return element.derive_index(self._vars[symbol])
+        return element.derive(symbol)
 
 
 class RebasedFieldContext(FieldContext):

@@ -119,7 +119,7 @@ def rational_solutions(op: LinearDiffOperator, registry) -> list[RationalFunctio
     degrees = [r + shift for r in _integer_roots(_indicial(data, max)) if r + shift >= 0]
     if not degrees:
         return []
-    field = RationalFieldContext(registry, {op.symbol: op.symbol})
+    field = RationalFieldContext(registry)
     monos = [t ** k for k in range(max(degrees) + 1)]
     equation = [(k, EMPTY_MONO, op.apply(field, mono / den))
                 for k, mono in enumerate(monos)]

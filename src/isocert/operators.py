@@ -60,14 +60,6 @@ class LinearDiffOperator:
         out.append(factor)
         return out
 
-    @staticmethod
-    def from_dependence(symbol: str, relation: list[RationalFunction]) -> "LinearDiffOperator":
-        """Build the monic operator sum relation[j] * d^j with relation[-1] == 1:
-        coefficients c_i = -relation[i]."""
-        if not relation or not relation[-1].is_one():
-            raise ValueError("relation must be monic in its top coefficient")
-        return LinearDiffOperator(symbol, tuple(-c for c in relation[:-1]))
-
 
 @dataclass(frozen=True)
 class TelescoperResult:
@@ -111,7 +103,7 @@ def reduction_telescoper(first, step, coords, check, t_name: str,
             for e_j, r_j in zip(sol.particular, reductions):
                 if not e_j.is_zero():
                     certificate = certificate + r_j.certificate * e_j
-            operator = LinearDiffOperator.from_dependence(t_name, list(sol.particular) + [one])
+            operator = LinearDiffOperator(t_name, tuple(-c for c in sol.particular))
             check(operator, certificate)
             return TelescoperResult(operator, certificate, minimal_certified=True)
     raise TelescoperNotFound(max_order)

@@ -12,7 +12,7 @@ from isocert.curve import (CurveClass, CurveContext, CurveElement, CurveError,
                            CurveReduction, CurveSpec, UnsupportedPoles, _split_f_level,
                            curve_derive, curve_reduce, curve_w, picard_fuchs)
 from isocert.exactalg import RationalFunction, UPoly, linear_solve
-from isocert.exactalg.printing import format_rational
+from isocert.exactalg.printing import format_poly, format_rational
 from isocert.exactalg.poly import gcd as poly_gcd
 from isocert.operators import LinearDiffOperator, TelescoperNotFound
 
@@ -192,6 +192,80 @@ def test_curve_reduce_pole_off_branch_locus(xt, legendre, monkeypatch):
                                   legendre))
     with pytest.raises(UnsupportedPoles):
         curve_reduce(CurveElement(zero, one / ((x + one) * legendre.f_rf), legendre))
+
+
+def test_curve_reduce_planted_hermite_poles_match_sympy(xt):
+    """Forms d(u*w) + sum c_i x^i dx/w with several Hermite poles of order
+    2-8 (some at a/b with b != 1) and f-levels 0-3, on a monic cubic and a
+    non-monic quartic: the coordinates are the planted c_i, and
+    g' + g*f'/(2f) for g = certificate.odd is omega.odd - sum c_i x^i/f as
+    sympy polynomials, cleared of denominators."""
+    sympy = pytest.importorskip("sympy")
+    x, t, one, zero = xt["x"], xt["t"], xt["one"], xt["zero"]
+    reg = xt["reg"]
+    sx, st = sympy.symbols("x t")
+
+    def to_sympy(p):
+        return sympy.Poly(sympy.sympify(format_poly(p, reg), locals={"x": sx, "t": st}),
+                          sx, st)
+
+    curves = [CurveSpec((x * (x - one) * (x - t)).num, "x", reg),
+              CurveSpec(((t * t + 1) * x ** 4 - 3 * x ** 3 + t * x + 2).num, "x", reg)]
+    factors = [t * x - one, 2 * x + t, 3 * x - 2 * one, x + 2 * one]
+    nums = [one, x + t, x * x - 2 * t, 3 * t * x + one]
+    coeffs = [zero, one, t, (t + 1) / 3, one / (t - 2)]
+    rnd = random.Random(41)
+    for spec in curves:
+        f, F = spec.f_rf, to_sympy(spec.f)
+        for _ in range(6):
+            den = f ** rnd.randint(0, 3)
+            for q in rnd.sample(factors, rnd.randint(1, 3)):
+                den = den * q ** rnd.randint(1, 7)
+            u = rnd.choice(nums) / den
+            planted = tuple(rnd.choice(coeffs) for _ in range(spec.basis_size()))
+            klass = zero
+            for i, c in enumerate(planted):
+                klass = klass + c * x ** i / f
+            odd = u.derive("x") + u * spec.fx_rf / (2 * f) + klass
+            r = curve_reduce(CurveElement(zero, odd, spec))
+            assert r.h1.coords == planted
+            assert r.certificate.even.is_zero()
+            # g = P/D and omega.odd - sum c_i x^i/f = A/B.
+            P, D = to_sympy(r.certificate.odd.num), to_sympy(r.certificate.odd.den)
+            A, B = to_sympy((odd - klass).num), to_sympy((odd - klass).den)
+            lhs = B * (2 * F * (P.diff(sx) * D - P * D.diff(sx)) + P * D * F.diff(sx))
+            assert (lhs - 2 * F * D ** 2 * A).is_zero
+        # A residue left at a Hermite pole, a bare simple pole and a factor
+        # that does not split are refused.
+        u = (x + t) / (t * x - one) ** 3
+        exact = u.derive("x") + u * spec.fx_rf / (2 * f)
+        for bad, message in ((exact + one / ((t * x - one) * f), "third-kind"),
+                             (one / ((3 * x - 2 * one) * f ** 2), "third-kind"),
+                             (exact + one / ((x * x + t) ** 2 * f), "does not split")):
+            with pytest.raises(UnsupportedPoles, match=message):
+                curve_reduce(CurveElement(zero, bad, spec))
+
+
+def test_curve_reduce_takes_every_hermite_pole_from_one_pass(xt, legendre, monkeypatch):
+    """A Hermite pole of order 5 next to f^2: one partial-fraction call, and
+    no derivative of a partial certificate."""
+    x, t, one, zero = xt["x"], xt["t"], xt["one"], xt["zero"]
+    u = CurveElement(zero, (x + t) / ((t * x - one) ** 4 * (x + 2 * one) ** 2
+                                      * legendre.f_rf), legendre)
+    omega = curve_derive(u, "x") + legendre.basis_form(1)
+    calls = []
+    original = curve.partial_fractions
+    monkeypatch.setattr(curve, "partial_fractions",
+                        lambda *args: calls.append(args) or original(*args))
+
+    def refuse(*args):
+        raise AssertionError("curve_derive in curve_reduce")
+
+    monkeypatch.setattr(curve, "curve_derive", refuse)
+    r = curve_reduce(omega)
+    assert len(calls) <= 1
+    assert r.certificate.odd == u.odd
+    assert r.h1.coords == (zero, one)
 
 
 def test_curve_reduce_even_parts(xt, legendre, monkeypatch):
