@@ -113,7 +113,7 @@ class CurvatureForm:
         return all(mat_is_zero(m, zero) for m in self.entries.values())
 
 
-def _canonical_pairs(system: ConnectionSystem, symbols: list[str]) -> list[tuple[str, str]]:
+def _canonical_pairs(symbols: list[str]) -> list[tuple[str, str]]:
     pairs = []
     for i, a in enumerate(symbols):
         for b in symbols[i + 1:]:
@@ -122,9 +122,8 @@ def _canonical_pairs(system: ConnectionSystem, symbols: list[str]) -> list[tuple
 
 
 def curvature(system: ConnectionSystem) -> CurvatureForm:
-    syms = system.symbols()
     return CurvatureForm({(u, v): defect(system, u, v)
-                          for (u, v) in _canonical_pairs(system, syms)})
+                          for (u, v) in _canonical_pairs(system.symbols())})
 
 
 @dataclass(frozen=True)
@@ -156,7 +155,7 @@ def check_integrability(system: ConnectionSystem, mode: str = "full") -> Integra
             raise ConnectionSystemError("pairwise mode needs a designated principal symbol")
         pairs = [(t, system.principal) for t in system.parametric_symbols()]
     elif mode == "full":
-        pairs = _canonical_pairs(system, system.symbols())
+        pairs = _canonical_pairs(system.symbols())
     else:
         raise ValueError(f"unknown mode {mode!r}")
     verdicts = []

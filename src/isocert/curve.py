@@ -11,16 +11,16 @@ numerator N and an x-free denominator D, and the rest runs on N and D
 alone: odd w-powers drop through the Bezout identity u*f + V*f' = 1 (a
 pseudo-remainder by f and one exact division per step), and x-degrees drop
 through the exact forms d(x^j w).  D absorbs the denominator of V and the
-powers of lc_x(f) these steps bring in, so they take no gcd; each
-coordinate and the certificate are normalized once at the end.
+powers of lc_x(f) these steps bring in, so they take no gcd in x; each
+coordinate is normalized at the end.
 
-Derivatives and identities use the factor lists of `operators` with
-s = w: an odd part N/(D*f^a)*w is N over D*f^(a - 1/2), so
-`_derive_over` differentiates it with dw = f_x*w/(2f) built in.  A
-reduction is checked part by part: the even part as the de Rham identity
-with zero class, the odd part omega.odd*w = d(cert.odd*w) + w*sum c_i x^i/f
-by `_check_exact_plus_class`.  A Picard-Fuchs identity
-D(b*w) = d(cert.odd*w) is checked by `_check_operator_identity`.
+A certificate is a pair of `operators.Certificate` records: the even part,
+a `derham` record, and the odd part, with f at a half-integer exponent
+(s = w).  A reduction is checked part by part:
+the even part as the de Rham identity with zero class, the odd part
+omega.odd*w = d(cert.odd*w) + w*sum c_i x^i/f by `_check_exact_plus_class`.
+A Picard-Fuchs identity D(b*w) = d(cert.odd*w) is checked by
+`_check_operator_identity`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .derham import H1Class, ReductionResult, _check_reduction, _lowest_terms
+from .derham import H1Class, ReductionResult, _check_reduction
 from .derham import reduce as derham_reduce
 from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
                        RationalFunction, UPoly, VariableRegistry, exact_div,
@@ -36,9 +36,9 @@ from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
 from .exactalg.factor import _q_adic
 from .exactalg.poly import gcd as poly_gcd
 from .fields import FieldContext
-from .operators import (LinearDiffOperator, TelescoperResult, _check_exact_plus_class,
-                        _check_operator_identity, _derive_over, _product,
-                        _sum_over_lcm, reduction_telescoper)
+from .operators import (Certificate, LinearDiffOperator, Reduction, TelescoperResult,
+                        _check_exact_plus_class, _check_operator_identity, _derive_over,
+                        _free_gcd, _over, _pole_factor, _product, _sum, reduction_telescoper)
 
 
 class CurveError(ExactAlgError):
@@ -174,7 +174,8 @@ def curve_derive(e: CurveElement, var_name: str) -> CurveElement:
     """d/dvar with dw = (df/dvar) * w / (2f), extended by Leibniz: the odd
     part p*w is p.num over p.den * f^(-1/2)."""
     curve = e.curve
-    num, raised, _ = _derive_over(e.odd.num, [(e.odd.den, 1), (curve.f, Fraction(-1, 2))],
+    num, raised, _ = _derive_over(e.odd.num, [(MultiPoly.one(), 1), (e.odd.den, 1),
+                                              (curve.f, Fraction(-1, 2))],
                                   curve.registry.index(var_name))
     odd = RationalFunction(num, _product(raised), curve.registry)
     return CurveElement(e.even.derive(var_name), odd, curve)
@@ -207,12 +208,15 @@ class CurveClass:
         return all(c.is_zero() for c in self.coords)
 
 
-class CurveReduction:
-    __slots__ = ("h1", "certificate")
+class CurveReduction(Reduction):
+    """A class and the records (even, odd) of its certificate."""
 
-    def __init__(self, h1: CurveClass, certificate: CurveElement):
-        self.h1 = h1
-        self.certificate = certificate
+    def __init__(self, h1: CurveClass, even: Certificate, odd: Certificate, curve: CurveSpec):
+        super().__init__(h1, even, odd)
+        self.curve = curve
+
+    def value(self, parts: tuple[Certificate, ...]) -> CurveElement:
+        return CurveElement(*(part.value() for part in parts), self.curve)
 
 
 def _split_f_level(p1: RationalFunction, curve: CurveSpec) -> tuple[int, RationalFunction]:
@@ -235,12 +239,12 @@ def _split_f_level(p1: RationalFunction, curve: CurveSpec) -> tuple[int, Rationa
 
 
 def _reduce_numerator(curve: CurveSpec, m: int, num: MultiPoly, den: MultiPoly
-                      ) -> tuple[RationalFunction, tuple[RationalFunction, ...]]:
+                      ) -> tuple[Certificate, tuple[RationalFunction, ...]]:
     """Reduce num/(den*f^(m+1)) * w dx with den free of x.  Every step
     works on the polynomial numerator; den absorbs the denominator of V and
     the powers of lc_x(f) that pseudo-division and degree lowering bring
-    in, and nothing is normalized until the end.  Returns the odd
-    certificate and the class coordinates."""
+    in.  Returns the record of the odd certificate, over den*f^(m - 1/2),
+    and the class coordinates, each normalized."""
     x = curve.x_index
     f, fx, lc = curve.f, curve.fx, curve.lc_x
     v_num, v_den = curve.bezout_v.num, curve.bezout_v.den
@@ -276,7 +280,9 @@ def _reduce_numerator(curve: CurveSpec, m: int, num: MultiPoly, den: MultiPoly
     parts = num.as_univariate(x)
     coords = tuple(RationalFunction(parts.get(i, MultiPoly.zero()), den, reg)
                    for i in range(curve.basis_size()))
-    return RationalFunction(cert, den * f_pow[m], reg), coords
+    g = _free_gcd(den, cert, x)  # the lc_x(f) and V factors mostly cancel
+    cert, den = exact_div(cert, g), exact_div(den, g)
+    return Certificate(cert, [(den, 1), (f, m - Fraction(1, 2))], x, reg), coords
 
 
 def curve_reduce(omega: CurveElement) -> CurveReduction:
@@ -296,11 +302,11 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
     `_reduce_numerator`."""
     curve = omega.curve
     reg = curve.registry
-    x_name, x = curve.x_name, curve.x_index
+    x_name, x, f = curve.x_name, curve.x_index, curve.f
     zero = RationalFunction.const(0, reg)
 
     # Even part: an exact differential on the x-line, or unsupported.
-    even, even_orders = zero, {}
+    even = Certificate(MultiPoly.zero(), [(MultiPoly.one(), 1)], x, reg)
     if not omega.even.is_zero():
         try:
             rr = derham_reduce(omega.even, x_name)
@@ -308,7 +314,7 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
             raise UnsupportedPoles(str(exc)) from None
         if not rr.h1.is_zero():
             raise UnsupportedPoles("even part has simple poles (third-kind form)")
-        even, even_orders = rr.certificate, rr.orders
+        [even] = rr.parts
 
     m, Q = _split_f_level(omega.odd, curve)
     try:
@@ -319,11 +325,11 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
     for term in pfd.terms:
         principal.setdefault(term.pole, {})[term.order] = term.coeff
     d, half = curve.degree, Fraction(1, 2) - m
-    poles, U = {}, zero
+    shares = []
     for c, q in principal.items():
-        j = poles[c] = max(q)
+        j = max(q)
         phi = [RationalFunction(ck, c.den ** max(d - k, 0), reg)
-               for k, ck in enumerate(_q_adic(curve.f, x, c.num, c.den, j))]
+               for k, ck in enumerate(_q_adic(f, x, c.num, c.den, j))]
         u: dict[int, RationalFunction] = {}
         for n in range(j, 0, -1):
             rest = q.get(n, zero)
@@ -333,43 +339,41 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
                 u[n - 1] = rest / (phi[0] * (1 - n))
             elif not rest.is_zero():
                 raise UnsupportedPoles("simple pole off the branch locus (third-kind form)")
-        # U_c = sum u_i b^i q^(j-1-i) / q^(j-1) with q = b*x - a; its
-        # numerator is u_(j-1) b^(j-1) != 0 mod q, as `_lowest_terms` needs.
-        qc = c.den * MultiPoly.var(x) - c.num
-        num, den = _sum_over_lcm([(ui.num * c.den ** i * qc ** (j - 1 - i), ui.den)
-                                  for i, ui in u.items()], MultiPoly.one())
-        U = U + _lowest_terms(num, den, qc ** (j - 1), x, reg)
-    left = Q - (U.derive(x_name) * curve.f_rf + U * curve.fx_rf * half)
-    odd, coords = _reduce_numerator(curve, m, left.num, left.den)
-    result = CurveReduction(CurveClass(coords),
-                            CurveElement(even, U / curve.f_rf ** m + odd, curve))
-    _check_curve_reduction(omega, result, even_orders, m + 1, poles)
+        # u_i / s^i = u_i b^i q^(j-1-i) / q^(j-1) with q = b*x - a.
+        qc = _pole_factor(c, x)
+        shares += [Certificate(ui.num * c.den ** i * qc ** (j - 1 - i),
+                               [(ui.den, 1), (qc, j - 1)], x, reg) for i, ui in u.items()]
+    left_num, left_den, odd = Q.num, Q.den, []
+    if shares:
+        # Q - L(U) over the factors of d_x U: the principal parts cancel, so
+        # prod q_c^j_c divides its numerator.
+        U = _sum(shares)
+        num, raised, r = _derive_over(U.num, U.factors, x)
+        known = _product(raised[1:])
+        q_num, lead = _over(Q, known, x)
+        l_u = num * f + (U.num * r * curve.fx).scale(half)
+        left = _sum([Certificate(q_num, [(lead, 1), *raised[1:]], x, reg),
+                     Certificate(-l_u, raised, x, reg)])
+        left_num, left_den = exact_div(left.num, known), left.factors[0][0]
+        odd = [Certificate(U.num, U.factors + [(f, m - Fraction(1, 2))], x, reg)]
+    rest, coords = _reduce_numerator(curve, m, left_num, left_den)
+    result = CurveReduction(CurveClass(coords), even, _sum(odd + [rest]), curve)
+    _check_curve_reduction(omega, result)
     return result
 
 
-def _check_curve_reduction(omega: CurveElement, result: CurveReduction,
-                           even_orders: dict[RationalFunction, int], level: int,
-                           poles: dict[RationalFunction, int]) -> None:
-    """omega dx = d(certificate) + sum coords_i x^i dx/w, part by part.
-
-    `even_orders` is the pole structure `derham.reduce` gave the even
-    certificate.  `level` = a and `poles` = {c: j_c} say that omega.odd.den
-    divides an x-free factor times f^a * prod q_c^j_c, so certificate.odd*w
-    lies over an x-free factor times f^(a - 3/2) * prod q_c^(j_c - 1).  A
-    division that leaves a remainder fails the check.
-    """
+def _check_curve_reduction(omega: CurveElement, result: CurveReduction) -> None:
+    """omega dx = d(certificate) + sum coords_i x^i dx/w, part by part, on
+    the certificate's records.  A division that leaves a remainder fails."""
     curve = omega.curve
-    cert = result.certificate
-    if not (omega.even.is_zero() and cert.even.is_zero()):
-        _check_reduction(omega.even, ReductionResult(H1Class(), cert.even, even_orders),
-                         curve.x_name)
-    x, f = curve.x_index, curve.f
-    factors = [(f, level - Fraction(3, 2))] + [
-        (c.den * MultiPoly.var(x) - c.num, j - 1) for c, j in poles.items()]
-    classes = [(c.num * MultiPoly.var(x, i), c.den, f)
-               for i, c in enumerate(result.h1.coords) if not c.is_zero()]
+    even, odd = result.parts
+    if not (omega.even.is_zero() and even.num.is_zero()):
+        _check_reduction(omega.even, ReductionResult(H1Class(), even))
+    x, f, reg = curve.x_index, curve.f, curve.registry
+    classes = [Certificate(c.num * MultiPoly.var(x, i), [(c.den, 1), (f, Fraction(1, 2))],
+                           x, reg) for i, c in enumerate(result.h1.coords) if not c.is_zero()]
     try:
-        _check_exact_plus_class(omega.odd, cert.odd, factors, classes, x)
+        _check_exact_plus_class(omega.odd, odd, classes)
     except ArithmeticError:
         raise AssertionError("curve reduction identity failed; this is a bug") from None
 
@@ -379,22 +383,23 @@ def derive_curve_reduction(r: CurveReduction, t_name: str) -> CurveReduction:
     omega = d(C) + sum coords_k x^k/w, reduce d_t of the small representative
     sum coords_k x^k/w and add d_t(C) to its certificate.
 
-    The representative is R over D * f^(1/2), R a polynomial and D the
-    x-free lcm of the coordinate denominators; `_derive_over` puts d_t of it
-    over D^E * f^(a + 1/2), a = 1 if d_t moves f and 0 if not, and that
-    numerator goes to `_reduce_numerator` at level a as it stands.  For
-    forms without even part this is the certificate `curve_reduce` gives for
-    d_t omega: it has no even part and its odd part is unique."""
-    curve = r.certificate.curve
-    x, t = curve.x_index, curve.registry.index(t_name)
-    rep, den = _sum_over_lcm([(c.num * MultiPoly.var(x, k), c.den)
-                              for k, c in enumerate(r.h1.coords)], MultiPoly.one())
-    num, [(_, e_den), (_, e_f)], _ = _derive_over(
-        rep, [(den, 1), (curve.f, Fraction(1, 2))], t)
-    odd, coords = _reduce_numerator(curve, math.ceil(e_f) - 1, num, den ** e_den)
-    zero = RationalFunction.const(0, curve.registry)
-    return CurveReduction(CurveClass(coords), CurveElement(zero, odd, curve)
-                          + curve_derive(r.certificate, t_name))
+    The representative is R over D * f^(1/2), D the x-free lcm of the
+    coordinate denominators; d_t of it lies over D' * f^(a + 1/2), a = 1 if
+    d_t moves f and 0 if not, and goes to `_reduce_numerator` at level a as
+    it stands.  The records of C are derived and summed with no gcd in x and
+    no normalization.  For forms without even part this is the certificate
+    `curve_reduce` gives for d_t omega."""
+    curve = r.curve
+    x, reg = curve.x_index, curve.registry
+    t = reg.index(t_name)
+    w = (curve.f, Fraction(1, 2))
+    rep = _sum([Certificate(c.num * MultiPoly.var(x, k), [(c.den, 1), w], x, reg)
+                for k, c in enumerate(r.h1.coords)]).derive(t)
+    [(den, e_den), (_, e_f)] = rep.factors
+    odd, coords = _reduce_numerator(curve, math.ceil(e_f) - 1, rep.num, den ** e_den)
+    even, prev = r.parts
+    return CurveReduction(CurveClass(coords), even.derive(t), _sum([odd, prev.derive(t)]),
+                          curve)
 
 
 def picard_fuchs(curve: CurveSpec, form_index: int, t_name: str,
@@ -413,21 +418,20 @@ def picard_fuchs(curve: CurveSpec, form_index: int, t_name: str,
     return reduction_telescoper(curve_reduce(b),
                                 lambda r: derive_curve_reduction(r, t_name),
                                 lambda r: dict(enumerate(r.h1.coords)),
-                                lambda op, cert: _check_picard_fuchs(op, b, cert),
+                                lambda op, even, odd: _check_picard_fuchs(op, b, even, odd),
                                 t_name, curve.registry, max_order)
 
 
 def _check_picard_fuchs(operator: LinearDiffOperator, b: CurveElement,
-                        cert: CurveElement) -> None:
-    """D(b) dx = d(cert) for the basis form b = x^i/w, part by part: b has
-    no even part, so cert.even must be free of x, and b.odd*w lies over
-    f^(1/2).  A division that leaves a remainder fails the check."""
+                        even: Certificate, odd: Certificate) -> None:
+    """D(b) dx = d(cert) for the basis form b = x^i/w, part by part on the
+    records of cert: d_x of the even record must vanish, and b.odd*w lies
+    over f^(1/2).  A division that leaves a remainder fails the check."""
     curve = b.curve
-    x, even = curve.x_index, cert.even
     try:
-        if even.num.degree(x) > 0 or even.den.degree(x) > 0 or not b.even.is_zero():
+        if not b.even.is_zero() or not even.derive(curve.x_index).num.is_zero():
             raise ArithmeticError("the even parts do not match")
-        _check_operator_identity(operator, b.odd, cert.odd, [(curve.f, Fraction(1, 2))], x,
+        _check_operator_identity(operator, b.odd, [(curve.f, Fraction(1, 2))], odd,
                                  curve.registry.index(operator.symbol))
     except ArithmeticError:
         raise AssertionError("Picard-Fuchs identity failed; this is a bug") from None

@@ -1,29 +1,33 @@
-"""Monic linear differential operators in one derivation over Q(parameters).
+"""Monic linear differential operators in one derivation over Q(parameters),
+the one telescoping path both telescopers run on, and their certificates.
 
-D = d^n - sum_{i<n} c_i d^i, applied through any field context, so the same
-operator acts on rational functions, tower elements and curve elements.
-`reduction_telescoper` is the one telescoping path for both telescopers (over
-k(x) and on genus-one curves): the ascending search for the minimal such D,
-the identity check its caller passes in, one `TelescoperResult` and one
-`TelescoperNotFound`.
+D = d^n - sum_{i<n} c_i d^i acts through any field context, on rational
+functions, tower elements and curve elements alike.  `reduction_telescoper`
+searches for the minimal D, runs its caller's identity check and returns
+the one `TelescoperResult` or raises the one `TelescoperNotFound`.
 
-The certificate identities of both telescopers and of the reductions behind
-them are checked here alone, each as one polynomial identity over a known
-product, with no gcd in x.  A factor list [(F, e), ...] stands for
-prod F^e.  With w = f^(1/2) on a curve w^2 = f, p*s for s = w lies over a
-list in which f has a half-integer exponent (s = 1 when every exponent is
-an integer), and p itself over prod F^ceil(e) (`_product`).
-`_check_operator_identity` checks D(b*s) = d_x(g*s), and
-`_check_exact_plus_class` checks v*s = d_x(g*s) + s * sum n_k/(d_k*F_k).
+A certificate (on a curve, each of its even and odd parts) is one
+`Certificate`: a numerator N over a factor list [(D, e_D), (F, e), ...]
+with c*s = N / prod F^e.  D is free of x; each other F is q_p = b*x - a
+for a pole p = a/b (`_pole_factor`) or, on a curve w^2 = f, f at a
+half-integer exponent, so that s = w (s = 1 when every exponent is an
+integer); c lies over prod F^ceil(e) (`_product`).  The reductions build
+the record, `_derive_over` derives it and `_sum` adds records, none of them
+with a gcd in x.  A `Reduction` keeps its records, the checks verify them
+as they stand, and `Certificate.value`, the one normalization, runs once
+per part, where a result's `certificate` is first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exactalg import (ExactAlgError, MultiPoly, RationalFunction, VariableRegistry,
-                       exact_div, lcm, linear_solve)
+                       exact_div, gcd, lcm, linear_solve)
+from .exactalg.factor import _q_adic
+from .exactalg.rational import _monic_den
 from .fields import FieldContext
 
 
@@ -68,21 +72,118 @@ class TelescoperResult:
     minimal_certified: bool
 
 
+class Certificate:
+    """A numerator over its known factor list, x-free part first; see the
+    module docstring.  `x` is the index of the integration variable."""
+
+    __slots__ = ("num", "factors", "x", "registry")
+
+    def __init__(self, num: MultiPoly, factors: list, x: int, registry: VariableRegistry):
+        self.num, self.factors, self.x, self.registry = num, factors, x, registry
+
+    def derive(self, v: int) -> "Certificate":
+        num, factors, _ = _derive_over(self.num, self.factors, v)
+        return Certificate(num, factors, self.x, self.registry)
+
+    def scaled(self, c: RationalFunction) -> "Certificate":
+        """c times the value, for c free of x."""
+        (d, e), *rest = self.factors
+        return Certificate(self.num * c.num, [(d ** e * c.den, 1), *rest], self.x,
+                           self.registry)
+
+    def value(self) -> RationalFunction:
+        """c in lowest terms with a monic denominator: N and prod F^ceil(e)
+        divided exactly by their gcd, taken factor by factor (a linear q
+        while N vanishes at its root, f by its gcd with N, the x-free part
+        by its gcd with N's coefficients in x)."""
+        num, x, common = self.num, self.x, MultiPoly.one()
+        if num.is_zero():
+            return RationalFunction(num, common, self.registry, _reduced=True)
+        for f, e in self.factors:
+            k, degree = math.ceil(e), f.degree(x)
+            if degree == 1:
+                b, a = f.coefficient(x, 1), -f.coefficient(x, 0)
+                while k > 0 and _q_adic(num, x, a, b, 1)[0].is_zero():
+                    num, common, k = exact_div(num, f), common * f, k - 1
+            elif degree > 1 and k > 0 and not (g := gcd(num, f ** k)).is_one():
+                num, common = exact_div(num, g), common * g
+        g = _free_gcd(_product([(f, e) for f, e in self.factors if f.degree(x) == 0]), num, x)
+        num, den = _monic_den(exact_div(num, g), exact_div(_product(self.factors), common * g))
+        return RationalFunction(num, den, self.registry, _reduced=True)
+
+
+class Reduction:
+    """A class `h1` and the records `parts` of its certificate, whose
+    normalization `value(parts)` is `certificate`, made on first read."""
+
+    def __init__(self, h1, *parts: Certificate):
+        self.h1, self.parts = h1, parts
+
+    @cached_property
+    def certificate(self):
+        return self.value(self.parts)
+
+    def value(self, parts: tuple[Certificate, ...]):  # one record; a curve has two
+        return parts[0].value()
+
+
+def _free_gcd(free: MultiPoly, num: MultiPoly, x: int) -> MultiPoly:
+    """gcd of the x-free `free` with the coefficients in x of num."""
+    for c in () if free.is_const() else num.as_univariate(x).values():
+        if (free := gcd(free, c)).is_one():
+            break
+    return free
+
+
+def _pole_factor(pole: RationalFunction, x: int) -> MultiPoly:
+    """q_p = b*x - a for the pole p = a/b, primitive in x."""
+    return pole.den * MultiPoly.var(x) - pole.num
+
+
+def _product(factors: list[tuple]) -> MultiPoly:
+    """prod F^ceil(e) over the pairs (F, e): the product that c lies over
+    when c*s lies over the factor list."""
+    out = MultiPoly.one()
+    for f, e in factors:
+        out = out * f ** math.ceil(e)
+    return out
+
+
+def _sum(terms: list[Certificate]) -> Certificate:
+    """The sum of the records, over the lcm M of their x-free parts and the
+    largest exponent of each other factor; only the lcm takes a gcd, and it
+    is free of x.  A factor a record does not list has exponent 0 there."""
+    m, top = MultiPoly.one(), {}
+    for term in terms:
+        (d, e), *rest = term.factors
+        m = lcm(m, d ** e)
+        for f, e in rest:
+            top[f] = max(e, top.get(f, e))
+    total = MultiPoly.zero()
+    for term in terms:
+        (d, e), *rest = term.factors
+        have = dict(rest)
+        missing = [(f, e - have.get(f, 0)) for f, e in top.items() if e != have.get(f, 0)]
+        total = total + term.num * exact_div(m, d ** e) * _product(missing)
+    first = terms[0]
+    return Certificate(total, [(m, 1), *top.items()], first.x, first.registry)
+
+
 def reduction_telescoper(first, step, coords, check, t_name: str,
                          registry: VariableRegistry, max_order: int) -> TelescoperResult:
     """Minimal monic D in d_t with D(b) = d_x(certificate), by reduction-based
     creative telescoping (Bostan-Chen-Chyzak-Li 2010; Chen-Kauers-Koutschan
     2016).
 
-    `first` is the reduction of b: a result with a class `h1` and a
-    `certificate` such that b = d_x(certificate) + class.  `step` maps the
-    reduction of d_t^j b to that of d_t^(j+1) b, `coords` maps a reduction to
-    the coordinates of its class (a dict key -> coefficient in Q(params)).
-    For ascending n, one linear solve looks for the first Q(params)-linear
-    dependence of the class vectors of orders 0..n; the first one found is
-    minimal.  `check(operator, certificate)` verifies D(b) = d_x(certificate)
-    before the result is returned.  Raises TelescoperNotFound when there is
-    no dependence up to max_order.
+    `first` is the `Reduction` of b: b = d_x(certificate) + class.  `step`
+    maps the reduction of d_t^j b to that of d_t^(j+1) b, `coords` maps a
+    reduction to the coordinates of its class (a dict key -> coefficient in
+    Q(params)).  For ascending n, one linear solve looks for the first
+    Q(params)-linear dependence of the class vectors of orders 0..n; the
+    first one found is minimal.  `check(operator, *parts)` verifies
+    D(b) = d_x(certificate) on the records sum e_j*certificate_j before
+    their normalization is returned.  Raises TelescoperNotFound when there
+    is no dependence up to max_order.
     """
     zero = RationalFunction.const(0, registry)
     one = RationalFunction.const(1, registry)
@@ -99,56 +200,43 @@ def reduction_telescoper(first, step, coords, check, t_name: str,
         vectors.append(vector)
         sol = linear_solve(rows, rhs, n, zero, one)
         if not sol.inconsistent:
-            certificate = reduction.certificate
-            for e_j, r_j in zip(sol.particular, reductions):
-                if not e_j.is_zero():
-                    certificate = certificate + r_j.certificate * e_j
+            terms = [(e, r) for e, r in zip([*sol.particular, one], reductions)
+                     if not e.is_zero()]
+            parts = [_sum([r.parts[i].scaled(e) for e, r in terms])
+                     for i in range(len(first.parts))]
             operator = LinearDiffOperator(t_name, tuple(-c for c in sol.particular))
-            check(operator, certificate)
-            return TelescoperResult(operator, certificate, minimal_certified=True)
+            check(operator, *parts)
+            return TelescoperResult(operator, reduction.value(parts), minimal_certified=True)
     raise TelescoperNotFound(max_order)
-
-
-def _product(factors: list[tuple]) -> MultiPoly:
-    """prod F^ceil(e) over the pairs (F, e): the product that p lies over
-    when p*s lies over the factor list."""
-    out = MultiPoly.one()
-    for f, e in factors:
-        out = out * f ** math.ceil(e)
-    return out
-
-
-def _sum_over_lcm(terms: list[tuple], m: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """(sum n_k*M/d_k, M) over the pairs (n_k, d_k), M the lcm of m and the
-    d_k; every d_k is free of x, so M takes no gcd in x."""
-    for _, d in terms:
-        m = lcm(m, d)
-    total = MultiPoly.zero()
-    for n, d in terms:
-        total = total + n * exact_div(m, d)
-    return total, m
 
 
 def _derive_over(num: MultiPoly, factors: list[tuple], v: int
                  ) -> tuple[MultiPoly, list[tuple], MultiPoly]:
-    """The quotient rule over a known product, with no gcd.
+    """The quotient rule over a known product, with no gcd in x.
 
-    With P = prod F^e over `factors`, R the product of the F that d_v moves
+    With P = prod F^e over `factors`, R = prod R_F over the F that d_v moves
     and S = sum e*d_v(F)*R/F over them, d_v(num/P) = (d_v(num)*R - num*S)/(P*R).
-    Returns that numerator, the factors with the exponent of each moved F
-    raised by one, and R.
+    R_F = F, but the x-free first factor D^e_D, as one polynomial D, has
+    R_D = D/gcd(D, d_v D), so that a power in D does not double at each step.
+    Returns that numerator, the factors with each moved F^e made F^e*R_F, and R.
     """
-    derivs = [f.derivative(v) for f, _ in factors]
+    (d, e_d), *rest = factors
+    d = d ** e_d
+    derivs = [f.derivative(v) for f, _ in rest]
     r = MultiPoly.one()
-    for (f, _), df in zip(factors, derivs):
+    for (f, _), df in zip(rest, derivs):
         if not df.is_zero():
             r = r * f
     s = MultiPoly.zero()
-    for (f, e), df in zip(factors, derivs):
+    for (f, e), df in zip(rest, derivs):
         if e and not df.is_zero():
             s = s + (df * exact_div(r, f)).scale(e)
-    return (num.derivative(v) * r - num * s,
-            [(f, e if df.is_zero() else e + 1) for (f, e), df in zip(factors, derivs)], r)
+    if not (dd := d.derivative(v)).is_zero():
+        g = gcd(d, dd)
+        r_d = exact_div(d, g)
+        s, r, d = exact_div(dd, g) * r + r_d * s, r_d * r, d * r_d
+    raised = [(f, e if df.is_zero() else e + 1) for (f, e), df in zip(rest, derivs)]
+    return num.derivative(v) * r - num * s, [(d, 1)] + raised, r
 
 
 def _over(value: RationalFunction, known: MultiPoly, x: int) -> tuple[MultiPoly, MultiPoly]:
@@ -164,19 +252,13 @@ def _over(value: RationalFunction, known: MultiPoly, x: int) -> tuple[MultiPoly,
 
 
 def _check_operator_identity(operator: LinearDiffOperator, b: RationalFunction,
-                             cert: RationalFunction, factors: list[tuple], x: int,
-                             t: int) -> None:
+                             factors: list[tuple], cert: Certificate, t: int) -> None:
     """D(b*s) = d_x(cert*s) for D in d_t, b*s over an x-free X times the
-    factors.
-
-    With N_i/P_i = d_t^i(b*s) and R the product of the factors d_t moves,
-    D(b*s) = sum a_i N_i R^(n-i) / (M*P_n) by Horner's rule, M the lcm of
-    the denominators of the c_i, a_n = M and a_i = -c_i*M; P_n is X^E times
-    prod F^E_F, E_F = e_F + n if d_t moves F and e_F if not.  cert*s lies
-    over an x-free X' times prod F^(E_F - 1), so d_x of it lies over the
-    same x-part, and both sides are compared over the lcm of M*X^E and X'.
-    Raises ArithmeticError when the identity fails.
-    """
+    factors.  With N_i/P_i = d_t^i(b*s) and R_i the multiplier of step i,
+    D(b*s) = sum a_i N_i R_i...R_(n-1) / (M*P_n) by Horner's rule, M the lcm
+    of the denominators of the c_i, a_n = M and a_i = -c_i*M; that record
+    and minus d_x(cert*s) must sum to zero, or ArithmeticError is raised."""
+    x, reg = cert.x, cert.registry
     num, lead = _over(b, _product(factors), x)
     factors = [(lead, 1)] + factors
     m = MultiPoly.one()
@@ -191,31 +273,18 @@ def _check_operator_identity(operator: LinearDiffOperator, b: RationalFunction,
             lhs = lhs + m * num
         elif not (c := operator.coeffs[i]).is_zero():
             lhs = lhs - c.num * exact_div(m, c.den) * num
-    (lead, e_lead), *raised = factors
-    cert_factors = [(f, e - 1) for f, e in raised]
-    num, cert_lead = _over(cert, _product(cert_factors), x)
-    rhs, _, _ = _derive_over(num, cert_factors, x)
-    lhs_den = m * lead ** e_lead
-    common = lcm(lhs_den, cert_lead)
-    if lhs * exact_div(common, lhs_den) != rhs * exact_div(common, cert_lead):
+    (lead, _), *rest = factors  # `_derive_over` leaves the x-free part at exponent 1
+    rhs = cert.derive(x)
+    if not _sum([Certificate(lhs, [(m * lead, 1), *rest], x, reg),
+                 Certificate(-rhs.num, rhs.factors, x, reg)]).num.is_zero():
         raise ArithmeticError("the operator identity does not hold")
 
 
-def _check_exact_plus_class(value: RationalFunction, cert: RationalFunction,
-                            factors: list[tuple], classes: list[tuple], x: int) -> None:
-    """value*s = d_x(cert*s) + s * sum n_k/(d_k*F_k), cert*s over an x-free
-    X times the factors and each class term a triple (n_k, d_k, F_k), d_k
-    free of x and F_k one of the factors.
-
-    Both sides are multiplied by M * prod F^e * R, the denominator of
-    d_x(cert*s) from `_derive_over` with M the lcm of X and the d_k in place
-    of X; value.den is divided into it exactly.  Raises ArithmeticError when
-    the identity fails.
-    """
-    known = _product(factors)
-    num, lead = _over(cert, known, x)
-    derivative, _, r = _derive_over(num, factors, x)
-    total, m = _sum_over_lcm([(n * exact_div(r, f), d) for n, d, f in classes], lead)
-    lhs = value.num * exact_div(m * known * r, value.den)
-    if lhs != derivative * exact_div(m, lead) + known * total:
+def _check_exact_plus_class(value: RationalFunction, cert: Certificate,
+                            classes: list[Certificate]) -> None:
+    """value*s = d_x(cert*s) + sum of the class records, the right side
+    summed by `_sum`.  Raises ArithmeticError when value.den does not divide
+    the product it lies over or the identity fails."""
+    rhs = _sum([cert.derive(cert.x)] + classes)
+    if value.num * exact_div(_product(rhs.factors), value.den) != rhs.num:
         raise ArithmeticError("the identity does not hold")

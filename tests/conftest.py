@@ -87,3 +87,13 @@ def random_matrix(rnd: random.Random, registry, n, density=0.7, simple_den=False
     zero = RationalFunction.const(0, registry)
     return [[random_rational(rnd, registry, simple_den) if rnd.random() < density
              else zero for _ in range(n)] for _ in range(n)]
+
+
+def plus(record, num: RationalFunction, *factors):
+    """The certificate record plus num / prod F^e, the factors (F, e) given
+    as polynomial RationalFunctions, x-free first: a corrupted record, summed
+    as the program sums its own."""
+    from isocert.operators import Certificate, _sum
+
+    term = Certificate(num.num, [(f.num, e) for f, e in factors], record.x, record.registry)
+    return _sum([record, term])

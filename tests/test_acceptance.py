@@ -247,7 +247,7 @@ def _assert_stepped_reductions_match(b, orders=4):
     stepped = reduce(b, "x")
     direct_input = b
     for j in range(1, orders + 1):
-        stepped = derive_reduction(stepped, "x", "t")
+        stepped = derive_reduction(stepped, "t")
         direct_input = direct_input.derive("t")
         direct = reduce(direct_input, "x")
         assert stepped.h1 == direct.h1, (b, j)

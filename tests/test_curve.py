@@ -14,8 +14,9 @@ from isocert.curve import (CurveClass, CurveContext, CurveElement, CurveError,
 from isocert.exactalg import RationalFunction, UPoly, linear_solve
 from isocert.exactalg.printing import format_poly, format_rational
 from isocert.exactalg.poly import gcd as poly_gcd
-from isocert.operators import LinearDiffOperator, TelescoperNotFound
+from isocert.operators import Certificate, LinearDiffOperator, TelescoperNotFound
 
+from conftest import plus
 from test_acceptance import _CORPUS
 
 
@@ -146,20 +147,23 @@ def _curve_check_args(monkeypatch):
     return original, seen
 
 
-def _assert_curve_check_rejects_corruptions(check, args, x):
+def _assert_curve_check_rejects_corruptions(check, args, xt):
     """The check rejects the certificate with x or x^2 added to its even
-    part, or 1 to its odd part, and each class coordinate with 1 added."""
-    omega, result, *structure = args
-    check(omega, result, *structure)
-    cert, coords = result.certificate, result.h1.coords
-    bad_certs = [cert + x, cert + x * x,
-                 CurveElement(cert.even, cert.odd + 1, cert.curve)]
-    wrong = [CurveReduction(result.h1, c) for c in bad_certs] + [
-        CurveReduction(CurveClass(coords[:i] + (c + 1,) + coords[i + 1:]), cert)
+    record, or 1 to its odd record, and each class coordinate with 1
+    added."""
+    omega, result = args
+    check(omega, result)
+    x, one, spec = xt["x"], xt["one"], result.curve
+    even, odd = result.parts
+    coords = result.h1.coords
+    bad_parts = [(plus(even, x, (one, 1)), odd), (plus(even, x * x, (one, 1)), odd),
+                 (even, plus(odd, one, (one, 1), (spec.f_rf, Fraction(-1, 2))))]
+    wrong = [CurveReduction(result.h1, e, o, spec) for e, o in bad_parts] + [
+        CurveReduction(CurveClass(coords[:i] + (c + 1,) + coords[i + 1:]), even, odd, spec)
         for i, c in enumerate(coords)]
     for bad in wrong:
         with pytest.raises(AssertionError):
-            check(omega, bad, *structure)
+            check(omega, bad)
 
 
 def test_curve_reduce_pole_off_branch_locus(xt, legendre, monkeypatch):
@@ -174,17 +178,20 @@ def test_curve_reduce_pole_off_branch_locus(xt, legendre, monkeypatch):
         r = curve_reduce(omega)
         assert r.h1.coords[0].is_zero()
         assert r.h1.coords[1] == one
-        _assert_curve_check_rejects_corruptions(check, seen[-1], x)
+        _assert_curve_check_rejects_corruptions(check, seen[-1], xt)
     # a Hermite pole of order 3 next to f^2
     u = CurveElement(zero, (x + t) / ((t * x - one) ** 2 * legendre.f_rf), legendre)
     omega = curve_derive(u, "x") + legendre.basis_form(0) * (x - t) / legendre.f_rf
     r = curve_reduce(omega)
-    omega_, _, even_orders, level, poles = seen[-1]
-    assert (level, poles) == (2, {1 / t: 3})
-    _assert_curve_check_rejects_corruptions(check, seen[-1], x)
-    # the certificate's denominator must divide the claimed product
+    omega_, _ = seen[-1]
+    even, odd = r.parts
+    assert dict(odd.factors[1:]) == {(t * x - one).num: 2, legendre.f: Fraction(1, 2)}
+    _assert_curve_check_rejects_corruptions(check, seen[-1], xt)
+    # a factor list whose exponents do not match the numerator
+    low = Certificate(odd.num, [(q, e - 1 if q == (t * x - one).num else e)
+                                for q, e in odd.factors], odd.x, odd.registry)
     with pytest.raises(AssertionError) as err:
-        check(omega_, r, even_orders, level, {1 / t: 2})
+        check(omega_, CurveReduction(r.h1, even, low, legendre))
     assert isinstance(err.value.__context__, ArithmeticError)
     # a bare double pole off the branch locus carries a residue: third kind
     with pytest.raises(UnsupportedPoles):
@@ -273,15 +280,14 @@ def test_curve_reduce_even_parts(xt, legendre, monkeypatch):
     check, seen = _curve_check_args(monkeypatch)
     r = curve_reduce(CurveElement(x * x + one, zero, legendre))
     assert r.h1.is_zero()
-    _assert_curve_check_rejects_corruptions(check, seen[-1], x)
+    _assert_curve_check_rejects_corruptions(check, seen[-1], xt)
     # an even part with a double pole next to an odd part with a coordinate
     even = -3 * t / (2 * x - t) ** 2 - one / (x - one) ** 3
     omega = CurveElement(even, x ** 3 / legendre.f_rf, legendre)
     r = curve_reduce(omega)
     assert r.certificate.even.derive("x") == even
-    _, _, even_orders, _, _ = seen[-1]
-    assert even_orders == {t / 2: 1, one: 2}
-    _assert_curve_check_rejects_corruptions(check, seen[-1], x)
+    assert dict(r.parts[0].factors[1:]) == {(x - t / 2).num: 1, (x - one).num: 2}
+    _assert_curve_check_rejects_corruptions(check, seen[-1], xt)
     with pytest.raises(UnsupportedPoles):
         curve_reduce(CurveElement(one / (x - one), zero, legendre))
 
@@ -417,19 +423,22 @@ def test_check_picard_fuchs_rejects_a_wrong_certificate_or_operator(xt, legendre
                         lambda *args: seen.append(args) or original(*args))
     for spec, form in ((legendre, 0), (legendre, 1), (quartic, 2)):
         res = picard_fuchs(spec, form, "t")
-        op, b, cert = seen[-1]
-        assert (op, cert) == (res.operator, res.certificate)
+        op, b, even, odd = seen[-1]
+        assert (op, CurveElement(even.value(), odd.value(), spec)) == (
+            res.operator, res.certificate)
         # The corruptions over powers of t change only terms of low total
-        # degree, below the leading terms of both sides.
-        bad_certs = [cert + x, cert + x * x, CurveElement(cert.even, cert.odd + 1, spec),
-                     CurveElement(cert.even, cert.odd + x, spec),
-                     CurveElement(cert.even, cert.odd + one / t ** 6, spec),
-                     CurveElement(cert.even, cert.odd + one / (t ** 2 * spec.f_rf), spec)]
+        # degree, below the leading terms of both sides.  An odd part p*w
+        # is p over f^(-1/2).
+        w = (spec.f_rf, Fraction(-1, 2))
+        bad_parts = [(plus(even, x, (one, 1)), odd), (plus(even, x * x, (one, 1)), odd),
+                     (even, plus(odd, one, (one, 1), w)), (even, plus(odd, x, (one, 1), w)),
+                     (even, plus(odd, one, (t ** 6, 1), w)),
+                     (even, plus(odd, one, (t ** 2, 1), (spec.f_rf, Fraction(1, 2))))]
         bad_ops = [LinearDiffOperator(op.symbol, op.coeffs[:i] + (c + bump,) + op.coeffs[i + 1:])
                    for bump in (one, one / t ** 6) for i, c in enumerate(op.coeffs)]
-        for bad_op, bad_cert in [(op, c) for c in bad_certs] + [(o, cert) for o in bad_ops]:
+        for bad_op, (e, o) in [(op, p) for p in bad_parts] + [(o, (even, odd)) for o in bad_ops]:
             with pytest.raises(AssertionError):
-                original(bad_op, b, bad_cert)
+                original(bad_op, b, e, o)
 
 
 def test_identity_checks_take_no_gcd_with_x(xt, legendre, monkeypatch):
@@ -472,4 +481,52 @@ def test_identity_checks_take_no_gcd_with_x(xt, legendre, monkeypatch):
     with pytest.raises(RuntimeError):
         one / (x + one) + one / (x + 2)
     for fn, args in calls:
+        fn(*args)
+
+
+def test_derive_steps_take_no_gcd_with_x(xt, legendre, monkeypatch):
+    """`derive_reduction` and `derive_curve_reduction`, replayed on the
+    arguments of real runs with every binding of `gcd` refusing an argument
+    of positive degree in x; and one `telescoper` or `picard_fuchs` call
+    normalizes each part of its certificate once, where it returns it."""
+    from isocert import operators
+    from isocert.exactalg import poly
+
+    x, t, one = xt["x"], xt["t"], xt["one"]
+    steps = []
+    for module, name in ((derham, "derive_reduction"), (curve, "derive_curve_reduction")):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=original: steps.append(
+            (fn, args)) or fn(*args))
+    normalized = []
+    value = operators.Certificate.value
+    monkeypatch.setattr(operators.Certificate, "value",
+                        lambda record: normalized.append(record) or value(record))
+    reg = xt["reg"]
+    quartic = CurveSpec((x * (x - one) * (x - t) * (x + one)).num, "x", reg)
+    for text in _CORPUS:
+        normalized.clear()
+        derham.telescoper(parse_to_rational(text, reg), "x", "t")
+        assert len(normalized) == 1, text
+    for spec in (legendre, quartic):
+        for form in range(spec.basis_size()):
+            normalized.clear()
+            picard_fuchs(spec, form, "t")
+            assert len(normalized) == 2, (spec.f, form)  # the even and the odd record
+    assert {fn.__name__ for fn, _ in steps} == {"derive_reduction", "derive_curve_reduction"}
+
+    x_index = reg.index("x")
+    original_gcd = poly.gcd
+
+    def guarded(a, b):
+        if a.degree(x_index) > 0 or b.degree(x_index) > 0:
+            raise RuntimeError("gcd of polynomials in x")
+        return original_gcd(a, b)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("isocert"):
+            for key, value in list(vars(module).items()):
+                if value is original_gcd:
+                    monkeypatch.setattr(module, key, guarded)
+    for fn, args in steps:
         fn(*args)
