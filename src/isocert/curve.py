@@ -191,10 +191,6 @@ class CurveContext(FieldContext):
     def derive(self, element: CurveElement, symbol: str) -> CurveElement:
         return curve_derive(element, symbol)
 
-    def from_rational(self, f: RationalFunction) -> CurveElement:
-        zero = RationalFunction.const(0, self.curve.registry)
-        return CurveElement(f, zero, self.curve)
-
 
 class CurveClass:
     """Coordinates in the basis {x^i dx/w : 0 <= i <= deg(f)-2}."""
@@ -223,7 +219,9 @@ def _split_f_level(p1: RationalFunction, curve: CurveSpec) -> tuple[int, Rationa
     """Write p1*w*dx = Q dx / w^(2m+1) with Q's denominator coprime to f:
     returns (m, Q), Q = p1 * f^(m+1).  Each factor f cancels g = gcd(den, f)
     by exact division, one gcd per level: num*(f/g) over den/g stays in
-    lowest terms because gcd(f/g, den/g) = 1, and monic because gcd is."""
+    lowest terms because gcd(f/g, den/g) = 1, and monic because gcd is.
+    The loop ends: each pass past the first divides den by a factor of
+    positive degree in x."""
     f, x = curve.f, curve.x_index
     num, den = p1.num, p1.den
     g = poly_gcd(den, f)
@@ -233,8 +231,6 @@ def _split_f_level(p1: RationalFunction, curve: CurveSpec) -> tuple[int, Rationa
         if g.degree(x) <= 0 or (g := poly_gcd(den, f)).degree(x) <= 0:
             break
         m += 1
-        if m >= 64:
-            raise CurveError("cannot separate the branch-locus denominator")
     return m, RationalFunction(num, den, curve.registry, _reduced=True)
 
 
@@ -321,12 +317,9 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
         pfd = partial_fractions(Q, x_name)
     except NonLinearFactor as exc:
         raise UnsupportedPoles(str(exc)) from None
-    principal: dict[RationalFunction, dict[int, RationalFunction]] = {}
-    for term in pfd.terms:
-        principal.setdefault(term.pole, {})[term.order] = term.coeff
     d, half = curve.degree, Fraction(1, 2) - m
     shares = []
-    for c, q in principal.items():
+    for c, q in pfd.principal.items():
         j = max(q)
         phi = [RationalFunction(ck, c.den ** max(d - k, 0), reg)
                for k, ck in enumerate(_q_adic(f, x, c.num, c.den, j))]

@@ -85,29 +85,26 @@ def reduce(f: RationalFunction, x_name: str) -> ReductionResult:
     Every denominator is known in advance.  For a pole p = a/b of order
     e_p + 1 the term -c_m/((m-1)*(x - p)^(m-1)) is
     -c_m*b^(m-1)/((m-1)*q_p^(m-1)).  The certificate is N over D and the
-    q_p^e_p, D the lcm of the x-free denominators: each pole adds a Horner
-    sum in q_p times the other poles' factors, and the polynomial part its
-    antiderivative times all of them.  A simple pole is listed with e_p = 0.
+    q_p^e_p, D the lcm of the x-free denominators: each pole, in the order
+    of `partial_fractions`, adds a Horner sum in q_p times the other poles'
+    factors, and the polynomial part its antiderivative times all of them.
+    A simple pole goes through the same loop at e_p = 0, with an empty sum.
     """
     reg = f.registry
     x = reg.index(x_name)
     pfd = partial_fractions(f, x_name)
-    residues: dict[RationalFunction, RationalFunction] = {}
-    higher: dict[RationalFunction, dict[int, RationalFunction]] = {}
-    for term in pfd.terms:
-        if term.order == 1:
-            residues[term.pole] = term.coeff
-        else:
-            higher.setdefault(term.pole, {})[term.order] = term.coeff
     den = pfd.poly_part.den
-    for coeffs in higher.values():
-        for c in coeffs.values():
-            den = lcm(den, c.den)
+    for coeffs in pfd.principal.values():
+        for order, c in coeffs.items():
+            if order > 1:
+                den = lcm(den, c.den)
     num = pfd.poly_part.num.integral(x) * exact_div(den, pfd.poly_part.den)
     l_part = MultiPoly.one()
     factors = [(den, 1)]
-    for pole in sorted(higher, key=_rf_sort_key):
-        coeffs = higher[pole]
+    residues: dict[RationalFunction, RationalFunction] = {}
+    for pole, coeffs in pfd.principal.items():
+        if (r := coeffs.get(1)) is not None:
+            residues[pole] = r
         e = max(coeffs) - 1
         q = _pole_factor(pole, x)
         h = MultiPoly.zero()
@@ -119,7 +116,6 @@ def reduce(f: RationalFunction, x_name: str) -> ReductionResult:
         num = num * power + h * l_part
         l_part = l_part * power
         factors.append((q, e))
-    factors += [(_pole_factor(p, x), 0) for p in residues if p not in higher]
     result = ReductionResult(H1Class(residues), Certificate(num, factors, x, reg))
     _check_reduction(f, result)
     return result

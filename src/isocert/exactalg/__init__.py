@@ -1,8 +1,8 @@
 """Exact arithmetic: rationals, sparse multivariate polynomials, reduced
 rational functions, and linear algebra over their fraction fields."""
 
-from .factor import (NonLinearFactor, PartialFractions, PoleTerm, linear_poles,
-                     partial_fractions, squarefree_factor)
+from .factor import (NonLinearFactor, PartialFractions, linear_poles, partial_fractions,
+                     squarefree_factor)
 from .linalg import (LinearSolution, SingularMatrix, identity, linear_solve,
                      mat_add, mat_commutator, mat_eq, mat_inverse, mat_is_zero,
                      mat_mul, mat_neg, mat_scale, mat_sub, mat_transpose, zeros)
@@ -15,7 +15,7 @@ from .upoly import UPoly, upoly_xgcd
 
 __all__ = [
     "DuplicateVariable", "ExactAlgError", "LinearSolution", "MultiPoly",
-    "NonLinearFactor", "PartialFractions", "PoleTerm", "RationalFunction",
+    "NonLinearFactor", "PartialFractions", "RationalFunction",
     "SingularMatrix", "UPoly", "UnknownVariable", "VarKind", "VariableRegistry",
     "ZeroDenominator", "ZeroPolynomial", "exact_div", "format_poly",
     "format_rational", "gcd", "identity", "lcm", "linear_poles", "linear_solve",

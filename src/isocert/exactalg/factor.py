@@ -17,9 +17,10 @@ At a pole a/b, `_q_adic` expands a polynomial in powers of q = b*x - a by
 one truncated Horner pass over Q[params] (a Taylor shift, as in von zur
 Gathen and Gerhard, ISSAC 1997).  Partial fractions read each principal part
 from the expansions of the proper numerator and of the cofactor and one
-series division (Bronstein, Symbolic Integration I); the curve reduction
-takes f(a/b) and the rational solutions their Taylor coefficients from the
-same expansion.
+series division (Bronstein, Symbolic Integration I), and return it grouped
+by pole, {order: coeff} in `linear_poles` order, the one shape both
+reductions consume; the curve reduction takes f(a/b) and the rational
+solutions their Taylor coefficients from the same expansion.
 """
 
 from __future__ import annotations
@@ -264,50 +265,46 @@ def _rf_sort_key(f: RationalFunction):
     return (poly_key(f.den), poly_key(f.num))
 
 
-class PoleTerm:
-    __slots__ = ("pole", "order", "coeff")
-
-    def __init__(self, pole: RationalFunction, order: int, coeff: RationalFunction):
-        self.pole = pole
-        self.order = order
-        self.coeff = coeff
-
-
 class PartialFractions:
-    """f = poly_part + sum coeff/(v - pole)^order, exactly."""
+    """f = poly_part + sum over poles p of sum_k principal[p][k]/(v - p)^k,
+    exactly.  `principal` maps each pole, in `linear_poles` order, to its
+    principal part {order: coeff} with nonzero coefficients only; the
+    largest order is the pole's multiplicity."""
 
-    __slots__ = ("poly_part", "terms")
+    __slots__ = ("poly_part", "principal")
 
-    def __init__(self, poly_part: RationalFunction, terms: tuple[PoleTerm, ...]):
+    def __init__(self, poly_part: RationalFunction,
+                 principal: dict[RationalFunction, dict[int, RationalFunction]]):
         self.poly_part = poly_part
-        self.terms = terms
+        self.principal = principal
 
     def recombine(self, v: int) -> RationalFunction:
         reg = self.poly_part.registry
         x = RationalFunction.from_poly(MultiPoly.var(v), reg)
         total = self.poly_part
-        for t in self.terms:
-            total = total + t.coeff / (x - t.pole) ** t.order
+        for pole, part in self.principal.items():
+            for order, coeff in part.items():
+                total = total + coeff / (x - pole) ** order
         return total
 
 
 def partial_fractions(f: RationalFunction, v_name: str) -> PartialFractions:
-    """The polynomial part, then at each pole p = a/b of order m the
-    coefficients of the principal part from the q-adic expansions in
-    q = b*x - a of the proper numerator and of the cofactor den / q^m, and
-    one truncated series division."""
+    """The polynomial part, then at each pole p = a/b of order m, in
+    `linear_poles` order, the principal part {order: coeff} from the q-adic
+    expansions in q = b*x - a of the proper numerator and of the cofactor
+    den / q^m, and one truncated series division."""
     registry = f.registry
     v = registry.index(v_name)
     den = f.den
     if den.degree(v) <= 0:
-        return PartialFractions(f, ())
+        return PartialFractions(f, {})
     # Pseudo-division: lc^e * num = quo * den + r with lc the v-free leading
     # coefficient of den, so the polynomial part is quo / lc^e and the proper
     # part r / (lc^e * den).
     lc_e = den.coefficient(v, den.degree(v)) ** max(f.num.degree(v) - den.degree(v) + 1, 0)
     r = prem(f.num, den, v)
     quo = exact_div(f.num * lc_e - r, den)
-    terms: list[PoleTerm] = []
+    principal: dict[RationalFunction, dict[int, RationalFunction]] = {}
     for pole, m in linear_poles(den, v, registry):
         a, b = pole.num, pole.den
         cof = exact_div(den, (b * MultiPoly.var(v) - a) ** m)
@@ -318,6 +315,7 @@ def partial_fractions(f: RationalFunction, v_name: str) -> PartialFractions:
         # e_k = r_k - sum_j (d_j / d_0) e_(k-j), and q^(k-m) = b^(k-m) (x - p)^(k-m).
         ratios = [RationalFunction(d, ds[0], registry) for d in ds[1:]]
         es: list[RationalFunction] = []
+        part = principal[pole] = {}
         for k in range(m):
             e = RationalFunction.from_poly(rs[k], registry)
             for j in range(1, k + 1):
@@ -325,7 +323,6 @@ def partial_fractions(f: RationalFunction, v_name: str) -> PartialFractions:
             es.append(e)
             if not e.is_zero():
                 shift = cof.degree(v) - r.degree(v) - (m - k)
-                coeff = e * RationalFunction.from_poly(b, registry) ** shift / (lc_e * ds[0])
-                terms.append(PoleTerm(pole=pole, order=m - k, coeff=coeff))
-    terms.sort(key=lambda t: (_rf_sort_key(t.pole), t.order))
-    return PartialFractions(RationalFunction(quo, lc_e, registry), tuple(terms))
+                b_shift = RationalFunction.from_poly(b, registry) ** shift
+                part[m - k] = e * b_shift / (lc_e * ds[0])
+    return PartialFractions(RationalFunction(quo, lc_e, registry), principal)

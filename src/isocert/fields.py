@@ -2,8 +2,10 @@
 derivations over Q(t,...), differential towers, rebased derivation bases and
 function fields of curves.
 
-A field context carries the zero/one elements, embeds plain rational
-functions, and knows how to differentiate elements by derivation-symbol name.
+A field context carries the zero/one elements and knows how to
+differentiate elements by derivation-symbol name.  A coefficient from the
+parameter field multiplies an element of every field as it stands; on a
+curve the `CurveElement` product lifts it.
 Connection systems, operators and solvers are written against this interface
 so they run unchanged over every supported field.
 """
@@ -22,10 +24,6 @@ class FieldContext:
 
     def derive(self, element, symbol: str):
         raise NotImplementedError
-
-    def from_rational(self, f: RationalFunction):
-        """Embed a scalar from the parameter field."""
-        return f
 
 
 class RationalFieldContext(FieldContext):
@@ -59,6 +57,3 @@ class RebasedFieldContext(FieldContext):
         for coeff, base_sym in combo:
             total = total + coeff * self.base.derive(element, base_sym)
         return total
-
-    def from_rational(self, f: RationalFunction):
-        return self.base.from_rational(f)

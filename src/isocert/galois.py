@@ -159,7 +159,7 @@ def companion_system(op: LinearDiffOperator, b, a, field: FieldContext,
         A_t[i][i + 1] = one
     A_t[n][0] = a
     for i, c in enumerate(op.coeffs):
-        A_t[n][i + 1] = field.from_rational(c)
+        A_t[n][i + 1] = one * c  # on a curve the product lifts c
     return ConnectionSystem(field, n + 1, {x_name: A_x, op.symbol: A_t},
                             principal=x_name)
 

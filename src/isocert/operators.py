@@ -55,7 +55,7 @@ class LinearDiffOperator:
         total = derivs[self.order]
         for i, c in enumerate(self.coeffs):
             if not c.is_zero():
-                total = total - field.from_rational(c) * derivs[i]
+                total = total - c * derivs[i]
         return total
 
     def scaled_coefficients(self, factor: RationalFunction) -> list[RationalFunction]:

@@ -413,6 +413,12 @@ def test_split_f_level_matches_products(xt):
             assert _split_f_level(p1, curve) == _split_f_level_by_products(p1, curve), p1
 
 
+def test_split_f_level_has_no_level_cap(xt, legendre):
+    # Each pass divides the denominator by a factor of positive degree in x,
+    # so any power of f separates.
+    assert _split_f_level(xt["one"] / legendre.f_rf ** 70, legendre) == (69, xt["one"])
+
+
 def test_check_picard_fuchs_rejects_a_wrong_certificate_or_operator(xt, legendre,
                                                                     monkeypatch):
     x, t, one = xt["x"], xt["t"], xt["one"]

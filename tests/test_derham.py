@@ -11,10 +11,11 @@ from isocert import derham
 from isocert.derham import (Exact2FormSolvable, Exact2FormUnsolvable,
                             Exact2FormUnsupported, H1Class, ReductionResult,
                             exact2form_solvable, gm_derivative, reduce, telescoper)
-from isocert.exactalg import (NonLinearFactor, RationalFunction, gcd, linear_solve,
-                              partial_fractions)
+from isocert.exactalg import (NonLinearFactor, RationalFunction, gcd, linear_poles,
+                              linear_solve, partial_fractions)
 from isocert.fields import RationalFieldContext
-from isocert.operators import Certificate, LinearDiffOperator, TelescoperNotFound
+from isocert.operators import (Certificate, LinearDiffOperator, TelescoperNotFound,
+                               _pole_factor)
 
 from conftest import plus, random_rational
 
@@ -263,12 +264,12 @@ def _reference_reduce(f, x_name):
     poly = pfd.poly_part
     cert = RationalFunction(poly.num.integral(f.registry.index(x_name)), poly.den, f.registry)
     residues = {}
-    for term in pfd.terms:
-        if term.order == 1:
-            residues[term.pole] = residues.get(term.pole, 0) + term.coeff
-        else:
-            m = term.order
-            cert = cert - term.coeff / (Fraction(m - 1) * (x - term.pole) ** (m - 1))
+    for pole, part in pfd.principal.items():
+        for m, c in part.items():
+            if m == 1:
+                residues[pole] = residues.get(pole, 0) + c
+            else:
+                cert = cert - c / (Fraction(m - 1) * (x - pole) ** (m - 1))
     return H1Class(residues), cert
 
 
@@ -303,6 +304,28 @@ def test_reduce_matches_the_term_by_term_reference(xt):
         assert gcd(got.certificate.num, got.certificate.den).is_one()
 
     inner()
+
+
+def test_principal_parts_are_grouped_by_pole_in_linear_poles_order(xt):
+    """partial_fractions keys each principal part by its pole, in the order
+    of linear_poles(den), up to the multiplicity and with no zero
+    coefficient; reduce's record lists the same poles in the same order, at
+    the largest order minus 1, simple poles at 0."""
+    x, t = xt["x"], xt["t"]
+    ix = xt["reg"].index("x")
+    for f in [(x ** 3 + t) / ((x - t) ** 3 * (2 * x + 1) * (t * x - 1) ** 2) + x,
+              1 / ((x - t) ** 2 * (x - 1)), (x + 1) / ((x - 2) * (x - t) ** 4 * x ** 2),
+              1 / (x - 1) ** 2 + t / (x + 1) ** 2, x ** 2 / ((3 * x - t) * (x + t))]:
+        pfd = partial_fractions(f, "x")
+        poles = linear_poles(f.den, ix, xt["reg"])
+        assert list(pfd.principal) == [p for p, _ in poles]
+        for (_, m), part in zip(poles, pfd.principal.values()):
+            assert max(part) == m
+            assert all(1 <= k <= m and not c.is_zero() for k, c in part.items())
+        assert pfd.recombine(ix) == f
+        [record] = reduce(f, "x").parts
+        assert record.factors[1:] == [(_pole_factor(p, ix), max(part) - 1)
+                                      for p, part in pfd.principal.items()]
 
 
 def test_reduction_results_compare_by_class_and_certificate(xt):

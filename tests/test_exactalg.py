@@ -94,8 +94,7 @@ def test_partial_fractions_two_linear_poles(xt):
     f = one / ((x - t) * (x - one))
     pfd = partial_fractions(f, "x")
     assert pfd.poly_part.is_zero()
-    got = {(term.pole, term.order): term.coeff for term in pfd.terms}
-    assert got == {(t, 1): one / (t - one), (one, 1): -one / (t - one)}
+    assert pfd.principal == {t: {1: one / (t - one)}, one: {1: -one / (t - one)}}
     assert pfd.recombine(xt["reg"].index("x")) == f
 
 
@@ -103,8 +102,7 @@ def test_partial_fractions_higher_order(xt):
     x, one = xt["x"], xt["one"]
     f = x / (x - one) ** 2
     pfd = partial_fractions(f, "x")
-    got = {(term.pole, term.order): term.coeff for term in pfd.terms}
-    assert got == {(one, 1): one, (one, 2): one}
+    assert pfd.principal == {one: {1: one, 2: one}}
 
 
 def test_partial_fractions_irreducible_quadratic(xt):
@@ -820,8 +818,9 @@ def test_partial_fractions_match_sympy_apart(xt):
             expected.add((rational(-l0, l1), k, rational(n, c * l1 ** k)))
         assert not pfd.poly_part.is_zero()
         assert pfd.poly_part == poly_part
-        assert {(t.pole, t.order, t.coeff) for t in pfd.terms} == expected
-        assert len(pfd.terms) == len(expected)
+        got = [(pole, k, c) for pole, part in pfd.principal.items() for k, c in part.items()]
+        assert set(got) == expected
+        assert len(got) == len(expected)
 
 
 def test_gcd_prs_fallback_agrees(monkeypatch):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from isocert.connection import ConnectionSystem, check_integrability
+from isocert.curve import CurveContext, CurveElement, CurveSpec, curve_w, picard_fuchs
 from isocert.derham import telescoper
 from isocert.difftower import gamma_tower
 from isocert.exactalg import (RationalFunction, UPoly, mat_eq, mat_inverse,
@@ -217,6 +218,20 @@ def test_companion_flatness_equivalence(xt):
         assert check_integrability(S, "full").flat
         bad = companion_system(op, b, a + x * t, f)
         assert not check_integrability(bad, "full").flat
+
+
+def test_companion_flatness_on_a_curve(xt):
+    # The operator's coefficients lie in Q(t); on a curve the bottom row
+    # must hold them as curve elements, which the integrability check derives.
+    x, t = xt["x"], xt["t"]
+    curve = CurveSpec((x * (x - 1) * (x - t)).num, "x", xt["reg"])
+    res = picard_fuchs(curve, 0, "t")
+    ctx, b = CurveContext(curve), curve.basis_form(0)
+    S = companion_system(res.operator, b, res.certificate, ctx)
+    assert all(isinstance(c, CurveElement) for c in S.matrices["t"][-1])
+    assert check_integrability(S, "full").flat
+    bad = companion_system(res.operator, b, res.certificate + curve_w(curve) * x, ctx)
+    assert not check_integrability(bad, "full").flat
 
 
 def test_galois_descriptor_rational(xt):
