@@ -5,14 +5,14 @@ Elements of the function field are p0 + p1*w with rational p0, p1 and w^2
 eliminated eagerly.  Differential forms (q dx) reduce against the basis
 {x^i dx/w : 0 <= i <= deg(f)-2}.  Poles away from the branch locus move
 into the certificate in one pass: one partial-fraction call gives every
-principal part, and a triangular recurrence at each pole gives its share of
-the certificate.  What is left is N/(D f^(m+1)) w dx with a polynomial
-numerator N and an x-free denominator D, and the rest runs on N and D
-alone: odd w-powers drop through the Bezout identity u*f + V*f' = 1 (a
-pseudo-remainder by f and one exact division per step), and x-degrees drop
-through the exact forms d(x^j w).  D absorbs the denominator of V and the
-powers of lc_x(f) these steps bring in, so they take no gcd in x; each
-coordinate is normalized at the end.
+principal part, and `derham._hermite`, the Hermite step of `derham.reduce`
+run next to w, their share of the certificate.  What is left is
+N/(D f^(m+1)) w dx with a polynomial numerator N and an x-free denominator
+D, and the rest runs on N and D alone: odd w-powers drop through the Bezout
+identity u*f + V*f' = 1 (a pseudo-remainder by f and one exact division per
+step), and x-degrees drop through the exact forms d(x^j w).  D absorbs the
+denominator of V and the powers of lc_x(f) these steps bring in, so they
+take no gcd in x; each coordinate is normalized at the end.
 
 A certificate is a pair of `operators.Certificate` records: the even part,
 a `derham` record, and the odd part, with f at a half-integer exponent
@@ -28,17 +28,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .derham import H1Class, ReductionResult, _check_reduction
+from .derham import H1Class, ReductionResult, _check_reduction, _hermite
 from .derham import reduce as derham_reduce
 from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
                        RationalFunction, UPoly, VariableRegistry, exact_div,
                        partial_fractions, prem, upoly_xgcd)
-from .exactalg.factor import _q_adic
 from .exactalg.poly import gcd as poly_gcd
 from .fields import FieldContext
 from .operators import (Certificate, LinearDiffOperator, Reduction, TelescoperResult,
                         _check_exact_plus_class, _check_operator_identity, _derive_over,
-                        _free_gcd, _over, _pole_factor, _product, _sum, reduction_telescoper)
+                        _free_gcd, _over, _product, _sum, reduction_telescoper)
 
 
 class CurveError(ExactAlgError):
@@ -285,21 +284,12 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
     """Reduce the form omega*dx to the de Rham basis with an exact
     certificate: omega*dx = d(certificate) + sum coords_i * x^i dx/w.
 
-    The odd part is Q w dx / f^(m+1) with Q's denominator prime to f, and
-    d(U w / f^m) = L(U) w dx / f^(m+1) with L(U) = U' f + (1/2 - m) U f'.
-    At each pole c = a/b of Q, of order j, U_c = sum_{i<j} u_i / s^i with
-    s = x - c matches Q's principal part down to order 2.  With
-    f = sum phi_k s^k (phi_k = c_k b^(k-d) from the expansion of f in b*x - a)
-    the s^(-n) coefficient of L(U_c) is -(n-1) phi_0 u_(n-1) plus
-    sum_{i>=n} u_i phi_(i+1-n) ((1/2 - m)(i-n+1) - i), so the u_i follow
-    from n = j down to 2 with pivot -(n-1) f(c), nonzero off the branch
-    locus; what is left at n = 1 is a residue, a third-kind form.  Then
-    Q - L(U) is a polynomial over an x-free denominator for
-    `_reduce_numerator`."""
+    The odd part is Q w dx / f^(m+1) with Q's denominator prime to f.  U
+    from `derham._hermite` at f and m matches Q's principal parts down to
+    order 2, a residue left being a third-kind form; Q - L(U) is then a
+    polynomial over an x-free denominator for `_reduce_numerator`."""
     curve = omega.curve
-    reg = curve.registry
-    x_name, x, f = curve.x_name, curve.x_index, curve.f
-    zero = RationalFunction.const(0, reg)
+    reg, x_name, x, f = curve.registry, curve.x_name, curve.x_index, curve.f
 
     # Even part: an exact differential on the x-line, or unsupported.
     even = Certificate(MultiPoly.zero(), [(MultiPoly.one(), 1)], x, reg)
@@ -317,34 +307,17 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
         pfd = partial_fractions(Q, x_name)
     except NonLinearFactor as exc:
         raise UnsupportedPoles(str(exc)) from None
-    d, half = curve.degree, Fraction(1, 2) - m
-    shares = []
-    for c, q in pfd.principal.items():
-        j = max(q)
-        phi = [RationalFunction(ck, c.den ** max(d - k, 0), reg)
-               for k, ck in enumerate(_q_adic(f, x, c.num, c.den, j))]
-        u: dict[int, RationalFunction] = {}
-        for n in range(j, 0, -1):
-            rest = q.get(n, zero)
-            for i in range(n, j):
-                rest = rest - u[i] * phi[i + 1 - n] * (half * (i - n + 1) - i)
-            if n > 1:
-                u[n - 1] = rest / (phi[0] * (1 - n))
-            elif not rest.is_zero():
-                raise UnsupportedPoles("simple pole off the branch locus (third-kind form)")
-        # u_i / s^i = u_i b^i q^(j-1-i) / q^(j-1) with q = b*x - a.
-        qc = _pole_factor(c, x)
-        shares += [Certificate(ui.num * c.den ** i * qc ** (j - 1 - i),
-                               [(ui.den, 1), (qc, j - 1)], x, reg) for i, ui in u.items()]
+    U, residues = _hermite(pfd.principal, x, reg, f, m)
+    if residues:
+        raise UnsupportedPoles("simple pole off the branch locus (third-kind form)")
     left_num, left_den, odd = Q.num, Q.den, []
-    if shares:
+    if pfd.principal:
         # Q - L(U) over the factors of d_x U: the principal parts cancel, so
         # prod q_c^j_c divides its numerator.
-        U = _sum(shares)
         num, raised, r = _derive_over(U.num, U.factors, x)
         known = _product(raised[1:])
         q_num, lead = _over(Q, known, x)
-        l_u = num * f + (U.num * r * curve.fx).scale(half)
+        l_u = num * f + (U.num * r * curve.fx).scale(Fraction(1, 2) - m)
         left = _sum([Certificate(q_num, [(lead, 1), *raised[1:]], x, reg),
                      Certificate(-l_u, raised, x, reg)])
         left_num, left_den = exact_div(left.num, known), left.factors[0][0]

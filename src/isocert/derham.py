@@ -9,16 +9,17 @@ representative together with a certificate g such that
     f = d_x(g) + sum b_i/(x - c_i)      (verified on every call).
 
 The certificate is an `operators.Certificate` record (s = 1), over
-q_p = b*x - a for each pole p = a/b of f.
+q_p = b*x - a for each pole p = a/b of f.  `_hermite`, the one Hermite step
+at x-linear poles, serves `reduce` (f = 1) and `curve.curve_reduce`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactalg import (MultiPoly, NonLinearFactor, RationalFunction, exact_div, lcm,
-                       partial_fractions)
-from .exactalg.factor import _rf_sort_key
+from .exactalg import (MultiPoly, NonLinearFactor, RationalFunction, VariableRegistry,
+                       exact_div, lcm, partial_fractions)
+from .exactalg.factor import _q_adic, _rf_sort_key
 from .operators import (Certificate, LinearDiffOperator, Reduction, TelescoperResult,
                         _check_exact_plus_class, _check_operator_identity, _pole_factor,
                         _sum, reduction_telescoper)
@@ -80,45 +81,70 @@ def reduce(f: RationalFunction, x_name: str) -> ReductionResult:
     """Canonical class of f in K/(d_x K) plus certificate.
 
     Poles of order >= 2 and the polynomial part move into the certificate;
-    simple-pole residues form the class.  Requires x-linear poles.
-
-    Every denominator is known in advance.  For a pole p = a/b of order
-    e_p + 1 the term -c_m/((m-1)*(x - p)^(m-1)) is
-    -c_m*b^(m-1)/((m-1)*q_p^(m-1)).  The certificate is N over D and the
-    q_p^e_p, D the lcm of the x-free denominators: each pole, in the order
-    of `partial_fractions`, adds a Horner sum in q_p times the other poles'
-    factors, and the polynomial part its antiderivative times all of them.
-    A simple pole goes through the same loop at e_p = 0, with an empty sum.
+    simple-pole residues form the class.  Requires x-linear poles.  The
+    certificate record is `_hermite`'s at f = 1 plus the polynomial part's
+    antiderivative.
     """
     reg = f.registry
     x = reg.index(x_name)
     pfd = partial_fractions(f, x_name)
-    den = pfd.poly_part.den
-    for coeffs in pfd.principal.values():
-        for order, c in coeffs.items():
-            if order > 1:
-                den = lcm(den, c.den)
-    num = pfd.poly_part.num.integral(x) * exact_div(den, pfd.poly_part.den)
-    l_part = MultiPoly.one()
-    factors = [(den, 1)]
-    residues: dict[RationalFunction, RationalFunction] = {}
-    for pole, coeffs in pfd.principal.items():
-        if (r := coeffs.get(1)) is not None:
-            residues[pole] = r
-        e = max(coeffs) - 1
-        q = _pole_factor(pole, x)
+    hermite, residues = _hermite(pfd.principal, x, reg)
+    poly = Certificate(pfd.poly_part.num.integral(x), [(pfd.poly_part.den, 1)], x, reg)
+    result = ReductionResult(H1Class(residues), _sum([hermite, poly]))
+    _check_reduction(f, result)
+    return result
+
+
+def _hermite(principal: dict, x: int, registry: VariableRegistry,
+             f: MultiPoly = MultiPoly.one(), m: int = 0
+             ) -> tuple[Certificate, dict[RationalFunction, RationalFunction]]:
+    """Hermite reduction at the x-linear poles of a principal part, next to
+    w = f^(1/2) at level m: U with d(U w / f^m) = L(U) w dx / f^(m+1),
+    L(U) = U' f + (1/2 - m) U f', matching `principal` down to order 2.
+
+    At a pole c = a/b of order j, U_c = sum_{i<j} u_i / s^i with s = x - c.
+    With f = sum phi_k s^k (phi_k = c_k b^(k-d), c_k from the expansion of
+    f in b*x - a, d = deg_x f) the s^(-n) coefficient of L(U_c) is
+    -(n-1) phi_0 u_(n-1) + sum_{n<=i<n+d} u_i phi_(i+1-n) ((1/2 - m)(i-n+1) - i),
+    so the u_i follow from n = j down to 2 with pivot -(n-1) f(c), nonzero
+    off the branch locus; what is left at n = 1 is the residue.  At f = 1
+    this is u_i = -c_(i+1)/i, the reduction mod d_x.
+
+    Returns U's record, over the lcm D of the u_i's denominators and q_c^(j-1)
+    per pole in `principal` order (0 at a simple pole), and the nonzero residues.
+    """
+    zero = RationalFunction.const(0, registry)
+    d, half = f.degree(x), Fraction(1, 2) - m
+    parts, residues, den = [], {}, MultiPoly.one()
+    for c, coeffs in principal.items():
+        j = max(coeffs)
+        phi = [RationalFunction(ck, c.den ** (d - k), registry)
+               for k, ck in enumerate(_q_adic(f, x, c.num, c.den, min(j, d + 1)))]
+        u: dict[int, RationalFunction] = {}
+        for n in range(j, 0, -1):
+            rest = coeffs.get(n, zero)
+            for i in range(n, min(j, n + d)):
+                rest = rest - u[i] * phi[i + 1 - n] * (half * (i - n + 1) - i)
+            if n > 1:
+                u[n - 1] = rest / (phi[0] * (1 - n))
+                den = lcm(den, u[n - 1].den)
+            elif not rest.is_zero():
+                residues[c] = rest
+        parts.append((c, j - 1, u))
+    num, l_part, factors = MultiPoly.zero(), MultiPoly.one(), [(den, 1)]
+    for c, e, u in parts:
+        # u_i / s^i = u_i b^i q^(e-i) / q^e, by Horner's rule in q.
+        q = _pole_factor(c, x)
         h = MultiPoly.zero()
-        for j in range(1, e + 1):
+        for i in range(1, e + 1):
             h = h * q
-            if (c := coeffs.get(j + 1)) is not None:
-                h = h + (c.num * exact_div(den, c.den) * pole.den ** j).scale(Fraction(-1, j))
+            if not u[i].is_zero():
+                h = h + u[i].num * exact_div(den, u[i].den) * c.den ** i
         power = q ** e
         num = num * power + h * l_part
         l_part = l_part * power
         factors.append((q, e))
-    result = ReductionResult(H1Class(residues), Certificate(num, factors, x, reg))
-    _check_reduction(f, result)
-    return result
+    return Certificate(num, factors, x, registry), residues
 
 
 def _check_reduction(f: RationalFunction, result: ReductionResult) -> None:

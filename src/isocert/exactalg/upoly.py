@@ -1,8 +1,8 @@
 """Dense univariate polynomials with rational-function coefficients.
 
-Used wherever one variable is distinguished over the fraction field of the
-others: polynomial parts of partial fractions, Bezout identities on curves,
-operator manipulations.  Coefficients are RationalFunction; index = power.
+One variable is distinguished over the fraction field of the others.  The
+one caller is `curve.CurveSpec`, whose Bezout cofactor V with u*f + V*f' = 1
+comes from `upoly_xgcd`.  Coefficients are RationalFunction; index = power.
 """
 
 from __future__ import annotations
@@ -13,6 +13,9 @@ from .registry import VariableRegistry
 
 
 class UPoly:
+    # __add__, __neg__, shift, derivative, eval and monic have no caller in
+    # the library or its tests; perfbench/spans.py traces them by name, so
+    # they stay until that list drops them.
     __slots__ = ("coeffs", "registry")
 
     def __init__(self, coeffs: list[RationalFunction], registry: VariableRegistry):
@@ -95,9 +98,6 @@ class UPoly:
     def scale(self, c: RationalFunction) -> "UPoly":
         return UPoly([a * c for a in self.coeffs], self.registry)
 
-    # shift, derivative and monic have no caller in the library or its
-    # tests; perfbench/spans.py traces them by name, so they stay until that
-    # list drops them.
     def shift(self, k: int) -> "UPoly":
         """Multiply by v^k."""
         if self.is_zero():

@@ -11,7 +11,7 @@ from isocert.cli.exprio import parse_to_rational
 from isocert.curve import (CurveClass, CurveContext, CurveElement, CurveError,
                            CurveReduction, CurveSpec, UnsupportedPoles, _split_f_level,
                            curve_derive, curve_reduce, curve_w, picard_fuchs)
-from isocert.exactalg import RationalFunction, UPoly, linear_solve
+from isocert.exactalg import RationalFunction, UPoly, linear_solve, partial_fractions
 from isocert.exactalg.printing import format_poly, format_rational
 from isocert.exactalg.poly import gcd as poly_gcd
 from isocert.operators import Certificate, LinearDiffOperator, TelescoperNotFound
@@ -251,6 +251,36 @@ def test_curve_reduce_planted_hermite_poles_match_sympy(xt):
                              (exact + one / ((x * x + t) ** 2 * f), "does not split")):
             with pytest.raises(UnsupportedPoles, match=message):
                 curve_reduce(CurveElement(zero, bad, spec))
+
+
+def test_hermite_leaves_no_pole_of_order_two(xt):
+    """`derham._hermite` next to f at level m: on the Legendre cubic and a
+    non-monic quartic, m = 0, 1, 2, poles 2x - t and tx - 1 of order
+    8 > deg f + 1, Q - L(U) with L(U) = U' f + (1/2 - m) U f' has no pole of
+    order 2 or more, and its residues are the ones returned.  A residue
+    left makes `curve_reduce` refuse the form as third-kind."""
+    x, t, one, zero = xt["x"], xt["t"], xt["one"], xt["zero"]
+    reg, ix = xt["reg"], xt["reg"].index("x")
+    curves = [CurveSpec((x * (x - one) * (x - t)).num, "x", reg),
+              CurveSpec(((t * t + 1) * x ** 4 - 3 * x ** 3 + t * x + 2).num, "x", reg)]
+    coeffs = [zero, one, t, (t + 1) / 3, -2 * one, one / (t - 2)]
+    rnd = random.Random(29)
+    for spec in curves:
+        f, fx = spec.f_rf, spec.fx_rf
+        for m in (0, 1, 2):
+            num = sum((rnd.choice(coeffs) * x ** k for k in range(4)), one)
+            Q = num / ((2 * x - t) ** 8 * (t * x - one) ** 8)
+            principal = partial_fractions(Q, "x").principal
+            record, residues = derham._hermite(principal, ix, reg, spec.f, m)
+            assert [e for _, e in record.factors[1:]] == [7, 7]
+            U, dU = record.value(), record.derive(ix).value()
+            left = Q - (dU * f + (Fraction(1, 2) - m) * U * fx)
+            assert partial_fractions(left, "x").principal == {
+                p: {1: r} for p, r in residues.items()}
+            if residues:
+                with pytest.raises(UnsupportedPoles) as err:
+                    curve_reduce(CurveElement(zero, Q / f ** (m + 1), spec))
+                assert str(err.value) == "simple pole off the branch locus (third-kind form)"
 
 
 def test_curve_reduce_takes_every_hermite_pole_from_one_pass(xt, legendre, monkeypatch):

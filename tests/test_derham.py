@@ -328,6 +328,28 @@ def test_principal_parts_are_grouped_by_pole_in_linear_poles_order(xt):
                                       for p, part in pfd.principal.items()]
 
 
+def test_hermite_at_f_one_is_the_closed_form(xt):
+    """At f = 1 and m = 0 the recurrence gives u_i = -c_(i+1)/i at every
+    pole, the record lists each pole at its largest order minus 1 (a simple
+    pole at 0), and the residues are the order-1 coefficients."""
+    x, t = xt["x"], xt["t"]
+    reg, ix = xt["reg"], xt["reg"].index("x")
+    for f in [(x ** 3 + t) / ((x - t) ** 3 * (2 * x + 1) * (t * x - 1) ** 2),
+              (x + 1) / ((x - 2) * (x - t) ** 4 * x ** 2), 1 / (x - t) ** 9,
+              1 / (x - 1) ** 2 + t / (x + 1) ** 2, x ** 2 / ((3 * x - t) * (x + t))]:
+        principal = partial_fractions(f, "x").principal
+        record, residues = derham._hermite(principal, ix, reg)
+        closed = xt["zero"]
+        for pole, part in principal.items():
+            for n, c in part.items():
+                if n > 1:
+                    closed = closed - c / ((n - 1) * (x - pole) ** (n - 1))
+        assert record.value() == closed
+        assert record.factors[1:] == [(_pole_factor(p, ix), max(part) - 1)
+                                      for p, part in principal.items()]
+        assert residues == {p: part[1] for p, part in principal.items() if 1 in part}
+
+
 def test_reduction_results_compare_by_class_and_certificate(xt):
     x, t, one, zero = xt["x"], xt["t"], xt["one"], xt["zero"]
     result = reduce(1 / ((x - t) ** 2 * (x - 1)), "x")
