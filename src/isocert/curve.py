@@ -16,11 +16,11 @@ take no gcd in x; each coordinate is normalized at the end.
 
 A certificate is a pair of `operators.Certificate` records: the even part,
 a `derham` record, and the odd part, with f at a half-integer exponent
-(s = w).  A reduction is checked part by part:
-the even part as the de Rham identity with zero class, the odd part
-omega.odd*w = d(cert.odd*w) + w*sum c_i x^i/f by `_check_exact_plus_class`.
-A Picard-Fuchs identity D(b*w) = d(cert.odd*w) is checked by
-`_check_operator_identity`.
+(s = w).  Every check is `operators._check_identity`, part by part: the
+even part is the de Rham identity with zero class; the odd part of a
+reduction is the order-0 identity omega.odd*w = d(cert.odd*w) + the class
+records c_i x^i/f^(1/2) of `_class_records`, which `derive_curve_reduction`
+reads too; a Picard-Fuchs identity is D(b*w) = d(cert.odd*w).
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from .exactalg import (ExactAlgError, MultiPoly, NonLinearFactor,
 from .exactalg.poly import gcd as poly_gcd
 from .fields import FieldContext
 from .operators import (Certificate, LinearDiffOperator, Reduction, TelescoperResult,
-                        _check_exact_plus_class, _check_operator_identity, _derive_over,
-                        _free_gcd, _over, _product, _sum, reduction_telescoper)
+                        _check_identity, _derive_over, _free_gcd, _over, _product, _sum,
+                        reduction_telescoper)
 
 
 class CurveError(ExactAlgError):
@@ -173,9 +173,9 @@ def curve_derive(e: CurveElement, var_name: str) -> CurveElement:
     """d/dvar with dw = (df/dvar) * w / (2f), extended by Leibniz: the odd
     part p*w is p.num over p.den * f^(-1/2)."""
     curve = e.curve
-    num, raised, _ = _derive_over(e.odd.num, [(MultiPoly.one(), 1), (e.odd.den, 1),
-                                              (curve.f, Fraction(-1, 2))],
-                                  curve.registry.index(var_name))
+    num, _, raised, _ = _derive_over(e.odd.num, MultiPoly.one(),
+                                     [(e.odd.den, 1), (curve.f, Fraction(-1, 2))],
+                                     curve.registry.index(var_name))
     odd = RationalFunction(num, _product(raised), curve.registry)
     return CurveElement(e.even.derive(var_name), odd, curve)
 
@@ -277,7 +277,7 @@ def _reduce_numerator(curve: CurveSpec, m: int, num: MultiPoly, den: MultiPoly
                    for i in range(curve.basis_size()))
     g = _free_gcd(den, cert, x)  # the lc_x(f) and V factors mostly cancel
     cert, den = exact_div(cert, g), exact_div(den, g)
-    return Certificate(cert, [(den, 1), (f, m - Fraction(1, 2))], x, reg), coords
+    return Certificate(cert, den, [(f, m - Fraction(1, 2))], x, reg), coords
 
 
 def curve_reduce(omega: CurveElement) -> CurveReduction:
@@ -292,7 +292,7 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
     reg, x_name, x, f = curve.registry, curve.x_name, curve.x_index, curve.f
 
     # Even part: an exact differential on the x-line, or unsupported.
-    even = Certificate(MultiPoly.zero(), [(MultiPoly.one(), 1)], x, reg)
+    even = Certificate(MultiPoly.zero(), MultiPoly.one(), [], x, reg)
     if not omega.even.is_zero():
         try:
             rr = derham_reduce(omega.even, x_name)
@@ -312,34 +312,40 @@ def curve_reduce(omega: CurveElement) -> CurveReduction:
         raise UnsupportedPoles("simple pole off the branch locus (third-kind form)")
     left_num, left_den, odd = Q.num, Q.den, []
     if pfd.principal:
-        # Q - L(U) over the factors of d_x U: the principal parts cancel, so
-        # prod q_c^j_c divides its numerator.
-        num, raised, r = _derive_over(U.num, U.factors, x)
-        known = _product(raised[1:])
+        # (Q - L(U)) w / f^(m+1), L(U) w / f^(m+1) being d_x of the odd record
+        # U w / f^m: the principal parts cancel, so prod q_c^j_c divides it.
+        odd = [Certificate(U.num, U.den, U.factors + [(f, m - Fraction(1, 2))], x, reg)]
+        l_u = odd[0].derive(x)
+        known = _product([(q, e + 1) for q, e in U.factors])
         q_num, lead = _over(Q, known, x)
-        l_u = num * f + (U.num * r * curve.fx).scale(Fraction(1, 2) - m)
-        left = _sum([Certificate(q_num, [(lead, 1), *raised[1:]], x, reg),
-                     Certificate(-l_u, raised, x, reg)])
-        left_num, left_den = exact_div(left.num, known), left.factors[0][0]
-        odd = [Certificate(U.num, U.factors + [(f, m - Fraction(1, 2))], x, reg)]
+        left = _sum([Certificate(q_num, lead, l_u.factors, x, reg),
+                     Certificate(-l_u.num, l_u.den, l_u.factors, x, reg)])
+        left_num, left_den = exact_div(left.num, known), left.den
     rest, coords = _reduce_numerator(curve, m, left_num, left_den)
     result = CurveReduction(CurveClass(coords), even, _sum(odd + [rest]), curve)
     _check_curve_reduction(omega, result)
     return result
 
 
+def _class_records(coords: tuple[RationalFunction, ...], curve: CurveSpec) -> list[Certificate]:
+    """The record c_i x^i/f^(1/2) of each coordinate, zeros kept: their sum lists f."""
+    x, w = curve.x_index, (curve.f, Fraction(1, 2))
+    return [Certificate(c.num * MultiPoly.var(x, i), c.den, [w], x, curve.registry)
+            for i, c in enumerate(coords)]
+
+
 def _check_curve_reduction(omega: CurveElement, result: CurveReduction) -> None:
-    """omega dx = d(certificate) + sum coords_i x^i dx/w, part by part, on
-    the certificate's records.  A division that leaves a remainder fails."""
+    """omega dx = d(certificate) + sum coords_i x^i dx/w, part by part on the
+    records, the odd part the order-0 identity over F^(e+1) at each F^e of
+    its record.  A division that leaves a remainder fails."""
     curve = omega.curve
     even, odd = result.parts
     if not (omega.even.is_zero() and even.num.is_zero()):
         _check_reduction(omega.even, ReductionResult(H1Class(), even))
-    x, f, reg = curve.x_index, curve.f, curve.registry
-    classes = [Certificate(c.num * MultiPoly.var(x, i), [(c.den, 1), (f, Fraction(1, 2))],
-                           x, reg) for i, c in enumerate(result.h1.coords) if not c.is_zero()]
     try:
-        _check_exact_plus_class(omega.odd, odd, classes)
+        _check_identity(LinearDiffOperator(curve.x_name, ()), omega.odd,
+                        [(F, e + 1) for F, e in odd.factors], odd,
+                        _class_records(result.h1.coords, curve))
     except ArithmeticError:
         raise AssertionError("curve reduction identity failed; this is a bug") from None
 
@@ -349,20 +355,18 @@ def derive_curve_reduction(r: CurveReduction, t_name: str) -> CurveReduction:
     omega = d(C) + sum coords_k x^k/w, reduce d_t of the small representative
     sum coords_k x^k/w and add d_t(C) to its certificate.
 
-    The representative is R over D * f^(1/2), D the x-free lcm of the
-    coordinate denominators; d_t of it lies over D' * f^(a + 1/2), a = 1 if
-    d_t moves f and 0 if not, and goes to `_reduce_numerator` at level a as
-    it stands.  The records of C are derived and summed with no gcd in x and
-    no normalization.  For forms without even part this is the certificate
-    `curve_reduce` gives for d_t omega."""
+    The representative, the sum of the class records, is R over D * f^(1/2),
+    D the x-free lcm of the coordinate denominators; d_t of it lies over
+    D' * f^(a + 1/2), a = 1 if d_t moves f and 0 if not, and goes to
+    `_reduce_numerator` at level a as it stands.  The records of C are
+    derived and summed with no gcd in x and no normalization.  For forms
+    without even part this is the certificate `curve_reduce` gives for
+    d_t omega."""
     curve = r.curve
-    x, reg = curve.x_index, curve.registry
-    t = reg.index(t_name)
-    w = (curve.f, Fraction(1, 2))
-    rep = _sum([Certificate(c.num * MultiPoly.var(x, k), [(c.den, 1), w], x, reg)
-                for k, c in enumerate(r.h1.coords)]).derive(t)
-    [(den, e_den), (_, e_f)] = rep.factors
-    odd, coords = _reduce_numerator(curve, math.ceil(e_f) - 1, rep.num, den ** e_den)
+    t = curve.registry.index(t_name)
+    rep = _sum(_class_records(r.h1.coords, curve)).derive(t)
+    [(_, e)] = rep.factors
+    odd, coords = _reduce_numerator(curve, math.ceil(e) - 1, rep.num, rep.den)
     even, prev = r.parts
     return CurveReduction(CurveClass(coords), even.derive(t), _sum([odd, prev.derive(t)]),
                           curve)
@@ -397,7 +401,6 @@ def _check_picard_fuchs(operator: LinearDiffOperator, b: CurveElement,
     try:
         if not b.even.is_zero() or not even.derive(curve.x_index).num.is_zero():
             raise ArithmeticError("the even parts do not match")
-        _check_operator_identity(operator, b.odd, [(curve.f, Fraction(1, 2))], odd,
-                                 curve.registry.index(operator.symbol))
+        _check_identity(operator, b.odd, [(curve.f, Fraction(1, 2))], odd)
     except ArithmeticError:
         raise AssertionError("Picard-Fuchs identity failed; this is a bug") from None

@@ -8,9 +8,10 @@ representative together with a certificate g such that
 
     f = d_x(g) + sum b_i/(x - c_i)      (verified on every call).
 
-The certificate is an `operators.Certificate` record (s = 1), over
-q_p = b*x - a for each pole p = a/b of f.  `_hermite`, the one Hermite step
-at x-linear poles, serves `reduce` (f = 1) and `curve.curve_reduce`.
+The certificate is an `operators.Certificate` record (s = 1) over an x-free
+denominator and q_p = b*x - a for each pole p = a/b of f.  `_hermite`, the
+one Hermite step at x-linear poles, serves `reduce` (f = 1) and
+`curve.curve_reduce`; `operators._check_identity` checks both identities.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .exactalg import (MultiPoly, NonLinearFactor, RationalFunction, VariableReg
                        exact_div, lcm, partial_fractions)
 from .exactalg.factor import _q_adic, _rf_sort_key
 from .operators import (Certificate, LinearDiffOperator, Reduction, TelescoperResult,
-                        _check_exact_plus_class, _check_operator_identity, _pole_factor,
-                        _sum, reduction_telescoper)
+                        _check_identity, _pole_factor, _sum, reduction_telescoper)
 
 
 class H1Class:
@@ -89,7 +89,7 @@ def reduce(f: RationalFunction, x_name: str) -> ReductionResult:
     x = reg.index(x_name)
     pfd = partial_fractions(f, x_name)
     hermite, residues = _hermite(pfd.principal, x, reg)
-    poly = Certificate(pfd.poly_part.num.integral(x), [(pfd.poly_part.den, 1)], x, reg)
+    poly = Certificate(pfd.poly_part.num.integral(x), pfd.poly_part.den, [], x, reg)
     result = ReductionResult(H1Class(residues), _sum([hermite, poly]))
     _check_reduction(f, result)
     return result
@@ -118,8 +118,9 @@ def _hermite(principal: dict, x: int, registry: VariableRegistry,
     parts, residues, den = [], {}, MultiPoly.one()
     for c, coeffs in principal.items():
         j = max(coeffs)
-        phi = [RationalFunction(ck, c.den ** (d - k), registry)
-               for k, ck in enumerate(_q_adic(f, x, c.num, c.den, min(j, d + 1)))]
+        phi = [] if j == 1 else [  # a simple pole reads no phi_k
+            RationalFunction(ck, c.den ** (d - k), registry)
+            for k, ck in enumerate(_q_adic(f, x, c.num, c.den, min(j, d + 1)))]
         u: dict[int, RationalFunction] = {}
         for n in range(j, 0, -1):
             rest = coeffs.get(n, zero)
@@ -131,7 +132,7 @@ def _hermite(principal: dict, x: int, registry: VariableRegistry,
             elif not rest.is_zero():
                 residues[c] = rest
         parts.append((c, j - 1, u))
-    num, l_part, factors = MultiPoly.zero(), MultiPoly.one(), [(den, 1)]
+    num, l_part, factors = MultiPoly.zero(), MultiPoly.one(), []
     for c, e, u in parts:
         # u_i / s^i = u_i b^i q^(e-i) / q^e, by Horner's rule in q.
         q = _pole_factor(c, x)
@@ -144,18 +145,24 @@ def _hermite(principal: dict, x: int, registry: VariableRegistry,
         num = num * power + h * l_part
         l_part = l_part * power
         factors.append((q, e))
-    return Certificate(num, factors, x, registry), residues
+    return Certificate(num, den, factors, x, registry), residues
+
+
+def _residue_records(residues: dict, x: int, registry: VariableRegistry) -> list[Certificate]:
+    """The record r_p*b_p/q_p of each nonzero r_p/(x - p), p = a_p/b_p."""
+    return [Certificate(r.num * p.den, r.den, [(_pole_factor(p, x), 1)], x, registry)
+            for p, r in residues.items() if not r.is_zero()]
 
 
 def _check_reduction(f: RationalFunction, result: ReductionResult) -> None:
-    """f = d_x(certificate) + sum r_p/(x - p) on the certificate's record,
-    each r_p/(x - p) = r_p*b_p/q_p a class record.  A division that leaves a
-    remainder fails the check."""
-    x = result.parts[0].x
-    classes = [Certificate(r.num * p.den, [(r.den, 1), (_pole_factor(p, x), 1)], x, f.registry)
-               for p, r in result.h1.residues.items()]
+    """f = d_x(certificate) + sum r_p/(x - p), the order-0 identity on the
+    record, f over q^(e+1) at each factor q^e of it.  A division that leaves
+    a remainder fails the check."""
+    [record] = result.parts
     try:
-        _check_exact_plus_class(f, result.parts[0], classes)
+        _check_identity(LinearDiffOperator(f.registry.name(record.x), ()), f,
+                        [(q, e + 1) for q, e in record.factors], record,
+                        _residue_records(result.h1.residues, record.x, f.registry))
     except ArithmeticError:
         raise AssertionError("reduction identity failed; this is a bug") from None
 
@@ -177,9 +184,8 @@ def derive_reduction(r: ReductionResult, t_name: str) -> ReductionResult:
     """
     [record] = r.parts
     x, reg = record.x, record.registry
-    slopes = [Certificate(-(c.num * p.den), [(c.den, 1), (_pole_factor(p, x), 1)], x, reg)
-              for p, res in r.h1.residues.items()
-              if not (c := res * p.derive(t_name)).is_zero()]
+    slopes = _residue_records({p: -(res * p.derive(t_name)) for p, res in r.h1.residues.items()},
+                              x, reg)
     return ReductionResult(gm_derivative(r.h1, t_name),
                            _sum([record.derive(reg.index(t_name))] + slopes))
 
@@ -197,7 +203,7 @@ def telescoper(b: RationalFunction, x_name: str, t_name: str,
         raise ValueError(f"the parameter {t_name!r} is the integration variable")
     first = reduce(b, x_name)
     # b lies over q_p^(e_p + 1) at each pole of the certificate's list.
-    poles = [(q, e + 1) for q, e in first.parts[0].factors[1:]]
+    poles = [(q, e + 1) for q, e in first.parts[0].factors]
     return reduction_telescoper(
         first, lambda r: derive_reduction(r, t_name),
         lambda r: r.h1.residues,
@@ -211,7 +217,7 @@ def _check_telescoper(operator: LinearDiffOperator, b: RationalFunction,
     times `poles`, [(q_p, m_p), ...] with m_p at least b's order at p.  A
     division that leaves a remainder fails the check."""
     try:
-        _check_operator_identity(operator, b, poles, cert, b.registry.index(t_name))
+        _check_identity(operator, b, poles, cert)
     except ArithmeticError:
         raise AssertionError("telescoper identity failed; this is a bug") from None
 

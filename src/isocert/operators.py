@@ -7,15 +7,16 @@ searches for the minimal D, runs its caller's identity check and returns
 the one `TelescoperResult` or raises the one `TelescoperNotFound`.
 
 A certificate (on a curve, each of its even and odd parts) is one
-`Certificate`: a numerator N over a factor list [(D, e_D), (F, e), ...]
-with c*s = N / prod F^e.  D is free of x; each other F is q_p = b*x - a
-for a pole p = a/b (`_pole_factor`) or, on a curve w^2 = f, f at a
-half-integer exponent, so that s = w (s = 1 when every exponent is an
-integer); c lies over prod F^ceil(e) (`_product`).  The reductions build
-the record, `_derive_over` derives it and `_sum` adds records, none of them
-with a gcd in x.  A `Reduction` keeps its records, the checks verify them
-as they stand, and `Certificate.value`, the one normalization, runs once
-per part, where a result's `certificate` is first read.
+`Certificate`: a numerator N over an x-free denominator D and a factor list
+[(F, e), ...] with c*s = N / (D * prod F^e).  Each F is q_p = b*x - a for a
+pole p = a/b (`_pole_factor`) or, on a curve w^2 = f, f at a half-integer
+exponent, so that s = w (s = 1 when every exponent is an integer); c lies
+over D * prod F^ceil(e) (`_product`).  The reductions build the record,
+`_derive_over` derives it and `_sum` adds records, none of them with a gcd
+in x.  A `Reduction` keeps its records, and `Certificate.value`, the one
+normalization, runs once per part, where a result's `certificate` is first
+read.  `_check_identity` is the one check, D(b*s) = d_x(cert*s) + classes,
+on the records as they stand; a reduction is its case D = 1.
 """
 
 from __future__ import annotations
@@ -73,42 +74,43 @@ class TelescoperResult:
 
 
 class Certificate:
-    """A numerator over its known factor list, x-free part first; see the
-    module docstring.  `x` is the index of the integration variable."""
+    """A numerator over its x-free denominator and known factor list in x;
+    see the module docstring.  `x` is the index of the integration variable."""
 
-    __slots__ = ("num", "factors", "x", "registry")
+    __slots__ = ("num", "den", "factors", "x", "registry")
 
-    def __init__(self, num: MultiPoly, factors: list, x: int, registry: VariableRegistry):
-        self.num, self.factors, self.x, self.registry = num, factors, x, registry
+    def __init__(self, num: MultiPoly, den: MultiPoly, factors: list, x: int,
+                 registry: VariableRegistry):
+        self.num, self.den, self.factors, self.x, self.registry = num, den, factors, x, registry
 
     def derive(self, v: int) -> "Certificate":
-        num, factors, _ = _derive_over(self.num, self.factors, v)
-        return Certificate(num, factors, self.x, self.registry)
+        num, den, factors, _ = _derive_over(self.num, self.den, self.factors, v)
+        return Certificate(num, den, factors, self.x, self.registry)
 
     def scaled(self, c: RationalFunction) -> "Certificate":
         """c times the value, for c free of x."""
-        (d, e), *rest = self.factors
-        return Certificate(self.num * c.num, [(d ** e * c.den, 1), *rest], self.x,
+        return Certificate(self.num * c.num, self.den * c.den, self.factors, self.x,
                            self.registry)
 
     def value(self) -> RationalFunction:
-        """c in lowest terms with a monic denominator: N and prod F^ceil(e)
+        """c in lowest terms with a monic denominator: N and D * prod F^ceil(e)
         divided exactly by their gcd, taken factor by factor (a linear q
-        while N vanishes at its root, f by its gcd with N, the x-free part
-        by its gcd with N's coefficients in x)."""
+        while N vanishes at its root, f by its gcd with N, D by its gcd with
+        N's coefficients in x)."""
         num, x, common = self.num, self.x, MultiPoly.one()
         if num.is_zero():
             return RationalFunction(num, common, self.registry, _reduced=True)
         for f, e in self.factors:
-            k, degree = math.ceil(e), f.degree(x)
-            if degree == 1:
+            k = math.ceil(e)
+            if f.degree(x) == 1:
                 b, a = f.coefficient(x, 1), -f.coefficient(x, 0)
                 while k > 0 and _q_adic(num, x, a, b, 1)[0].is_zero():
                     num, common, k = exact_div(num, f), common * f, k - 1
-            elif degree > 1 and k > 0 and not (g := gcd(num, f ** k)).is_one():
+            elif k > 0 and not (g := gcd(num, f ** k)).is_one():
                 num, common = exact_div(num, g), common * g
-        g = _free_gcd(_product([(f, e) for f, e in self.factors if f.degree(x) == 0]), num, x)
-        num, den = _monic_den(exact_div(num, g), exact_div(_product(self.factors), common * g))
+        g = _free_gcd(self.den, num, x)
+        num, den = _monic_den(exact_div(num, g),
+                              exact_div(self.den * _product(self.factors), common * g))
         return RationalFunction(num, den, self.registry, _reduced=True)
 
 
@@ -150,23 +152,23 @@ def _product(factors: list[tuple]) -> MultiPoly:
 
 
 def _sum(terms: list[Certificate]) -> Certificate:
-    """The sum of the records, over the lcm M of their x-free parts and the
-    largest exponent of each other factor; only the lcm takes a gcd, and it
-    is free of x.  A factor a record does not list has exponent 0 there."""
+    """The sum of the records, over the lcm M of their x-free denominators
+    and the largest exponent of each factor (0 where a record lacks it);
+    only the lcm takes a gcd, free of x.  A zero record adds only factors."""
     m, top = MultiPoly.one(), {}
     for term in terms:
-        (d, e), *rest = term.factors
-        m = lcm(m, d ** e)
-        for f, e in rest:
+        m = lcm(m, term.den)
+        for f, e in term.factors:
             top[f] = max(e, top.get(f, e))
     total = MultiPoly.zero()
     for term in terms:
-        (d, e), *rest = term.factors
-        have = dict(rest)
+        if term.num.is_zero():
+            continue
+        have = dict(term.factors)
         missing = [(f, e - have.get(f, 0)) for f, e in top.items() if e != have.get(f, 0)]
-        total = total + term.num * exact_div(m, d ** e) * _product(missing)
+        total = total + term.num * exact_div(m, term.den) * _product(missing)
     first = terms[0]
-    return Certificate(total, [(m, 1), *top.items()], first.x, first.registry)
+    return Certificate(total, m, list(top.items()), first.x, first.registry)
 
 
 def reduction_telescoper(first, step, coords, check, t_name: str,
@@ -210,33 +212,32 @@ def reduction_telescoper(first, step, coords, check, t_name: str,
     raise TelescoperNotFound(max_order)
 
 
-def _derive_over(num: MultiPoly, factors: list[tuple], v: int
-                 ) -> tuple[MultiPoly, list[tuple], MultiPoly]:
+def _derive_over(num: MultiPoly, den: MultiPoly, factors: list[tuple], v: int
+                 ) -> tuple[MultiPoly, MultiPoly, list[tuple], MultiPoly]:
     """The quotient rule over a known product, with no gcd in x.
 
-    With P = prod F^e over `factors`, R = prod R_F over the F that d_v moves
-    and S = sum e*d_v(F)*R/F over them, d_v(num/P) = (d_v(num)*R - num*S)/(P*R).
-    R_F = F, but the x-free first factor D^e_D, as one polynomial D, has
+    With P = den * prod F^e over `factors`, R = R_D * prod R_F over the F
+    that d_v moves and S the matching sum of e*d_v(F)*R/F, d_v(num/P) =
+    (d_v(num)*R - num*S)/(P*R).  R_F = F, but the x-free den D has
     R_D = D/gcd(D, d_v D), so that a power in D does not double at each step.
-    Returns that numerator, the factors with each moved F^e made F^e*R_F, and R.
+    Returns that numerator, D*R_D, the factors with each moved F^e made
+    F^(e+1), and R.
     """
-    (d, e_d), *rest = factors
-    d = d ** e_d
-    derivs = [f.derivative(v) for f, _ in rest]
+    derivs = [f.derivative(v) for f, _ in factors]
     r = MultiPoly.one()
-    for (f, _), df in zip(rest, derivs):
+    for (f, _), df in zip(factors, derivs):
         if not df.is_zero():
             r = r * f
     s = MultiPoly.zero()
-    for (f, e), df in zip(rest, derivs):
+    for (f, e), df in zip(factors, derivs):
         if e and not df.is_zero():
             s = s + (df * exact_div(r, f)).scale(e)
-    if not (dd := d.derivative(v)).is_zero():
-        g = gcd(d, dd)
-        r_d = exact_div(d, g)
-        s, r, d = exact_div(dd, g) * r + r_d * s, r_d * r, d * r_d
-    raised = [(f, e if df.is_zero() else e + 1) for (f, e), df in zip(rest, derivs)]
-    return num.derivative(v) * r - num * s, [(d, 1)] + raised, r
+    if not (dd := den.derivative(v)).is_zero():
+        g = gcd(den, dd)
+        r_d = exact_div(den, g)
+        s, r, den = exact_div(dd, g) * r + r_d * s, r_d * r, den * r_d
+    raised = [(f, e if df.is_zero() else e + 1) for (f, e), df in zip(factors, derivs)]
+    return num.derivative(v) * r - num * s, den, raised, r
 
 
 def _over(value: RationalFunction, known: MultiPoly, x: int) -> tuple[MultiPoly, MultiPoly]:
@@ -251,40 +252,29 @@ def _over(value: RationalFunction, known: MultiPoly, x: int) -> tuple[MultiPoly,
     return value.num * exact_div(lead * known, den), lead
 
 
-def _check_operator_identity(operator: LinearDiffOperator, b: RationalFunction,
-                             factors: list[tuple], cert: Certificate, t: int) -> None:
-    """D(b*s) = d_x(cert*s) for D in d_t, b*s over an x-free X times the
-    factors.  With N_i/P_i = d_t^i(b*s) and R_i the multiplier of step i,
-    D(b*s) = sum a_i N_i R_i...R_(n-1) / (M*P_n) by Horner's rule, M the lcm
-    of the denominators of the c_i, a_n = M and a_i = -c_i*M; that record
-    and minus d_x(cert*s) must sum to zero, or ArithmeticError is raised."""
+def _check_identity(operator: LinearDiffOperator, b: RationalFunction, factors: list[tuple],
+                    cert: Certificate, classes=()) -> None:
+    """D(b*s) = d_x(cert*s) + the sum of the class records, D in d_t for
+    t = operator.symbol (a reduction is D = 1), b*s over an x-free X times
+    the factors.  With N_i/P_i = d_t^i(b*s) and R_i the multiplier of step
+    i, D(b*s) = sum a_i N_i R_i...R_(n-1) / (M*P_n) by Horner's rule, M the
+    lcm of the denominators of the c_i, a_n = M and a_i = -c_i*M; that
+    record minus the right side must be zero, or ArithmeticError is raised."""
     x, reg = cert.x, cert.registry
-    num, lead = _over(b, _product(factors), x)
-    factors = [(lead, 1)] + factors
+    t = reg.index(operator.symbol)
+    num, den = _over(b, _product(factors), x)
     m = MultiPoly.one()
     for c in operator.coeffs:
         m = lcm(m, c.den)
     lhs = MultiPoly.zero()
     for i in range(operator.order + 1):
         if i:
-            num, factors, r = _derive_over(num, factors, t)
+            num, den, factors, r = _derive_over(num, den, factors, t)
             lhs = lhs * r
         if i == operator.order:
             lhs = lhs + m * num
         elif not (c := operator.coeffs[i]).is_zero():
             lhs = lhs - c.num * exact_div(m, c.den) * num
-    (lead, _), *rest = factors  # `_derive_over` leaves the x-free part at exponent 1
-    rhs = cert.derive(x)
-    if not _sum([Certificate(lhs, [(m * lead, 1), *rest], x, reg),
-                 Certificate(-rhs.num, rhs.factors, x, reg)]).num.is_zero():
-        raise ArithmeticError("the operator identity does not hold")
-
-
-def _check_exact_plus_class(value: RationalFunction, cert: Certificate,
-                            classes: list[Certificate]) -> None:
-    """value*s = d_x(cert*s) + sum of the class records, the right side
-    summed by `_sum`.  Raises ArithmeticError when value.den does not divide
-    the product it lies over or the identity fails."""
-    rhs = _sum([cert.derive(cert.x)] + classes)
-    if value.num * exact_div(_product(rhs.factors), value.den) != rhs.num:
+    if not _sum([Certificate(-lhs, m * den, factors, x, reg), cert.derive(x),
+                 *classes]).num.is_zero():
         raise ArithmeticError("the identity does not hold")

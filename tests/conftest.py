@@ -95,5 +95,7 @@ def plus(record, num: RationalFunction, *factors):
     as the program sums its own."""
     from isocert.operators import Certificate, _sum
 
-    term = Certificate(num.num, [(f.num, e) for f, e in factors], record.x, record.registry)
+    (d, e), *rest = factors
+    term = Certificate(num.num, d.num ** e, [(f.num, e) for f, e in rest], record.x,
+                       record.registry)
     return _sum([record, term])

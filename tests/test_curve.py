@@ -185,14 +185,17 @@ def test_curve_reduce_pole_off_branch_locus(xt, legendre, monkeypatch):
     r = curve_reduce(omega)
     omega_, _ = seen[-1]
     even, odd = r.parts
-    assert dict(odd.factors[1:]) == {(t * x - one).num: 2, legendre.f: Fraction(1, 2)}
+    assert dict(odd.factors) == {(t * x - one).num: 2, legendre.f: Fraction(1, 2)}
     _assert_curve_check_rejects_corruptions(check, seen[-1], xt)
     # a factor list whose exponents do not match the numerator
-    low = Certificate(odd.num, [(q, e - 1 if q == (t * x - one).num else e)
-                                for q, e in odd.factors], odd.x, odd.registry)
-    with pytest.raises(AssertionError) as err:
-        check(omega_, CurveReduction(r.h1, even, low, legendre))
-    assert isinstance(err.value.__context__, ArithmeticError)
+    low = Certificate(odd.num, odd.den, [(q, e - 1 if q == (t * x - one).num else e)
+                                         for q, e in odd.factors], odd.x, odd.registry)
+    # or a form whose odd part has a pole the record does not list
+    off = CurveElement(omega_.even, omega_.odd / (x + 5 * one), legendre)
+    for args in ((omega_, CurveReduction(r.h1, even, low, legendre)), (off, r)):
+        with pytest.raises(AssertionError) as err:
+            check(*args)
+        assert isinstance(err.value.__context__, ArithmeticError)
     # a bare double pole off the branch locus carries a residue: third kind
     with pytest.raises(UnsupportedPoles):
         curve_reduce(CurveElement(zero, one / ((x + one) ** 2 * legendre.f_rf),
@@ -272,7 +275,7 @@ def test_hermite_leaves_no_pole_of_order_two(xt):
             Q = num / ((2 * x - t) ** 8 * (t * x - one) ** 8)
             principal = partial_fractions(Q, "x").principal
             record, residues = derham._hermite(principal, ix, reg, spec.f, m)
-            assert [e for _, e in record.factors[1:]] == [7, 7]
+            assert [e for _, e in record.factors] == [7, 7]
             U, dU = record.value(), record.derive(ix).value()
             left = Q - (dU * f + (Fraction(1, 2) - m) * U * fx)
             assert partial_fractions(left, "x").principal == {
@@ -316,7 +319,7 @@ def test_curve_reduce_even_parts(xt, legendre, monkeypatch):
     omega = CurveElement(even, x ** 3 / legendre.f_rf, legendre)
     r = curve_reduce(omega)
     assert r.certificate.even.derive("x") == even
-    assert dict(r.parts[0].factors[1:]) == {(x - t / 2).num: 1, (x - one).num: 2}
+    assert dict(r.parts[0].factors) == {(x - t / 2).num: 1, (x - one).num: 2}
     _assert_curve_check_rejects_corruptions(check, seen[-1], xt)
     with pytest.raises(UnsupportedPoles):
         curve_reduce(CurveElement(one / (x - one), zero, legendre))
@@ -566,3 +569,48 @@ def test_derive_steps_take_no_gcd_with_x(xt, legendre, monkeypatch):
                     monkeypatch.setattr(module, key, guarded)
     for fn, args in steps:
         fn(*args)
+
+
+def test_records_name_their_x_free_denominator(xt, legendre, monkeypatch):
+    """Every record that `reduce`, `derive_reduction`, `curve_reduce` and
+    `derive_curve_reduction` return, and the summed records each telescoper
+    checks, keeps its x-free part in `den` and lists only factors in x."""
+    x, t, one = xt["x"], xt["t"], xt["one"]
+    records = []
+
+    def returned(fn):
+        def wrapped(*args):
+            out = fn(*args)
+            records.extend((fn.__name__, part) for part in out.parts)
+            return out
+        return wrapped
+
+    def checked(fn):
+        def wrapped(op, b, *args):
+            records.extend((fn.__name__, a) for a in args if isinstance(a, Certificate))
+            return fn(op, b, *args)
+        return wrapped
+
+    for module, name, wrap in ((derham, "reduce", returned),
+                               (derham, "derive_reduction", returned),
+                               (curve, "curve_reduce", returned),
+                               (curve, "derive_curve_reduction", returned),
+                               (derham, "_check_telescoper", checked),
+                               (curve, "_check_picard_fuchs", checked)):
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    reg = xt["reg"]
+    quartic = CurveSpec((x * (x - one) * (x - t) * (x + one)).num, "x", reg)
+    for text in _CORPUS:
+        derham.telescoper(parse_to_rational(text, reg), "x", "t")
+    for spec in (legendre, quartic):
+        for form in range(spec.basis_size()):
+            picard_fuchs(spec, form, "t")
+    u = CurveElement(xt["zero"], (x + t) / ((t * x - one) ** 2 * legendre.f_rf), legendre)
+    curve.curve_reduce(curve_derive(u, "x") + legendre.basis_form(1))
+    assert {name for name, _ in records} == {
+        "reduce", "derive_reduction", "curve_reduce", "derive_curve_reduction",
+        "_check_telescoper", "_check_picard_fuchs"}
+    ix = reg.index("x")
+    for name, record in records:
+        assert record.den.degree(ix) == 0, name
+        assert all(f.degree(ix) > 0 for f, _ in record.factors), name
