@@ -17,10 +17,10 @@ __version__ = "0.1.0"
 # Submodule -> the public names it provides.
 _EXPORTS = {
     ".connection": (
-        "ConnectionSystem", "CurvatureForm", "FlattenFound", "FlattenNotFound",
-        "FlattenObstruction", "IntegrabilityReport", "SingularGauge",
-        "UnknownDerivation", "bianchi_sum", "centralizer", "check_integrability",
-        "curvature", "defect", "equivalence_move", "flatten", "gauge", "moved_defect"),
+        "ConnectionSystem", "FlattenFound", "FlattenNotFound", "FlattenObstruction",
+        "IntegrabilityReport", "SingularGauge", "UnknownDerivation", "bianchi_sum",
+        "centralizer", "check_integrability", "defect", "equivalence_move",
+        "flatten", "gauge", "moved_defect"),
     ".curve": (
         "CurveClass", "CurveContext", "CurveElement", "CurveReduction", "CurveSpec",
         "UnsupportedPoles", "curve_derive", "curve_reduce", "curve_w", "picard_fuchs"),

@@ -114,7 +114,7 @@ def run_iterated_integrals() -> Report:
     _expect(full.flat == expect["full"], "full verdict differs")
     u, v = expect["failing_pair"]
     _expect(full.failing_pairs() == [(u, v)], "failing pair set differs")
-    d = defect(system, u, v)
+    d = full.defect(u, v)
     want = parse_matrix(problem, expect["defect_matrix"], system.size)
     _expect(mat_eq(d, want), "joint defect differs")
 
@@ -235,7 +235,7 @@ def run_replace_bi() -> Report:
     _expect(full.flat == expect["full"], "full verdict differs")
     u, v = expect["failing_pair"]
     _expect(full.failing_pairs() == [(u, v)], "failing pairs differ")
-    d = defect(system, v, u)
+    d = full.defect(v, u)
     want = parse_matrix(problem, expect["defect_t1_t2"], system.size)
     _expect(mat_eq(d, want), "defect of the broken pair differs")
     return Report("examples run replace-bi", {

@@ -6,9 +6,10 @@ dY = A_d * Y and the integrability defect of an ordered symbol pair is
     defect(u, v) = d_u(A_v) - d_v(A_u) - [A_u, A_v],
 
 antisymmetric in (u, v); the system is flat (fully integrable) iff every
-defect vanishes.  Stored curvature uses the canonical orientation
-(later symbol first), so for a system over (t1, t2) the stored matrix for the
-pair {t1, t2} is defect(t2, t1).
+defect vanishes.  The full IntegrabilityReport is the one record of a
+system's defects: its pairs use the canonical orientation (later symbol
+first), so for a system over (t1, t2) it holds defect(t2, t1) for the pair
+{t1, t2}, and `IntegrabilityReport.defect` reads either orientation.
 
 Also: gauge action, commutants, equivalence moves on the matrix curvature
 formalism and the constructive curvature-flattening search.
@@ -33,9 +34,9 @@ from .fields import FieldContext, RationalFieldContext
 
 __all__ = [
     "ConnectionSystemError", "UnknownDerivation", "SingularGauge",
-    "ConnectionSystem", "CurvatureForm", "PairVerdict", "IntegrabilityReport",
+    "ConnectionSystem", "PairVerdict", "IntegrabilityReport",
     "FlattenFound", "FlattenObstruction", "FlattenNotFound", "ObstructionWitness",
-    "defect", "curvature", "check_integrability", "gauge", "centralizer",
+    "defect", "check_integrability", "gauge", "centralizer",
     "bianchi_sum", "equivalence_move", "moved_defect", "flatten",
 ]
 
@@ -93,39 +94,6 @@ def defect(system: ConnectionSystem, u: str, v: str) -> Matrix:
     return mat_sub(mat_sub(d_uAv, d_vAu), mat_commutator(A_u, A_v, f.zero))
 
 
-class CurvatureForm:
-    """Defect matrices per unordered pair, stored in canonical orientation:
-    the later symbol (in system order) differentiates first."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: dict[tuple[str, str], Matrix]):
-        self.entries = entries
-
-    def matrix(self, u: str, v: str) -> Matrix:
-        if (u, v) in self.entries:
-            return self.entries[(u, v)]
-        if (v, u) in self.entries:
-            return mat_neg(self.entries[(v, u)])
-        raise UnknownDerivation(f"({u}, {v})")
-
-    def is_zero(self, zero) -> bool:
-        return all(mat_is_zero(m, zero) for m in self.entries.values())
-
-
-def _canonical_pairs(symbols: list[str]) -> list[tuple[str, str]]:
-    pairs = []
-    for i, a in enumerate(symbols):
-        for b in symbols[i + 1:]:
-            pairs.append((b, a))
-    return pairs
-
-
-def curvature(system: ConnectionSystem) -> CurvatureForm:
-    return CurvatureForm({(u, v): defect(system, u, v)
-                          for (u, v) in _canonical_pairs(system.symbols())})
-
-
 @dataclass(frozen=True)
 class PairVerdict:
     pair: tuple[str, str]
@@ -145,6 +113,16 @@ class IntegrabilityReport:
     def failing_pairs(self) -> list[tuple[str, str]]:
         return [v.pair for v in self.verdicts if not v.ok]
 
+    def defect(self, u: str, v: str) -> Optional[Matrix]:
+        """defect(u, v) read from the pair's verdict in either orientation
+        (negated when reversed); None when the pair is flat."""
+        for verdict in self.verdicts:
+            if verdict.pair == (u, v):
+                return verdict.defect_matrix
+            if verdict.pair == (v, u):
+                return None if verdict.ok else mat_neg(verdict.defect_matrix)
+        raise UnknownDerivation(f"({u}, {v})")
+
 
 def check_integrability(system: ConnectionSystem, mode: str = "full") -> IntegrabilityReport:
     """mode 'pairwise': the pairs (principal, t_i) only; mode 'full': all
@@ -155,7 +133,8 @@ def check_integrability(system: ConnectionSystem, mode: str = "full") -> Integra
             raise ConnectionSystemError("pairwise mode needs a designated principal symbol")
         pairs = [(t, system.principal) for t in system.parametric_symbols()]
     elif mode == "full":
-        pairs = _canonical_pairs(system.symbols())
+        symbols = system.symbols()
+        pairs = [(b, a) for i, a in enumerate(symbols) for b in symbols[i + 1:]]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     verdicts = []
@@ -297,28 +276,27 @@ def flatten(system: ConnectionSystem, order: Optional[list[str]] = None,
 
     Complete (Found / ProvenObstruction) for two rational parameters when the
     move is constrained to a commuting span; otherwise a bounded-degree ansatz
-    decides Found / NotFoundWithinBounds.  The input's curvature is computed
-    once; a Found move is always re-checked by check_integrability before
-    being returned.
+    decides Found / NotFoundWithinBounds.  The input's full integrability
+    report is computed once; a Found move is always re-checked by
+    check_integrability before being returned.
     """
-    f = system.field
     syms = list(order) if order else system.parametric_symbols()
     for s in syms:
         if s == system.principal:
             raise ValueError("flatten moves are supported on parametric symbols only")
         system.matrix(s)
-    curv = curvature(system)
-    if system.principal is not None and not all(
-            mat_is_zero(curv.matrix(t, system.principal), f.zero)
-            for t in system.parametric_symbols()):
+    full = check_integrability(system, "full")
+    if any(system.principal in pair for pair in full.failing_pairs()):
         raise ConnectionSystemError("system fails the pairwise principal check; "
                                     "flatten preconditions are violated")
-    if curv.is_zero(f.zero):
+    if full.flat:
         return FlattenFound({}, system)
 
     if len(syms) == 2:
-        outcome = _flatten_bivariate(system, syms, constraint,
-                                     curv.matrix(syms[1], syms[0]))
+        h = full.defect(syms[1], syms[0])
+        if h is None:
+            h = zeros(system.size, system.size, system.field.zero)
+        outcome = _flatten_bivariate(system, syms, constraint, h)
         if outcome is not None:
             return outcome
     return _flatten_ansatz(system, syms, constraint, degree_bound)

@@ -207,12 +207,12 @@ def telescoper(b: RationalFunction, x_name: str, t_name: str,
     return reduction_telescoper(
         first, lambda r: derive_reduction(r, t_name),
         lambda r: r.h1.residues,
-        lambda op, cert: _check_telescoper(op, b, cert, t_name, poles),
+        lambda op, cert: _check_telescoper(op, b, cert, poles),
         t_name, b.registry, max_order)
 
 
 def _check_telescoper(operator: LinearDiffOperator, b: RationalFunction,
-                      cert: Certificate, t_name: str, poles: list[tuple]) -> None:
+                      cert: Certificate, poles: list[tuple]) -> None:
     """D(b) = d_x(cert) on the certificate record, b over an x-free factor
     times `poles`, [(q_p, m_p), ...] with m_p at least b's order at p.  A
     division that leaves a remainder fails the check."""

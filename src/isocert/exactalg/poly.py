@@ -431,7 +431,13 @@ class MultiPoly:
         return {e: _normal(terms, n, d) for e, terms in out.items()}
 
     def coefficient(self, var: int, power: int) -> "MultiPoly":
-        return self.as_univariate(var).get(power, _ZERO)
+        """The coefficient of var^power: `as_univariate(var)[power]`, built
+        alone."""
+        s = FIELD_BITS * var
+        shift = power << s
+        terms = {mono - shift: c for mono, c in self.ints.items()
+                 if (mono >> s) & FIELD_MASK == power}
+        return _normal(terms, self.content.numerator, self.content.denominator)
 
 
 def _normal(ints: IntTerms, num: int, den: int) -> MultiPoly:

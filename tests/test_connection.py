@@ -8,7 +8,7 @@ import pytest
 from isocert.connection import (ConnectionSystem, FlattenFound,
                                 FlattenObstruction, SingularGauge,
                                 UnknownDerivation, bianchi_sum, centralizer,
-                                check_integrability, curvature, defect,
+                                check_integrability, defect,
                                 equivalence_move, flatten, gauge, moved_defect)
 from isocert.difftower import DerivationSymbol, Tower
 from isocert.exactalg import (RationalFunction, identity, mat_add, mat_eq,
@@ -220,11 +220,17 @@ def test_bianchi_zero_heisenberg_extended(t1t2):
 
 def test_curvature_canonical_orientation(t1t2):
     S = _heisenberg(t1t2)
-    form = curvature(S)
-    assert set(form.entries) == {("t2", "t1")}
-    assert mat_eq(form.entries[("t2", "t1")], defect(S, "t2", "t1"))
-    assert mat_eq(form.matrix("t1", "t2"),
-                  mat_neg(defect(S, "t2", "t1")))
+    full = check_integrability(S, "full")
+    assert [(v.pair, v.ok) for v in full.verdicts] == [(("t2", "t1"), False)]
+    assert mat_eq(full.verdicts[0].defect_matrix, defect(S, "t2", "t1"))
+    assert mat_eq(full.defect("t2", "t1"), defect(S, "t2", "t1"))
+    assert mat_eq(full.defect("t1", "t2"), mat_neg(defect(S, "t2", "t1")))
+    with pytest.raises(UnknownDerivation):
+        full.defect("t1", "x")
+    zero = t1t2["zero"]
+    flat = check_integrability(S.with_matrices(
+        {"t1": zeros(3, 3, zero), "t2": zeros(3, 3, zero)}), "full")
+    assert flat.defect("t2", "t1") is None and flat.defect("t1", "t2") is None
 
 
 def test_equivalence_move_identity(t1t2):
@@ -285,6 +291,34 @@ def test_flatten_scalar_success(t1t2):
     assert check_integrability(outcome.system, "full").flat
     # the move differs from a_t2 = t1 at most by something killed by both
     # derivations; re-verification above is the contract
+
+
+def test_flatten_reversed_order(t1t2):
+    # With order (t2, t1) the bivariate route reads the defect of the pair
+    # (t1, t2), the reverse of the report's canonical orientation.
+    f, one, zero = t1t2["field"], t1t2["one"], t1t2["zero"]
+    t1, t2 = t1t2["t1"], t1t2["t2"]
+    outcome = flatten(ConnectionSystem(f, 1, {"t1": [[t2]], "t2": [[zero]]}),
+                      order=["t2", "t1"])
+    assert isinstance(outcome, FlattenFound)
+    assert outcome.moves == {"t2": [[zero]], "t1": [[-t2]]}
+    assert check_integrability(outcome.system, "full").flat
+
+    span = [identity(3, zero, one), _e13(t1t2)]
+    outcome = flatten(_heisenberg(t1t2), order=["t2", "t1"], constraint=span)
+    assert isinstance(outcome, FlattenObstruction)
+    w = outcome.witness
+    assert (w.pair, w.component) == (("t1", "t2"), "span[1]")
+    assert (w.pole, w.residue) == (zero, -one / t1)
+    assert not w.residue_class.is_zero()
+
+    S = _heisenberg(t1t2)
+    S.matrices["t2"][1][2] = one / t2 ** 2
+    outcome = flatten(S, order=["t2", "t1"], constraint=span)
+    assert isinstance(outcome, FlattenFound)
+    assert mat_eq(outcome.moves["t2"], zeros(3, 3, zero))
+    assert mat_eq(outcome.moves["t1"], mat_scale(_e13(t1t2), one / (t1 * t2)))
+    assert check_integrability(outcome.system, "full").flat
 
 
 def test_flatten_computes_each_defect_once(xt1t2, monkeypatch):

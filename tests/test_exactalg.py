@@ -1052,6 +1052,8 @@ def test_content_representation_matches_fraction_terms(a, b, c):
             e = mono_exponent(m, var)
             parts.setdefault(e, {})[m - mono_from_items([(var, e)])] = v
         assert {e: _ref(p) for e, p in a.as_univariate(var).items()} == parts
+        assert all(a.coefficient(var, e) == a.as_univariate(var).get(e, MultiPoly.zero())
+                   for e in range(a.degree(var) + 2))
     if ra and rb:
         # Exact division recovers a factor; any other quotient is exact or
         # raises.
